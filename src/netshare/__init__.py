@@ -5,6 +5,10 @@ Quantifies the CAPEX/OPEX an operator saves by sharing network elements
 with a partner, per area type and sharing configuration, over a multi-year
 amortization horizon.  Includes a scenario engine with parameter sweeps,
 a rule-based advisor and a calibration search for reference cost tables.
+
+The calibration names are resolved on first use: only they need numpy and
+scipy (the ``calibrate`` extra), so the engine, the advisor and every other
+command import neither.
 """
 
 from .advisor import (
@@ -17,13 +21,6 @@ from .advisor import (
     checklist,
     compare_lte,
     recommend,
-)
-from .calibration import (
-    CALIBRATION_CONSTRAINTS,
-    CalibrationResult,
-    DeltaTarget,
-    SavingsTarget,
-    calibrate_reference,
 )
 from .costmodel import (
     CostBreakdown,
@@ -72,6 +69,30 @@ from .sharing import (
 )
 
 __version__ = "0.1.0"
+
+_CALIBRATION_NAMES = frozenset(
+    {
+        "CALIBRATION_CONSTRAINTS",
+        "CalibrationResult",
+        "DeltaTarget",
+        "SavingsTarget",
+        "calibrate_reference",
+    }
+)
+
+
+def __getattr__(name):
+    # Lazy, because importing calibration imports numpy and scipy.
+    if name in _CALIBRATION_NAMES:
+        from . import calibration
+
+        return getattr(calibration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _CALIBRATION_NAMES)
+
 
 __all__ = [
     "AreaKind",

@@ -21,11 +21,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-import numpy as np
-from scipy.optimize import linprog, minimize
-
 from .costmodel import apply_sharing, cumulative_cost, savings_report
-from .errors import InfeasibleCalibration, MalformedScenario
+from .errors import InfeasibleCalibration, MalformedScenario, MissingDependency
 from .inventory import (
     FRACTION_TOL,
     AreaKind,
@@ -40,6 +37,15 @@ from .inventory import (
     element_quantity,
 )
 from .sharing import SharingConfiguration, preset
+
+try:
+    import numpy as np
+    from scipy.optimize import linprog, minimize
+except ImportError as exc:
+    raise MissingDependency(
+        f"calibration needs numpy and scipy ({exc}); "
+        "install them with: pip install 'netshare[calibrate]'"
+    ) from exc
 
 __all__ = [
     "CALIBRATION_CONSTRAINTS",
@@ -446,7 +452,7 @@ class _AreaProblem:
             )
             if not np.all(np.isfinite(res.x)):
                 continue
-            violation = self._max_violation(res.x)
+            violation = self._max_violation(res.x, cons)
             score = (violation > FRACTION_TOL, res.fun)
             if best is None or score < best[0]:
                 best = (score, res.x.copy())
@@ -454,11 +460,20 @@ class _AreaProblem:
             return None
         return best[1]
 
-    def _max_violation(self, x: np.ndarray) -> float:
-        worst = abs(x[:_N].sum() - 1.0)
-        for con in self.slsqp_constraints():
-            if con["type"] == "ineq":
-                worst = max(worst, -min(0.0, con["fun"](x)))
+    def _max_violation(self, x: np.ndarray, cons) -> float:
+        """Largest violation of ``cons`` at ``x``, on the scale of ``FRACTION_TOL``.
+
+        ``cons`` is :meth:`slsqp_constraints`: the CAPEX equality, the OPEX
+        floor, then a lower and an upper row per repartition constraint.  Those
+        rows are amounts; dividing by their ledger's sum makes them fractions,
+        as :func:`check_repartition` measures them.
+        """
+        sums = {Ledger.CAPEX: x[:_N].sum(), Ledger.OPEX: x[_N:].sum()}
+        worst = max(abs(sums[Ledger.CAPEX] - 1.0), -min(0.0, cons[1]["fun"](x)))
+        for con, lo, hi in zip(self.constraints, cons[2::2], cons[3::2]):
+            total = sums[con.ledger.base()]
+            if total > 0:  # an empty OPEX ledger already breaks the floor row
+                worst = max(worst, -min(0.0, lo["fun"](x), hi["fun"](x)) / total)
         return worst
 
 

@@ -15,6 +15,8 @@ golden-file comparisons stay stable.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -30,10 +32,17 @@ from .advisor import (
     compare_lte,
     recommend,
 )
-from .calibration import calibrate_reference, load_targets_document
 from .costmodel import SAVINGS_CSV_HEADER, savings_csv_row, savings_to_csv
 from .errors import IoFailure, NetshareError
-from .inventory import AreaKind, check_repartition, default_constraints, Ledger, Market, element_quantity
+from .inventory import (
+    AreaKind,
+    Ledger,
+    Market,
+    check_repartition,
+    default_constraints,
+    default_profile,
+    element_quantity,
+)
 from .scenario import fixture_path, load_scenario_file, run_scenario, sweep as run_sweep
 from .sharing import preset_names
 
@@ -121,11 +130,8 @@ def _cmd_sweep(args) -> int:
     scenario = load_scenario_file(args.scenario)
     result = run_sweep(scenario)
     if args.format == "csv":
-        import csv as _csv
-        import io as _io
-
-        buffer = _io.StringIO()
-        writer = _csv.writer(buffer, lineterminator="\n")
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(("parameter", "value") + SAVINGS_CSV_HEADER)
         for point in result.points:
             for report in point.result.reports():
@@ -281,6 +287,9 @@ def _cmd_checklist(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    # Imported here: calibration loads numpy and scipy, which no other command needs.
+    from .calibration import calibrate_reference, load_targets_document
+
     targets_file = fixture_path(args.targets)
     targets, constraints, horizon, seed = load_targets_document(
         targets_file.read_text(encoding="utf-8")
@@ -316,8 +325,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _sidecar_document(result, constraints) -> dict:
-    from .inventory import default_profile
-
     targets_doc = []
     for outcome in result.outcomes:
         target = outcome.target

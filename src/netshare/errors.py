@@ -76,6 +76,14 @@ class IoFailure(NetshareError):
     """An output target could not be written or an input file read."""
 
 
+class MissingDependency(NetshareError, ImportError):
+    """An optional third-party package that a feature needs is not installed.
+
+    Also an :class:`ImportError`, so code that probes for optional features
+    with ``except ImportError`` keeps working.
+    """
+
+
 class InfeasibleCalibration(NetshareError):
     """No cost table can satisfy the requested constraint set.
 

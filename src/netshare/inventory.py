@@ -261,9 +261,10 @@ class CostTable:
                 raise InvalidAmount(
                     f"entry for {label!r} must be an object with keys capex/opex_annual"
                 )
-            entries[key] = CostEntry(
-                float(payload.get("capex", 0.0)), float(payload.get("opex_annual", 0.0))
-            )
+            amounts = (payload.get("capex", 0.0), payload.get("opex_annual", 0.0))
+            if any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in amounts):
+                raise InvalidAmount(f"entry for {label!r}: capex and opex_annual must be numbers")
+            entries[key] = CostEntry(*(float(a) for a in amounts))
         return cls(area=area, entries=entries, currency=str(doc.get("currency", "units")))
 
     def to_json(self, indent: Optional[int] = None) -> str:

@@ -35,7 +35,7 @@ from .errors import (
     MalformedScenario,
     NetshareError,
 )
-from .inventory import AreaKind, AreaProfile, CostTable, default_profile
+from .inventory import AreaKind, AreaProfile, CostEntry, CostTable, ElementClass, default_profile
 from .sharing import (
     RegulatoryPolicy,
     SharingConfiguration,
@@ -100,6 +100,12 @@ def reference_cost_table(kind: AreaKind) -> CostTable:
     """Calibrated reference cost table bundled for each area kind."""
     path = fixture_path(f"reference_costs_{kind.value}.json")
     return CostTable.from_json_dict(_read_json(path))
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedScenario(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _read_json(path: Path):
@@ -176,6 +182,8 @@ class SweepSpec:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SweepSpec":
+        if not isinstance(doc, Mapping):
+            raise MalformedScenario(f"'sweep' must be an object, got {doc!r}")
         allowed = {"parameter", "from", "to", "steps", "class"}
         unknown = set(doc) - allowed
         if unknown:
@@ -185,8 +193,8 @@ class SweepSpec:
             raise MalformedScenario(f"sweep needs keys: {sorted(missing)!r}")
         return cls(
             parameter=str(doc["parameter"]),
-            start=float(doc["from"]),
-            stop=float(doc["to"]),
+            start=_number(doc["from"], "sweep 'from'"),
+            stop=_number(doc["to"], "sweep 'to'"),
             steps=doc["steps"],
             class_name=doc.get("class"),
         )
@@ -361,8 +369,6 @@ def _swept_scenario(scenario: Scenario, spec: SweepSpec, value: float) -> Scenar
         raise InvalidSweepParameter(
             f"class_cost_fraction values must lie in (0, 1), got {value}"
         )
-    from .inventory import CostEntry, ElementClass
-
     try:
         cls = ElementClass.from_label(spec.class_name)
     except KeyError as exc:
@@ -427,6 +433,8 @@ _POLICY_KEYS = {"min_own_coverage_fraction", "spectrum_pooling_allowed", "max_le
 
 
 def _parse_policy(doc: Mapping) -> RegulatoryPolicy:
+    if not isinstance(doc, Mapping):
+        raise MalformedScenario(f"'policy' must be an object, got {doc!r}")
     unknown = set(doc) - _POLICY_KEYS
     if unknown:
         raise MalformedScenario(f"unknown policy keys: {sorted(unknown)!r}")
@@ -440,9 +448,14 @@ def _parse_policy(doc: Mapping) -> RegulatoryPolicy:
                 f"unknown max_level {label!r}; expected one of "
                 f"{[lvl.name for lvl in SharingLevel]}"
             ) from exc
+    pooling = doc.get("spectrum_pooling_allowed", True)
+    if not isinstance(pooling, bool):
+        raise MalformedScenario(f"spectrum_pooling_allowed must be true or false, got {pooling!r}")
     return RegulatoryPolicy(
-        min_own_coverage_fraction=float(doc.get("min_own_coverage_fraction", 0.0)),
-        spectrum_pooling_allowed=bool(doc.get("spectrum_pooling_allowed", True)),
+        min_own_coverage_fraction=_number(
+            doc.get("min_own_coverage_fraction", 0.0), "min_own_coverage_fraction"
+        ),
+        spectrum_pooling_allowed=pooling,
         max_level=max_level,
     )
 
@@ -514,7 +527,14 @@ def load_scenario(document: Union[str, Mapping], base_dir: Optional[Path] = None
     if missing:
         raise MalformedScenario(f"scenario needs keys: {sorted(missing)!r}")
 
-    couple = bool(doc.get("couple_site_costs", False))
+    if not isinstance(doc["name"], str):
+        raise MalformedScenario(f"'name' must be a string, got {doc['name']!r}")
+    for key in ("areas", "configurations"):
+        if not isinstance(doc[key], (list, tuple)):
+            raise MalformedScenario(f"{key!r} must be a list, got {doc[key]!r}")
+    couple = doc.get("couple_site_costs", False)
+    if not isinstance(couple, bool):
+        raise MalformedScenario(f"couple_site_costs must be true or false, got {couple!r}")
     areas = tuple(_parse_area(a) for a in doc["areas"])
     raw_tables = doc["cost_tables"]
     if not isinstance(raw_tables, Mapping):
@@ -526,12 +546,7 @@ def load_scenario(document: Union[str, Mapping], base_dir: Optional[Path] = None
         except ValueError as exc:
             raise MalformedScenario(f"unknown area kind {key!r} in cost_tables") from exc
         tables[kind] = _parse_cost_table(kind, value, base_dir)
-    try:
-        configurations = tuple(
-            _parse_configuration(c, couple) for c in doc["configurations"]
-        )
-    except NetshareError:
-        raise
+    configurations = tuple(_parse_configuration(c, couple) for c in doc["configurations"])
     policy = _parse_policy(doc["policy"]) if doc.get("policy") is not None else None
     sweep_spec = (
         SweepSpec.from_json_dict(doc["sweep"]) if doc.get("sweep") is not None else None
@@ -541,7 +556,7 @@ def load_scenario(document: Union[str, Mapping], base_dir: Optional[Path] = None
         raise MalformedScenario(f"horizon_years must be an integer, got {horizon!r}")
 
     scenario = Scenario(
-        name=str(doc["name"]),
+        name=doc["name"],
         areas=areas,
         cost_tables=tables,
         configurations=configurations,

@@ -92,11 +92,29 @@ def test_every_initial_guess_is_feasible(constraints):
     configs = {name: preset(name) for name in GRID_PRESETS}
     for area in AreaKind:
         problem = _AreaProblem(area, [], constraints.for_area(area), configs, 5)
+        cons = problem.slsqp_constraints()
         for seed in range(5):
             guesses = problem.initial_guesses(np.random.default_rng(seed), 8)
             assert len(guesses) == 8
             for guess in guesses:
-                assert problem._max_violation(guess) <= FRACTION_TOL
+                assert problem._max_violation(guess, cons) <= FRACTION_TOL
+
+
+@pytest.mark.parametrize("opex_total", [0.02, 0.1, 0.3])
+def test_opex_rows_are_judged_as_fractions(opex_total):
+    # an OPEX share 2 * FRACTION_TOL above its bound violates, whatever the ledger's scale
+    intl = RepartitionConstraint(
+        "intl", Ledger.OPEX, frozenset({ElementClass.INTERNATIONAL_CONNECTIVITY}), 0.5, 0.6
+    )
+    problem = _AreaProblem(AreaKind.URBAN, [], [intl], {}, 5)
+    cons = problem.slsqp_constraints()
+    cap = np.full(len(ElementClass), 1.0 / len(ElementClass))
+    index = list(ElementClass).index(ElementClass.INTERNATIONAL_CONNECTIVITY)
+    for share, violates in ((0.6, False), (0.6 + 2 * FRACTION_TOL, True)):
+        op = np.full(len(ElementClass), (1.0 - share) / (len(ElementClass) - 1))
+        op[index] = share
+        x = np.concatenate([cap, op * opex_total])
+        assert bool(problem._max_violation(x, cons) > FRACTION_TOL) is violates
 
 
 @pytest.mark.parametrize("ledger", [Ledger.CAPEX, Ledger.OPEX])

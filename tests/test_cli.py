@@ -114,6 +114,19 @@ def test_run_missing_scenario_exits_one(capsys):
     assert "no_such_scenario.json" in err
 
 
+def test_run_wrongly_typed_scenario_prints_one_error_line(tmp_path, capsys):
+    path = tmp_path / "null_configurations.json"
+    path.write_text(
+        json.dumps({"name": "x", "areas": ["urban"], "cost_tables": {}, "configurations": None})
+    )
+    code, out, err = _run(capsys, "run", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_run_strict_fails_on_ladder_warnings(capsys):
     code, _, err = _run(capsys, "run", USE_CASE, "--strict")
     assert code == 1

@@ -1,0 +1,103 @@
+"""Import cost: numpy and scipy load only for calibration."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import netshare
+
+SRC = str(Path(netshare.__file__).resolve().parents[1])
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's netshare."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    )
+
+
+_LOADED = "import sys; print(json.dumps(sorted({'numpy', 'scipy'} & set(sys.modules))))"
+
+
+def test_import_netshare_loads_neither_numpy_nor_scipy():
+    proc = _python(f"import json, netshare; {_LOADED}")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.fixture(scope="module")
+def sweep_scenario(tmp_path_factory):
+    doc = {
+        "name": "import_guard",
+        "areas": ["urban"],
+        "cost_tables": {"urban": "reference_costs_urban.json"},
+        "configurations": ["MOCN"],
+        "sweep": {"parameter": "split_ratio", "from": 0.3, "to": 0.7, "steps": 3},
+    }
+    path = tmp_path_factory.mktemp("import_guard") / "sweep.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "paper_use_case.json", "--format", "json"],
+        ["sweep", "SWEEP", "--format", "csv"],
+        ["validate", "paper_use_case.json"],
+        ["presets"],
+        ["recommend", "--area", "rural", "--tech", "3g"],
+        ["compare-lte", "--needs-roaming"],
+        ["checklist", "--state", "new"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_commands_other_than_calibrate_load_neither(argv, sweep_scenario):
+    argv = [sweep_scenario if a == "SWEEP" else a for a in argv]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from netshare.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(sys.argv[1:]) == 0\n"
+        f"{_LOADED}\n"
+    )
+    proc = _python(code, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_calibration_names_resolve_to_the_calibration_module():
+    import netshare.calibration
+
+    assert netshare.calibrate_reference is netshare.calibration.calibrate_reference
+    assert netshare.CALIBRATION_CONSTRAINTS is netshare.calibration.CALIBRATION_CONSTRAINTS
+    assert set(netshare.__all__) <= set(dir(netshare))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        netshare.no_such_name
+
+
+def test_star_import_provides_every_public_name():
+    namespace = {}
+    exec("from netshare import *", namespace)
+    assert set(netshare.__all__) <= set(namespace)
+
+
+def test_calibrate_without_scipy_names_the_extra(tmp_path):
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from netshare.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = _python(code, "calibrate", "--targets", "use_case_targets.json", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "pip install 'netshare[calibrate]'" in proc.stderr
+    assert list(tmp_path.iterdir()) == []

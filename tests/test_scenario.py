@@ -96,6 +96,31 @@ def test_misspelled_sweep_key_is_named():
         load_scenario(_document(sweep=bad_sweep))
 
 
+_UNIT_TABLE = json.loads(_document())["cost_tables"]["urban"]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"configurations": None},
+        {"areas": None},
+        {"areas": {"urban": 1}},
+        {"name": 5},
+        {"couple_site_costs": "no"},
+        {"policy": []},
+        {"policy": {"spectrum_pooling_allowed": "no"}},
+        {"policy": {"min_own_coverage_fraction": "x"}},
+        {"sweep": 5},
+        {"sweep": {"parameter": "horizon_years", "from": "1", "to": 5, "steps": 5}},
+        {"cost_tables": {"urban": {**_UNIT_TABLE, "entries": {"nodeb": {"capex": None}}}}},
+    ],
+    ids=lambda overrides: json.dumps(overrides),
+)
+def test_wrongly_typed_fields_are_malformed(overrides):
+    with pytest.raises(MalformedScenario):
+        load_scenario(_document(**overrides))
+
+
 def test_json_syntax_errors_carry_position():
     with pytest.raises(MalformedScenario, match="line"):
         load_scenario('{"name": "x",}')
