@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .costmodel import apply_sharing, cumulative_cost, savings_report
-from .errors import InfeasibleCalibration, MalformedScenario, MissingDependency
+from .errors import InfeasibleCalibration, MalformedScenario, MissingDependency, NetshareError
 from .inventory import (
     FRACTION_TOL,
     AreaKind,
@@ -36,6 +36,7 @@ from .inventory import (
     default_profile,
     element_quantity,
 )
+from .scenario import _number
 from .sharing import SharingConfiguration, preset
 
 try:
@@ -537,7 +538,7 @@ def calibrate_reference(
         if target.area not in areas:
             areas.append(target.area)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_natural(seed, "seed", 0))
     tables = {}
     constraint_sets = {}
     outcomes = []
@@ -636,6 +637,8 @@ _TARGET_KEYS = {"kind", "area", "metric", "configuration", "first", "second", "v
 
 
 def _parse_target(doc: Mapping) -> Target:
+    if not isinstance(doc, Mapping):
+        raise MalformedScenario(f"target must be an object, got {doc!r}")
     unknown = set(doc) - _TARGET_KEYS
     if unknown:
         raise MalformedScenario(f"unknown target keys: {sorted(unknown)!r}")
@@ -644,12 +647,14 @@ def _parse_target(doc: Mapping) -> Target:
         area = AreaKind(doc["area"])
     except (KeyError, ValueError) as exc:
         raise MalformedScenario(f"target needs a valid 'area': {exc}") from exc
+    if "value" not in doc:
+        raise MalformedScenario("target needs a 'value'")
     common = dict(
         area=area,
         metric=str(doc.get("metric", "total")),
-        value=float(doc["value"]),
-        weight=float(doc.get("weight", 1.0)),
-        bound=float(doc.get("bound", 2.0)),
+        value=_number(doc["value"], "target 'value'"),
+        weight=_number(doc.get("weight", 1.0), "target 'weight'"),
+        bound=_number(doc.get("bound", 2.0), "target 'bound'"),
         note=str(doc.get("note", "")),
     )
     if kind == "saving":
@@ -661,6 +666,12 @@ def _parse_target(doc: Mapping) -> Target:
             raise MalformedScenario("delta target needs 'first' and 'second'")
         return DeltaTarget(first=str(doc["first"]), second=str(doc["second"]), **common)
     raise MalformedScenario(f"unknown target kind {kind!r}")
+
+
+def _natural(value, what: str, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise MalformedScenario(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def load_targets_document(text: str):
@@ -676,21 +687,26 @@ def load_targets_document(text: str):
         raise MalformedScenario(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(doc, Mapping):
+        raise MalformedScenario(f"targets document must be an object, got {type(doc).__name__}")
     allowed = {"horizon_years", "seed", "constraints", "targets"}
     unknown = set(doc) - allowed
     if unknown:
         raise MalformedScenario(f"unknown targets-document keys: {sorted(unknown)!r}")
     if "targets" not in doc or not doc["targets"]:
         raise MalformedScenario("targets document lists no targets")
+    if not isinstance(doc["targets"], list):
+        raise MalformedScenario(f"'targets' must be a list, got {doc['targets']!r}")
     targets = tuple(_parse_target(t) for t in doc["targets"])
-    constraints = (
-        RepartitionConstraintSet.from_json_dict(doc["constraints"])
-        if doc.get("constraints")
-        else CALIBRATION_CONSTRAINTS
-    )
+    constraints = CALIBRATION_CONSTRAINTS
+    if doc.get("constraints"):
+        try:
+            constraints = RepartitionConstraintSet.from_json_dict(doc["constraints"])
+        except NetshareError as exc:
+            raise MalformedScenario(f"constraints: {exc}") from exc
     return (
         targets,
         constraints,
-        int(doc.get("horizon_years", 5)),
-        int(doc.get("seed", 0)),
+        _natural(doc.get("horizon_years", 5), "horizon_years", 1),
+        _natural(doc.get("seed", 0), "seed", 0),
     )

@@ -14,7 +14,9 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from functools import cached_property
+from operator import mul
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     AreaMismatch,
@@ -90,6 +92,17 @@ def cumulative_cost(table: CostTable, horizon_years: int = DEFAULT_HORIZON_YEARS
     return CostBreakdown(area=table.area, horizon_years=horizon_years, per_class=per_class)
 
 
+def sharing_factors(config: SharingConfiguration, operator_index: int = 0) -> Tuple[float, ...]:
+    """Factor on each element class's cost, in ``ElementClass`` order.
+
+    A shared class costs the operator its split ratio of the full amount; an
+    unshared class is carried in full (factor 1.0).
+    """
+    ratio = config.split_ratios[operator_index]
+    shared = config.effective_shared()
+    return tuple(ratio if cls in shared else 1.0 for cls in ElementClass)
+
+
 def apply_sharing(
     baseline: CostBreakdown,
     config: SharingConfiguration,
@@ -98,11 +111,10 @@ def apply_sharing(
 ) -> CostBreakdown:
     """Cost carried by one operator under a sharing configuration.
 
-    Shared classes cost the operator its split ratio of the full amount;
-    unshared classes are carried in full.  ``carrier_capex_factor`` scales
-    NodeB CAPEX when spectrum is pooled: combining carriers in shared radio
-    units can shave hardware, but the effect is marginal, so it defaults to
-    1.0 (off).
+    Each class's cost is scaled by its :func:`sharing_factors` entry.
+    ``carrier_capex_factor`` scales NodeB CAPEX when spectrum is pooled:
+    combining carriers in shared radio units can shave hardware, but the
+    effect is marginal, so it defaults to 1.0 (off).
     """
     if not isinstance(operator_index, int) or not (0 <= operator_index < config.operator_count):
         raise InvalidOperatorIndex(
@@ -113,12 +125,11 @@ def apply_sharing(
         raise InvalidAmount(
             f"carrier_capex_factor must be in (0, 1], got {carrier_capex_factor!r}"
         )
-    ratio = config.split_ratios[operator_index]
-    shared = config.effective_shared()
-    pooled_spectrum = ElementClass.SPECTRUM_LICENSE in shared
+    factors = dict(zip(ElementClass, sharing_factors(config, operator_index)))
+    pooled_spectrum = config.is_shared(ElementClass.SPECTRUM_LICENSE)
     per_class = {}
     for cls, cost in baseline.per_class.items():
-        factor = ratio if cls in shared else 1.0
+        factor = factors[cls]
         capex = cost.capex * factor
         if cls is ElementClass.NODEB and pooled_spectrum:
             capex *= carrier_capex_factor
@@ -137,7 +148,11 @@ def _saving_pct(baseline: float, shared: float) -> float:
 
 @dataclass(frozen=True)
 class SavingsReport:
-    """Per-operator savings of a sharing configuration against build-alone."""
+    """Per-operator savings of a sharing configuration against build-alone.
+
+    ``shared``, the cost operator 0 carries under ``sharing``, is built from
+    ``baseline`` on first access unless :func:`savings_report` was given it.
+    """
 
     configuration: str
     area: AreaKind
@@ -146,7 +161,11 @@ class SavingsReport:
     opex_saving_pct: float
     total_saving_pct: float
     baseline: CostBreakdown
-    shared: CostBreakdown
+    sharing: SharingConfiguration
+
+    @cached_property
+    def shared(self) -> CostBreakdown:
+        return apply_sharing(self.baseline, self.sharing)
 
     def per_class_savings(self) -> Mapping[ElementClass, float]:
         """Absolute cumulative amount saved per element class."""
@@ -187,7 +206,7 @@ def savings_report(
         )
     if baseline.grand_total() == 0:
         raise ZeroBaseline("baseline grand total is zero; savings are undefined")
-    return SavingsReport(
+    report = SavingsReport(
         configuration=config.name,
         area=area,
         horizon_years=baseline.horizon_years,
@@ -197,8 +216,69 @@ def savings_report(
         ),
         total_saving_pct=_saving_pct(baseline.grand_total(), shared.grand_total()),
         baseline=baseline,
-        shared=shared,
+        sharing=config,
     )
+    # The caller's breakdown may come from another operator or carrier factor.
+    object.__setattr__(report, "shared", shared)
+    return report
+
+
+class AreaLedgers:
+    """One area's build-alone baseline over one horizon, summed once.
+
+    Holds the baseline's per-class CAPEX and cumulative OPEX amounts in
+    ``ElementClass`` order and both ledger totals, so that every
+    configuration evaluated against the area reuses them.
+    """
+
+    __slots__ = ("baseline", "capex", "opex", "capex_total", "opex_total")
+
+    def __init__(self, table: CostTable, horizon_years: int) -> None:
+        self.baseline = cumulative_cost(table, horizon_years)
+        costs = self.baseline.per_class.values()
+        self.capex = tuple(c.capex for c in costs)
+        self.opex = tuple(c.opex_cumulative for c in costs)
+        self.capex_total = self.baseline.capex_total()
+        self.opex_total = self.baseline.opex_cumulative_total()
+
+
+def grid_savings(
+    ledgers: AreaLedgers,
+    configs: Sequence[SharingConfiguration],
+    factors: Sequence[Tuple[float, ...]],
+) -> List[SavingsReport]:
+    """Operator-0 savings report of each configuration in one area.
+
+    ``factors`` holds each configuration's :func:`sharing_factors`.  Every
+    shared ledger is summed in ``ElementClass`` order from the same products
+    :func:`apply_sharing` forms, so each report equals
+    ``savings_report(baseline, apply_sharing(baseline, config), config)``
+    bit for bit, without building the shared breakdown.
+    """
+    capex, opex = ledgers.capex, ledgers.opex
+    capex_total, opex_total = ledgers.capex_total, ledgers.opex_total
+    grand_total = capex_total + opex_total
+    if grand_total == 0:
+        raise ZeroBaseline("baseline grand total is zero; savings are undefined")
+    baseline = ledgers.baseline
+    area, horizon_years = baseline.area, baseline.horizon_years
+    reports = []
+    for config, factor in zip(configs, factors):
+        shared_capex = sum(map(mul, capex, factor))
+        shared_opex = sum(map(mul, opex, factor))
+        reports.append(
+            SavingsReport(
+                config.name,
+                area,
+                horizon_years,
+                _saving_pct(capex_total, shared_capex),
+                _saving_pct(opex_total, shared_opex),
+                _saving_pct(grand_total, shared_capex + shared_opex),
+                baseline,
+                config,
+            )
+        )
+    return reports
 
 
 @dataclass(frozen=True)

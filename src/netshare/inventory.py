@@ -444,18 +444,32 @@ class RepartitionConstraint:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RepartitionConstraint":
+        if not isinstance(doc, Mapping):
+            raise InvalidAmount(f"constraint must be an object, got {doc!r}")
         allowed = {"label", "ledger", "classes", "lower", "upper", "area"}
         unknown = set(doc) - allowed
         if unknown:
             raise InvalidAmount(f"unknown constraint keys: {sorted(unknown)!r}")
-        return cls(
-            label=str(doc["label"]),
-            ledger=Ledger(doc["ledger"]),
-            classes=frozenset(ElementClass.from_label(v) for v in doc["classes"]),
-            lower=float(doc["lower"]),
-            upper=float(doc["upper"]),
-            area=AreaKind(doc["area"]) if doc.get("area") else None,
-        )
+        missing = {"label", "ledger", "classes", "lower", "upper"} - set(doc)
+        if missing:
+            raise InvalidAmount(f"constraint needs keys: {sorted(missing)!r}")
+        for key in ("lower", "upper"):
+            if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
+                raise InvalidAmount(f"constraint {key!r} must be a number, got {doc[key]!r}")
+        if not isinstance(doc["classes"], (list, tuple)):
+            raise InvalidAmount(f"constraint 'classes' must be a list, got {doc['classes']!r}")
+        try:
+            return cls(
+                label=str(doc["label"]),
+                ledger=Ledger(doc["ledger"]),
+                classes=frozenset(ElementClass.from_label(v) for v in doc["classes"]),
+                lower=float(doc["lower"]),
+                upper=float(doc["upper"]),
+                area=AreaKind(doc["area"]) if doc.get("area") else None,
+            )
+        except (KeyError, ValueError) as exc:
+            # An unknown ledger, element class or area label.
+            raise InvalidAmount(f"constraint {doc['label']!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -485,6 +499,10 @@ class RepartitionConstraintSet:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RepartitionConstraintSet":
+        if not isinstance(doc, Mapping):
+            raise InvalidAmount(f"constraint set must be an object, got {doc!r}")
+        if not isinstance(doc.get("constraints", ()), (list, tuple)):
+            raise InvalidAmount(f"'constraints' must be a list, got {doc['constraints']!r}")
         return cls(
             name=str(doc.get("name", "unnamed")),
             constraints=tuple(

@@ -23,10 +23,10 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .costmodel import (
     DEFAULT_HORIZON_YEARS,
+    AreaLedgers,
     SavingsReport,
-    apply_sharing,
-    cumulative_cost,
-    savings_report,
+    grid_savings,
+    sharing_factors,
 )
 from .errors import (
     InvalidHorizon,
@@ -225,7 +225,11 @@ class Scenario:
             raise InvalidScenario(f"scenario {self.name!r} lists no areas")
         if not self.configurations:
             raise InvalidScenario(f"scenario {self.name!r} lists no configurations")
-        if not isinstance(self.horizon_years, int) or self.horizon_years < 1:
+        if (
+            not isinstance(self.horizon_years, int)
+            or isinstance(self.horizon_years, bool)
+            or self.horizon_years < 1
+        ):
             raise InvalidHorizon(
                 f"horizon_years must be a positive integer, got {self.horizon_years!r}"
             )
@@ -288,12 +292,8 @@ class ScenarioResult:
         return best
 
 
-def run_scenario(scenario: Scenario) -> ScenarioResult:
-    """Evaluate every grid cell of the scenario.
-
-    Configuration validation errors abort the run; cost-model errors are
-    re-raised annotated with the grid cell that produced them.
-    """
+def _require_valid(scenario: Scenario) -> None:
+    """Raise :class:`InvalidScenario` if any configuration fails validation."""
     reports = scenario.validation_reports()
     failed = {name: rep for name, rep in reports.items() if not rep.valid}
     if failed:
@@ -304,25 +304,54 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
             f"scenario {scenario.name!r} has invalid configurations ({detail})",
             reports=list(failed.values()),
         )
+
+
+def _area_ledgers(scenario: Scenario) -> Tuple[AreaLedgers, ...]:
+    return tuple(
+        AreaLedgers(scenario.cost_tables[profile.kind], scenario.horizon_years)
+        for profile in scenario.areas
+    )
+
+
+def _factors(scenario: Scenario) -> Tuple[Tuple[float, ...], ...]:
+    return tuple(sharing_factors(config) for config in scenario.configurations)
+
+
+def _evaluate(
+    scenario: Scenario,
+    ledgers: Sequence[AreaLedgers],
+    factors: Sequence[Tuple[float, ...]],
+) -> ScenarioResult:
+    """Grid of an already validated scenario from its areas' ledgers and factors."""
+    configs = scenario.configurations
     grid = {}
-    for profile in scenario.areas:
-        table = scenario.cost_tables[profile.kind]
-        baseline = cumulative_cost(table, scenario.horizon_years)
-        for config in scenario.configurations:
-            try:
-                shared = apply_sharing(baseline, config)
-                grid[(profile.kind, config.name)] = savings_report(baseline, shared, config)
-            except NetshareError as exc:
-                raise type(exc)(
-                    f"[area={profile.kind.value} configuration={config.name}] {exc}"
-                ) from exc
+    for profile, area in zip(scenario.areas, ledgers):
+        try:
+            reports = grid_savings(area, configs, factors)
+        except NetshareError as exc:
+            # The only cell error is a zero baseline, which fails the area's first cell.
+            raise type(exc)(
+                f"[area={profile.kind.value} configuration={configs[0].name}] {exc}"
+            ) from exc
+        for config, report in zip(configs, reports):
+            grid[(profile.kind, config.name)] = report
     return ScenarioResult(
         scenario_name=scenario.name,
         horizon_years=scenario.horizon_years,
         area_order=tuple(p.kind for p in scenario.areas),
-        configuration_order=tuple(c.name for c in scenario.configurations),
+        configuration_order=tuple(c.name for c in configs),
         grid=grid,
     )
+
+
+def run_scenario(scenario: Scenario) -> ScenarioResult:
+    """Evaluate every grid cell of the scenario.
+
+    Configuration validation errors abort the run; cost-model errors are
+    re-raised annotated with the grid cell that produced them.
+    """
+    _require_valid(scenario)
+    return _evaluate(scenario, _area_ledgers(scenario), _factors(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +425,26 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
     """Re-run the scenario grid at every point of the sweep range.
 
     Points come back strictly ordered by parameter value with no
-    duplicates.
+    duplicates.  Validation reads neither the swept parameter nor the costs,
+    so it runs once.  A point rebuilds only what its parameter changes: the
+    area ledgers for ``horizon_years`` and ``class_cost_fraction``, the
+    configurations' factors for ``split_ratio`` and ``intl_shared``.
     """
     spec = spec if spec is not None else scenario.sweep
     if spec is None:
         raise InvalidSweepParameter(f"scenario {scenario.name!r} has no sweep specification")
+    _require_valid(scenario)
+    moves_costs = spec.parameter in ("horizon_years", "class_cost_fraction")
+    ledgers = None if moves_costs else _area_ledgers(scenario)
+    factors = _factors(scenario) if moves_costs else None
     points = []
     for value in spec.values():
-        result = run_scenario(_swept_scenario(scenario, spec, value))
+        swept = _swept_scenario(scenario, spec, value)
+        result = _evaluate(
+            swept,
+            _area_ledgers(swept) if moves_costs else ledgers,
+            factors if moves_costs else _factors(swept),
+        )
         points.append(SweepPoint(value=value, result=result))
     values = [p.value for p in points]
     assert values == sorted(set(values)), "sweep values must be strictly increasing"
@@ -564,16 +605,7 @@ def load_scenario(document: Union[str, Mapping], base_dir: Optional[Path] = None
         policy=policy,
         sweep=sweep_spec,
     )
-    reports = scenario.validation_reports()
-    failed = {name: rep for name, rep in reports.items() if not rep.valid}
-    if failed:
-        detail = "; ".join(
-            f"{name}: {', '.join(i.code for i in rep.errors)}" for name, rep in failed.items()
-        )
-        raise InvalidScenario(
-            f"scenario {scenario.name!r} has invalid configurations ({detail})",
-            reports=list(failed.values()),
-        )
+    _require_valid(scenario)
     return scenario
 
 

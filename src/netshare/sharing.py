@@ -137,7 +137,7 @@ class SharingConfiguration:
             raise InvalidConfiguration(
                 f"{len(ratios)} split ratios for {self.operator_count} operators"
             )
-        if any(r <= 0.0 or r > 1.0 for r in ratios):
+        if not all(0.0 < r <= 1.0 for r in ratios):  # also rejects NaN
             raise InvalidConfiguration(f"split ratios must lie in (0, 1], got {ratios!r}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise InvalidConfiguration(f"split ratios must sum to 1, got {sum(ratios)!r}")
@@ -181,6 +181,8 @@ class SharingConfiguration:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SharingConfiguration":
+        if not isinstance(doc, Mapping):
+            raise InvalidConfiguration(f"configuration must be an object, got {doc!r}")
         allowed = {
             "name",
             "shared",
@@ -195,6 +197,8 @@ class SharingConfiguration:
             raise InvalidConfiguration(f"unknown configuration keys: {sorted(unknown)!r}")
         if "name" not in doc or "shared" not in doc:
             raise InvalidConfiguration("configuration needs 'name' and 'shared'")
+        if not isinstance(doc["name"], str):
+            raise InvalidConfiguration(f"configuration 'name' must be a string, got {doc['name']!r}")
         raw = doc["shared"]
         if not isinstance(raw, Mapping):
             raise InvalidConfiguration("'shared' must map element class labels to booleans")
@@ -207,16 +211,24 @@ class SharingConfiguration:
             if not isinstance(flag, bool):
                 raise InvalidConfiguration(f"shared[{label!r}] must be a boolean, got {flag!r}")
             shared[key] = flag
-        operators = doc.get("operators", 2)
+        flags = {}
+        for key in ("intl_shared", "couple_site_costs", "single_spectrum"):
+            flags[key] = doc.get(key, False)
+            if not isinstance(flags[key], bool):
+                raise InvalidConfiguration(f"{key!r} must be true or false, got {flags[key]!r}")
         split = doc.get("split")
+        if split is not None:
+            if not isinstance(split, (list, tuple)) or not all(
+                isinstance(r, (int, float)) and not isinstance(r, bool) for r in split
+            ):
+                raise InvalidConfiguration(f"'split' must be a list of numbers, got {split!r}")
+            split = tuple(split)
         return cls(
-            name=str(doc["name"]),
+            name=doc["name"],
             shared=shared,
-            operator_count=operators,
-            split_ratios=tuple(split) if split is not None else None,
-            intl_shared=bool(doc.get("intl_shared", False)),
-            couple_site_costs=bool(doc.get("couple_site_costs", False)),
-            single_spectrum=bool(doc.get("single_spectrum", False)),
+            operator_count=doc.get("operators", 2),
+            split_ratios=split,
+            **flags,
         )
 
 

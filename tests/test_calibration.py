@@ -266,6 +266,33 @@ def test_targets_document_rejects_unknown_keys():
         load_targets_document(json.dumps(bad_target))
 
 
+_GOOD_TARGET = {"kind": "saving", "area": "urban", "configuration": "MOCN", "value": 20.0}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        5,
+        {"targets": 5},
+        {"targets": [5]},
+        {"targets": [dict(_GOOD_TARGET, value="x")]},
+        {"targets": [dict(_GOOD_TARGET, value=None)]},
+        {"targets": [{k: v for k, v in _GOOD_TARGET.items() if k != "value"}]},
+        {"targets": [dict(_GOOD_TARGET, weight="1")]},
+        {"targets": [_GOOD_TARGET], "seed": "x"},
+        {"targets": [_GOOD_TARGET], "seed": -1},
+        {"targets": [_GOOD_TARGET], "horizon_years": True},
+        {"targets": [_GOOD_TARGET], "constraints": 5},
+        {"targets": [_GOOD_TARGET], "constraints": {"constraints": [5]}},
+        {"targets": [_GOOD_TARGET], "constraints": {"constraints": [{"label": "a"}]}},
+    ],
+    ids=json.dumps,
+)
+def test_wrongly_typed_targets_documents_are_malformed(doc):
+    with pytest.raises(MalformedScenario):
+        load_targets_document(json.dumps(doc))
+
+
 def test_target_metric_names_are_validated():
     with pytest.raises(MalformedScenario, match="grand"):
         SavingsTarget(AreaKind.URBAN, "grand", "MOCN", 20.0)

@@ -127,6 +127,26 @@ def test_run_wrongly_typed_scenario_prints_one_error_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_wrongly_typed_configuration_prints_one_error_line(tmp_path, capsys):
+    path = tmp_path / "string_flag.json"
+    config = {"name": "c", "shared": {"passive_site": True}, "intl_shared": "no"}
+    path.write_text(
+        json.dumps(
+            {
+                "name": "x",
+                "areas": ["urban"],
+                "cost_tables": {"urban": "reference_costs_urban.json"},
+                "configurations": [config],
+            }
+        )
+    )
+    code, out, err = _run(capsys, "run", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "intl_shared" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_run_strict_fails_on_ladder_warnings(capsys):
     code, _, err = _run(capsys, "run", USE_CASE, "--strict")
     assert code == 1
@@ -286,6 +306,25 @@ def test_calibrate_infeasible_targets_exit_one(tmp_path, capsys):
     code, _, err = _run(capsys, "calibrate", "--targets", str(path), "--out", str(tmp_path))
     assert code == 1
     assert "urban" in err
+
+
+@pytest.mark.parametrize(
+    "doc, extra",
+    [
+        ({"seed": "x", "targets": [{"area": "urban", "configuration": "MOCN", "value": 1}]}, []),
+        ({"targets": [{"area": "urban", "configuration": "MOCN", "value": 1}]}, ["--seed", "-1"]),
+    ],
+    ids=("document_seed", "option_seed"),
+)
+def test_calibrate_bad_seed_prints_one_error_line(tmp_path, capsys, doc, extra):
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps(doc))
+    argv = ["calibrate", "--targets", str(path), "--out", str(tmp_path), *extra]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err
+    assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scenario loading, grid execution and parameter sweeps."""
 
 import json
+import random
 
 import pytest
 
@@ -23,12 +24,15 @@ from netshare import (
     sweep,
 )
 from netshare.errors import (
+    InvalidHorizon,
     InvalidScenario,
     InvalidSweepParameter,
     MalformedScenario,
     ZeroBaseline,
 )
-from netshare.scenario import fixture_dir, fixture_path
+from netshare.scenario import _swept_scenario, fixture_dir, fixture_path
+
+from conftest import random_config, random_cost_table
 
 USE_CASE = "paper_use_case.json"
 GRID_PRESETS = (
@@ -235,6 +239,18 @@ def test_best_configuration_breaks_ties_in_grid_order():
     assert best.configuration == "GWCN + Backhaul"
 
 
+@pytest.mark.parametrize("horizon", [True, False, 0, 2.0])
+def test_scenario_rejects_non_integer_horizons(horizon):
+    with pytest.raises(InvalidHorizon):
+        Scenario(
+            name="bool horizon",
+            areas=(default_profile(AreaKind.URBAN),),
+            cost_tables={AreaKind.URBAN: reference_cost_table(AreaKind.URBAN)},
+            configurations=(preset("MOCN"),),
+            horizon_years=horizon,
+        )
+
+
 def test_cell_errors_carry_grid_coordinates():
     empty = CostTable(area=AreaKind.URBAN, entries={})
     scenario = Scenario(
@@ -385,3 +401,95 @@ def test_split_ratio_sweep_rejects_degenerate_ratios():
     scenario = _sweep_scenario({"parameter": "split_ratio", "from": 0.0, "to": 1.0, "steps": 3})
     with pytest.raises(InvalidSweepParameter):
         sweep(scenario)
+
+
+# ---------------------------------------------------------------------------
+# grid kernel against the per-class pipeline
+# ---------------------------------------------------------------------------
+
+
+def _random_scenario(rng: random.Random) -> Scenario:
+    kinds = (AreaKind.URBAN, AreaKind.SUBURBAN, AreaKind.RURAL)
+    configs = []
+    for index in range(8):
+        config = random_config(rng, name=f"random-{index}")
+        if config.is_shared(ElementClass.CORE_SGSN) or config.is_shared(ElementClass.CORE_GGSN):
+            config = config.with_shared(ElementClass.RNC, True)
+        configs.append(config)
+    return Scenario(
+        name="random",
+        areas=tuple(default_profile(kind) for kind in kinds),
+        cost_tables={kind: random_cost_table(rng, kind) for kind in kinds},
+        configurations=tuple(configs) + (preset("GWCN + Backhaul"),),
+        horizon_years=rng.randint(1, 12),
+    )
+
+
+def _assert_pipeline_equal(result, scenario: Scenario) -> None:
+    """Every cell equals the per-class pipeline exactly, not approximately."""
+    assert result.horizon_years == scenario.horizon_years
+    for profile in scenario.areas:
+        table = scenario.cost_tables[profile.kind]
+        baseline = cumulative_cost(table, scenario.horizon_years)
+        for config in scenario.configurations:
+            expected = savings_report(baseline, apply_sharing(baseline, config), config)
+            got = result.report(profile.kind, config.name)
+            assert got.to_json_dict() == expected.to_json_dict()
+            assert got.baseline == baseline
+
+
+def _rescalable_class(scenario: Scenario) -> ElementClass:
+    h = scenario.horizon_years
+    for cls in ElementClass:
+        if all(
+            0 < t.entries[cls].capex + t.entries[cls].opex_annual * h
+            < t.capex_total() + t.opex_annual_total() * h
+            for t in scenario.cost_tables.values()
+        ):
+            return cls
+    raise AssertionError("no class carries cost in every area")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_kernel_is_bit_identical_to_the_pipeline(seed):
+    rng = random.Random(seed)
+    scenario = _random_scenario(rng)
+    _assert_pipeline_equal(run_scenario(scenario), scenario)
+    specs = (
+        SweepSpec("split_ratio", 0.05, 0.95, 7),
+        SweepSpec("horizon_years", 1, 15, 6),
+        SweepSpec("intl_shared", 0.0, 1.0, 3),
+        SweepSpec(
+            "class_cost_fraction", 0.05, 0.6, 5, class_name=_rescalable_class(scenario).value
+        ),
+    )
+    for spec in specs:
+        result = sweep(scenario, spec)
+        assert [p.value for p in result.points] == list(spec.values())
+        for point in result.points:
+            _assert_pipeline_equal(point.result, _swept_scenario(scenario, spec, point.value))
+
+
+def test_swept_report_builds_shared_cost_from_its_point_configuration():
+    scenario = _random_scenario(random.Random(11))
+    spec = SweepSpec("split_ratio", 0.2, 0.8, 4)
+    point = sweep(scenario, spec).points[1]
+    swept = _swept_scenario(scenario, spec, point.value)
+    for config in swept.configurations:
+        report = point.result.report(AreaKind.SUBURBAN, config.name)
+        expected = apply_sharing(report.baseline, config)
+        assert report.sharing == config
+        assert report.shared == expected
+        assert report.per_class_savings() == {
+            cls: report.baseline.per_class[cls].total - expected.per_class[cls].total
+            for cls in ElementClass
+        }
+
+
+def test_savings_report_keeps_the_shared_cost_it_is_given():
+    baseline = cumulative_cost(reference_cost_table(AreaKind.URBAN), 5)
+    config = preset("MOCN", operator_count=3, split_ratios=(0.2, 0.3, 0.5))
+    other = apply_sharing(baseline, config, operator_index=2)
+    report = savings_report(baseline, other, config)
+    assert report.shared is other
+    assert report.shared != apply_sharing(baseline, config)

@@ -157,6 +157,32 @@ def test_configuration_document_rejects_unknown_keys():
         SharingConfiguration.from_json_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"intl_shared": "no"},
+        {"couple_site_costs": "no"},
+        {"single_spectrum": "no"},
+        {"split": 5},
+        {"split": [None, 1]},
+        {"split": [0.5, "0.5"]},
+        {"split": [True, 0.0]},
+        {"split": [float("nan"), 1.0]},
+        {"name": 5},
+    ],
+    ids=repr,
+)
+def test_configuration_document_rejects_wrongly_typed_fields(overrides):
+    doc = dict(preset("MOCN").to_json_dict(), **overrides)
+    with pytest.raises(InvalidConfiguration):
+        SharingConfiguration.from_json_dict(doc)
+
+
+def test_configuration_document_must_be_an_object():
+    with pytest.raises(InvalidConfiguration, match="object"):
+        SharingConfiguration.from_json_dict(["MOCN"])
+
+
 # ---------------------------------------------------------------------------
 # level ladder
 # ---------------------------------------------------------------------------
