@@ -17,11 +17,10 @@ never runs inside the engine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .costmodel import apply_sharing, cumulative_cost, savings_report
+from .costmodel import apply_sharing, cumulative_cost, savings_report, sharing_factors
 from .errors import InfeasibleCalibration, MalformedScenario, MissingDependency, NetshareError
 from .inventory import (
     FRACTION_TOL,
@@ -33,10 +32,8 @@ from .inventory import (
     RepartitionConstraint,
     RepartitionConstraintSet,
     check_repartition,
-    default_profile,
-    element_quantity,
 )
-from .scenario import _number
+from .scenario import _number, _parse_json
 from .sharing import SharingConfiguration, preset
 
 try:
@@ -61,6 +58,8 @@ __all__ = [
 _CLASSES = tuple(ElementClass)
 _INDEX = {cls: i for i, cls in enumerate(_CLASSES)}
 _N = len(_CLASSES)
+# Where each ledger's 13 amounts sit in a search vector.
+_LEDGER_PART = {Ledger.CAPEX: slice(None, _N), Ledger.OPEX: slice(_N, None)}
 
 GRID_PRESETS = (
     "MOCN",
@@ -229,6 +228,14 @@ def _normalise_targets(targets: Sequence) -> Tuple[Target, ...]:
     return tuple(out)
 
 
+def _mask(classes) -> np.ndarray:
+    """Indicator vector of ``classes`` in ``ElementClass`` order."""
+    mask = np.zeros(_N)
+    for cls in classes:
+        mask[_INDEX[cls]] = 1.0
+    return mask
+
+
 def _interval_rows(constraints: Sequence[RepartitionConstraint], margin: float = 0.0):
     """``A_ub @ f <= b_ub`` rows keeping each group's fraction ``margin`` inside its bounds.
 
@@ -237,9 +244,7 @@ def _interval_rows(constraints: Sequence[RepartitionConstraint], margin: float =
     """
     a_ub, b_ub = [], []
     for con in constraints:
-        row = np.zeros(_N)
-        for cls in con.classes:
-            row[_INDEX[cls]] = 1.0
+        row = _mask(con.classes)
         inset = min(margin, (con.upper - con.lower) / 2)
         a_ub.append(row)  # sum <= upper
         b_ub.append(con.upper - inset)
@@ -337,17 +342,11 @@ class _AreaProblem:
         self.targets = tuple(targets)
         self.constraints = tuple(constraints)
         self.horizon = horizon_years
-        self.configs = dict(configurations)
-        # Pre-resolve shared-class index masks and split factors per config.
-        self.masks = {}
-        self.saving_factor = {}
-        for name, config in self.configs.items():
-            shared = config.effective_shared()
-            mask = np.zeros(_N)
-            for cls in shared:
-                mask[_INDEX[cls]] = 1.0
-            self.masks[name] = mask
-            self.saving_factor[name] = 1.0 - config.split_ratios[0]
+        # Share of each class's cost that operator 0 stops carrying, per configuration.
+        self.weights = {
+            name: 1.0 - np.array(sharing_factors(config))
+            for name, config in configurations.items()
+        }
 
     # -- metric evaluation ------------------------------------------------
 
@@ -356,10 +355,9 @@ class _AreaProblem:
         op = x[_N:]
         cap_total = cap.sum()
         op_total = op.sum()
-        mask = self.masks[configuration]
-        factor = self.saving_factor[configuration]
-        scap = 100.0 * factor * float(mask @ cap) / cap_total
-        sop = 100.0 * factor * float(mask @ op) / op_total if op_total > 0 else 0.0
+        weight = self.weights[configuration]
+        scap = 100.0 * float(weight @ cap) / cap_total
+        sop = 100.0 * float(weight @ op) / op_total if op_total > 0 else 0.0
         if metric == "capex":
             return scap
         if metric == "opex":
@@ -389,24 +387,13 @@ class _AreaProblem:
         # keep the OPEX ledger non-degenerate
         cons.append({"type": "ineq", "fun": lambda x: x[_N:].sum() - 1e-3})
         for con in self.constraints:
-            mask = np.zeros(_N)
-            for cls in con.classes:
-                mask[_INDEX[cls]] = 1.0
-            if con.ledger.base() is Ledger.CAPEX:
+            mask, part = _mask(con.classes), _LEDGER_PART[con.ledger.base()]
 
-                def lo(x, m=mask, c=con):
-                    return float(m @ x[:_N]) - c.lower * x[:_N].sum()
+            def lo(x, m=mask, p=part, c=con):
+                return float(m @ x[p]) - c.lower * x[p].sum()
 
-                def hi(x, m=mask, c=con):
-                    return c.upper * x[:_N].sum() - float(m @ x[:_N])
-
-            else:
-
-                def lo(x, m=mask, c=con):
-                    return float(m @ x[_N:]) - c.lower * x[_N:].sum()
-
-                def hi(x, m=mask, c=con):
-                    return c.upper * x[_N:].sum() - float(m @ x[_N:])
+            def hi(x, m=mask, p=part, c=con):
+                return c.upper * x[p].sum() - float(m @ x[p])
 
             cons.append({"type": "ineq", "fun": lo})
             cons.append({"type": "ineq", "fun": hi})
@@ -469,7 +456,7 @@ class _AreaProblem:
         rows are amounts; dividing by their ledger's sum makes them fractions,
         as :func:`check_repartition` measures them.
         """
-        sums = {Ledger.CAPEX: x[:_N].sum(), Ledger.OPEX: x[_N:].sum()}
+        sums = {ledger: x[part].sum() for ledger, part in _LEDGER_PART.items()}
         worst = max(abs(sums[Ledger.CAPEX] - 1.0), -min(0.0, cons[1]["fun"](x)))
         for con, lo, hi in zip(self.constraints, cons[2::2], cons[3::2]):
             total = sums[con.ledger.base()]
@@ -483,13 +470,8 @@ def _pipeline_metric(
 ) -> float:
     """Metric recomputed through the real cost model (not the search form)."""
     baseline = cumulative_cost(table, horizon)
-    shared = apply_sharing(baseline, config, 0)
-    report = savings_report(baseline, shared, config)
-    return {
-        "capex": report.capex_saving_pct,
-        "opex": report.opex_saving_pct,
-        "total": report.total_saving_pct,
-    }[metric]
+    report = savings_report(baseline, apply_sharing(baseline, config), config)
+    return getattr(report, f"{metric}_saving_pct")
 
 
 def calibrate_reference(
@@ -681,12 +663,7 @@ def load_targets_document(text: str):
     ``{"horizon_years": n, "seed": n, "constraints": {...}?, "targets": [...]}``;
     constraints default to :data:`CALIBRATION_CONSTRAINTS`.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedScenario(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = _parse_json(text)
     if not isinstance(doc, Mapping):
         raise MalformedScenario(f"targets document must be an object, got {type(doc).__name__}")
     allowed = {"horizon_years", "seed", "constraints", "targets"}

@@ -43,7 +43,13 @@ from .inventory import (
     default_profile,
     element_quantity,
 )
-from .scenario import fixture_path, load_scenario_file, run_scenario, sweep as run_sweep
+from .scenario import (
+    _read_text,
+    fixture_path,
+    load_scenario_file,
+    run_scenario,
+    sweep as run_sweep,
+)
 from .sharing import preset_names
 
 SCHEMA_VERSION = 1
@@ -290,9 +296,8 @@ def _cmd_calibrate(args) -> int:
     # Imported here: calibration loads numpy and scipy, which no other command needs.
     from .calibration import calibrate_reference, load_targets_document
 
-    targets_file = fixture_path(args.targets)
     targets, constraints, horizon, seed = load_targets_document(
-        targets_file.read_text(encoding="utf-8")
+        _read_text(fixture_path(args.targets))
     )
     if args.seed is not None:
         seed = args.seed

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
+from types import MappingProxyType
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_HORIZON_YEARS = 5
+_NODEB = tuple(ElementClass).index(ElementClass.NODEB)
 
 
 @dataclass(frozen=True)
@@ -59,20 +61,28 @@ class ClassCost:
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Per-class cumulative costs for one operator over one horizon."""
+    """Cumulative costs for one operator over one horizon.
+
+    ``capex`` and ``opex`` hold each element class's CAPEX and cumulative
+    OPEX amount in ``ElementClass`` order.
+    """
 
     area: AreaKind
     horizon_years: int
-    per_class: Mapping[ElementClass, ClassCost]
+    capex: Tuple[float, ...]
+    opex: Tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_class", dict(self.per_class))
+    @property
+    def per_class(self) -> Mapping[ElementClass, ClassCost]:
+        return MappingProxyType(
+            {cls: ClassCost(c, o) for cls, c, o in zip(ElementClass, self.capex, self.opex)}
+        )
 
     def capex_total(self) -> float:
-        return sum(c.capex for c in self.per_class.values())
+        return sum(self.capex)
 
     def opex_cumulative_total(self) -> float:
-        return sum(c.opex_cumulative for c in self.per_class.values())
+        return sum(self.opex)
 
     def grand_total(self) -> float:
         return self.capex_total() + self.opex_cumulative_total()
@@ -85,11 +95,13 @@ def cumulative_cost(table: CostTable, horizon_years: int = DEFAULT_HORIZON_YEARS
     """
     if not isinstance(horizon_years, int) or isinstance(horizon_years, bool) or horizon_years < 1:
         raise InvalidHorizon(f"horizon_years must be a positive integer, got {horizon_years!r}")
-    per_class = {
-        cls: ClassCost(entry.capex, entry.opex_annual * horizon_years)
-        for cls, entry in table.entries.items()
-    }
-    return CostBreakdown(area=table.area, horizon_years=horizon_years, per_class=per_class)
+    entries = table.entries.values()  # filled in ElementClass order
+    return CostBreakdown(
+        table.area,
+        horizon_years,
+        tuple(e.capex for e in entries),
+        tuple(e.opex_annual * horizon_years for e in entries),
+    )
 
 
 def sharing_factors(config: SharingConfiguration, operator_index: int = 0) -> Tuple[float, ...]:
@@ -125,17 +137,12 @@ def apply_sharing(
         raise InvalidAmount(
             f"carrier_capex_factor must be in (0, 1], got {carrier_capex_factor!r}"
         )
-    factors = dict(zip(ElementClass, sharing_factors(config, operator_index)))
-    pooled_spectrum = config.is_shared(ElementClass.SPECTRUM_LICENSE)
-    per_class = {}
-    for cls, cost in baseline.per_class.items():
-        factor = factors[cls]
-        capex = cost.capex * factor
-        if cls is ElementClass.NODEB and pooled_spectrum:
-            capex *= carrier_capex_factor
-        per_class[cls] = ClassCost(capex, cost.opex_cumulative * factor)
+    factors = sharing_factors(config, operator_index)
+    capex = list(map(mul, baseline.capex, factors))
+    if config.is_shared(ElementClass.SPECTRUM_LICENSE):
+        capex[_NODEB] *= carrier_capex_factor
     return CostBreakdown(
-        area=baseline.area, horizon_years=baseline.horizon_years, per_class=per_class
+        baseline.area, baseline.horizon_years, tuple(capex), tuple(map(mul, baseline.opex, factors))
     )
 
 
@@ -169,10 +176,8 @@ class SavingsReport:
 
     def per_class_savings(self) -> Mapping[ElementClass, float]:
         """Absolute cumulative amount saved per element class."""
-        return {
-            cls: self.baseline.per_class[cls].total - self.shared.per_class[cls].total
-            for cls in self.baseline.per_class
-        }
+        baseline, shared = self.baseline.per_class, self.shared.per_class
+        return {cls: baseline[cls].total - shared[cls].total for cls in baseline}
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,81 +209,57 @@ def savings_report(
             f"baseline area {baseline.area.value}, shared area {shared.area.value}, "
             f"report area {area.value}"
         )
-    if baseline.grand_total() == 0:
-        raise ZeroBaseline("baseline grand total is zero; savings are undefined")
-    report = SavingsReport(
-        configuration=config.name,
-        area=area,
-        horizon_years=baseline.horizon_years,
-        capex_saving_pct=_saving_pct(baseline.capex_total(), shared.capex_total()),
-        opex_saving_pct=_saving_pct(
-            baseline.opex_cumulative_total(), shared.opex_cumulative_total()
-        ),
-        total_saving_pct=_saving_pct(baseline.grand_total(), shared.grand_total()),
-        baseline=baseline,
-        sharing=config,
-    )
+    totals = (baseline.capex_total(), baseline.opex_cumulative_total())
+    report = _report(baseline, totals, config, sum(shared.capex), sum(shared.opex))
     # The caller's breakdown may come from another operator or carrier factor.
     object.__setattr__(report, "shared", shared)
     return report
 
 
-class AreaLedgers:
-    """One area's build-alone baseline over one horizon, summed once.
-
-    Holds the baseline's per-class CAPEX and cumulative OPEX amounts in
-    ``ElementClass`` order and both ledger totals, so that every
-    configuration evaluated against the area reuses them.
-    """
-
-    __slots__ = ("baseline", "capex", "opex", "capex_total", "opex_total")
-
-    def __init__(self, table: CostTable, horizon_years: int) -> None:
-        self.baseline = cumulative_cost(table, horizon_years)
-        costs = self.baseline.per_class.values()
-        self.capex = tuple(c.capex for c in costs)
-        self.opex = tuple(c.opex_cumulative for c in costs)
-        self.capex_total = self.baseline.capex_total()
-        self.opex_total = self.baseline.opex_cumulative_total()
-
-
-def grid_savings(
-    ledgers: AreaLedgers,
-    configs: Sequence[SharingConfiguration],
-    factors: Sequence[Tuple[float, ...]],
-) -> List[SavingsReport]:
-    """Operator-0 savings report of each configuration in one area.
-
-    ``factors`` holds each configuration's :func:`sharing_factors`.  Every
-    shared ledger is summed in ``ElementClass`` order from the same products
-    :func:`apply_sharing` forms, so each report equals
-    ``savings_report(baseline, apply_sharing(baseline, config), config)``
-    bit for bit, without building the shared breakdown.
-    """
-    capex, opex = ledgers.capex, ledgers.opex
-    capex_total, opex_total = ledgers.capex_total, ledgers.opex_total
+def _report(
+    baseline: CostBreakdown,
+    totals: Tuple[float, float],
+    config: SharingConfiguration,
+    shared_capex: float,
+    shared_opex: float,
+) -> SavingsReport:
+    """Savings of shared ledger sums against the baseline's ``totals`` (CAPEX, OPEX)."""
+    capex_total, opex_total = totals
     grand_total = capex_total + opex_total
     if grand_total == 0:
         raise ZeroBaseline("baseline grand total is zero; savings are undefined")
-    baseline = ledgers.baseline
-    area, horizon_years = baseline.area, baseline.horizon_years
-    reports = []
-    for config, factor in zip(configs, factors):
-        shared_capex = sum(map(mul, capex, factor))
-        shared_opex = sum(map(mul, opex, factor))
-        reports.append(
-            SavingsReport(
-                config.name,
-                area,
-                horizon_years,
-                _saving_pct(capex_total, shared_capex),
-                _saving_pct(opex_total, shared_opex),
-                _saving_pct(grand_total, shared_capex + shared_opex),
-                baseline,
-                config,
-            )
-        )
-    return reports
+    return SavingsReport(
+        config.name,
+        baseline.area,
+        baseline.horizon_years,
+        _saving_pct(capex_total, shared_capex),
+        _saving_pct(opex_total, shared_opex),
+        _saving_pct(grand_total, shared_capex + shared_opex),
+        baseline,
+        config,
+    )
+
+
+def grid_savings(
+    baseline: CostBreakdown,
+    configs: Sequence[SharingConfiguration],
+    factors: Sequence[Tuple[float, ...]],
+) -> List[SavingsReport]:
+    """Operator-0 savings report of each configuration against one baseline.
+
+    ``factors`` holds each configuration's :func:`sharing_factors`.  The
+    baseline's ledger totals are summed once; every shared ledger is summed
+    in ``ElementClass`` order from the same products :func:`apply_sharing`
+    forms, so each report equals
+    ``savings_report(baseline, apply_sharing(baseline, config), config)``
+    bit for bit, without building the shared breakdown.
+    """
+    capex, opex = baseline.capex, baseline.opex
+    totals = (baseline.capex_total(), baseline.opex_cumulative_total())
+    return [
+        _report(baseline, totals, config, sum(map(mul, capex, factor)), sum(map(mul, opex, factor)))
+        for config, factor in zip(configs, factors)
+    ]
 
 
 @dataclass(frozen=True)

@@ -265,7 +265,10 @@ class CostTable:
             if any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in amounts):
                 raise InvalidAmount(f"entry for {label!r}: capex and opex_annual must be numbers")
             entries[key] = CostEntry(*(float(a) for a in amounts))
-        return cls(area=area, entries=entries, currency=str(doc.get("currency", "units")))
+        currency = doc.get("currency", "units")
+        if not isinstance(currency, str):
+            raise InvalidAmount(f"'currency' must be a string, got {currency!r}")
+        return cls(area=area, entries=entries, currency=currency)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=False)
@@ -293,7 +296,11 @@ class AreaProfile:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise InvalidAmount(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.subscriber_count, int) or self.subscriber_count < 0:
+        if (
+            not isinstance(self.subscriber_count, int)
+            or isinstance(self.subscriber_count, bool)
+            or self.subscriber_count < 0
+        ):
             raise InvalidAmount(
                 f"subscriber_count must be a non-negative integer, got {self.subscriber_count!r}"
             )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,8 +24,9 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .costmodel import (
     DEFAULT_HORIZON_YEARS,
-    AreaLedgers,
+    CostBreakdown,
     SavingsReport,
+    cumulative_cost,
     grid_savings,
     sharing_factors,
 )
@@ -89,7 +91,11 @@ def fixture_path(name: str, base_dir: Optional[Path] = None) -> Path:
         candidates.append(raw)
         candidates.append(fixture_dir() / raw)
     for candidate in candidates:
-        if candidate.is_file():
+        try:
+            found = candidate.is_file()
+        except OSError as exc:  # e.g. a name longer than the file system allows
+            raise MalformedScenario(f"cannot look up file: {exc}") from exc
+        if found:
             return candidate
     raise MalformedScenario(
         f"file {name!r} not found (searched {[str(c) for c in candidates]})"
@@ -108,17 +114,28 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _read_json(path: Path):
+def _read_text(path: Path) -> str:
+    """A UTF-8 input file's text; unreadable or undecodable files are malformed input."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedScenario(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_json(text: str, where: str = ""):
+    """Parse a JSON input document; syntax errors and runaway nesting are malformed input."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedScenario(
-            f"{path.name}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"{where}invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise MalformedScenario(f"{where}JSON nested too deeply") from exc
+
+
+def _read_json(path: Path):
+    return _parse_json(_read_text(path), f"{path.name}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +170,10 @@ class SweepSpec:
         if not (self.start < self.stop):
             raise InvalidSweepParameter(
                 f"sweep range must satisfy from < to, got [{self.start}, {self.stop}]"
+            )
+        if not math.isfinite(self.stop - self.start):
+            raise InvalidSweepParameter(
+                f"sweep range must be finite, got [{self.start}, {self.stop}]"
             )
         if self.parameter == "class_cost_fraction" and not self.class_name:
             raise InvalidSweepParameter("class_cost_fraction sweeps need a 'class'")
@@ -306,9 +327,9 @@ def _require_valid(scenario: Scenario) -> None:
         )
 
 
-def _area_ledgers(scenario: Scenario) -> Tuple[AreaLedgers, ...]:
+def _baselines(scenario: Scenario) -> Tuple[CostBreakdown, ...]:
     return tuple(
-        AreaLedgers(scenario.cost_tables[profile.kind], scenario.horizon_years)
+        cumulative_cost(scenario.cost_tables[profile.kind], scenario.horizon_years)
         for profile in scenario.areas
     )
 
@@ -319,15 +340,15 @@ def _factors(scenario: Scenario) -> Tuple[Tuple[float, ...], ...]:
 
 def _evaluate(
     scenario: Scenario,
-    ledgers: Sequence[AreaLedgers],
+    baselines: Sequence[CostBreakdown],
     factors: Sequence[Tuple[float, ...]],
 ) -> ScenarioResult:
-    """Grid of an already validated scenario from its areas' ledgers and factors."""
+    """Grid of an already validated scenario from its areas' baselines and factors."""
     configs = scenario.configurations
     grid = {}
-    for profile, area in zip(scenario.areas, ledgers):
+    for profile, baseline in zip(scenario.areas, baselines):
         try:
-            reports = grid_savings(area, configs, factors)
+            reports = grid_savings(baseline, configs, factors)
         except NetshareError as exc:
             # The only cell error is a zero baseline, which fails the area's first cell.
             raise type(exc)(
@@ -351,7 +372,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     re-raised annotated with the grid cell that produced them.
     """
     _require_valid(scenario)
-    return _evaluate(scenario, _area_ledgers(scenario), _factors(scenario))
+    return _evaluate(scenario, _baselines(scenario), _factors(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +448,7 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
     Points come back strictly ordered by parameter value with no
     duplicates.  Validation reads neither the swept parameter nor the costs,
     so it runs once.  A point rebuilds only what its parameter changes: the
-    area ledgers for ``horizon_years`` and ``class_cost_fraction``, the
+    area baselines for ``horizon_years`` and ``class_cost_fraction``, the
     configurations' factors for ``split_ratio`` and ``intl_shared``.
     """
     spec = spec if spec is not None else scenario.sweep
@@ -435,14 +456,14 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
         raise InvalidSweepParameter(f"scenario {scenario.name!r} has no sweep specification")
     _require_valid(scenario)
     moves_costs = spec.parameter in ("horizon_years", "class_cost_fraction")
-    ledgers = None if moves_costs else _area_ledgers(scenario)
+    baselines = None if moves_costs else _baselines(scenario)
     factors = _factors(scenario) if moves_costs else None
     points = []
     for value in spec.values():
         swept = _swept_scenario(scenario, spec, value)
         result = _evaluate(
             swept,
-            _area_ledgers(swept) if moves_costs else ledgers,
+            _baselines(swept) if moves_costs else baselines,
             factors if moves_costs else _factors(swept),
         )
         points.append(SweepPoint(value=value, result=result))
@@ -550,15 +571,7 @@ def load_scenario(document: Union[str, Mapping], base_dir: Optional[Path] = None
     :class:`InvalidScenario` when the parsed scenario fails semantic
     validation (no configurations, configuration errors under the policy).
     """
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise MalformedScenario(
-                f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-    else:
-        doc = document
+    doc = _parse_json(document) if isinstance(document, str) else document
     if not isinstance(doc, Mapping):
         raise MalformedScenario(f"scenario document must be an object, got {type(doc).__name__}")
     unknown = set(doc) - _TOP_LEVEL_KEYS
@@ -612,5 +625,4 @@ def load_scenario(document: Union[str, Mapping], base_dir: Optional[Path] = None
 def load_scenario_file(path: Union[str, Path]) -> Scenario:
     """Load a scenario from a file, resolving it like a fixture name."""
     resolved = fixture_path(str(path))
-    text = resolved.read_text(encoding="utf-8")
-    return load_scenario(text, base_dir=resolved.parent)
+    return load_scenario(_read_text(resolved), base_dir=resolved.parent)

@@ -1,6 +1,7 @@
 """Reference-table calibration: feasibility, determinism and diagnostics."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from netshare import (
     RepartitionConstraint,
     RepartitionConstraintSet,
     SavingsTarget,
+    apply_sharing,
     calibrate_reference,
     check_repartition,
+    cumulative_cost,
+    savings_report,
 )
 from netshare.calibration import (
     GRID_PRESETS,
@@ -78,6 +82,30 @@ def test_unreachable_target_fails_on_the_residual_bound_at_every_seed(seed):
     targets = [SavingsTarget(AreaKind.URBAN, "capex", "MOCN", 40.0, bound=2.0)]
     with pytest.raises(InfeasibleCalibration, match="residual"):
         calibrate_reference(constraints, targets, seed=seed, **FAST)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_search_metric_matches_the_cost_model(seed):
+    configs = [preset(name) for name in GRID_PRESETS] + [
+        replace(preset("GWCN", operator_count=3, split_ratios=(0.2, 0.3, 0.5)), name="3-way"),
+        replace(preset("MOCN + Backhaul", intl_shared=True), name="intl"),
+        replace(preset("GWCN - Spectrum", couple_site_costs=True), name="coupled"),
+    ]
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, 2 * len(ElementClass)) * (rng.random(2 * len(ElementClass)) > 0.2)
+    x[0] = x[-1] = 0.5  # keep both ledgers non-empty
+    horizon = 3 + seed
+    problem = _AreaProblem(AreaKind.URBAN, [], [], {c.name: c for c in configs}, horizon)
+    table = CostTable(
+        AreaKind.URBAN,
+        {cls: (x[i], x[len(ElementClass) + i]) for i, cls in enumerate(ElementClass)},
+    )
+    baseline = cumulative_cost(table, horizon)
+    for config in configs:
+        report = savings_report(baseline, apply_sharing(baseline, config), config)
+        for metric in ("capex", "opex", "total"):
+            expected = getattr(report, f"{metric}_saving_pct")
+            assert problem._metric(x, metric, config.name) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -264,6 +292,11 @@ def test_targets_document_rejects_unknown_keys():
     }
     with pytest.raises(MalformedScenario, match="wieght"):
         load_targets_document(json.dumps(bad_target))
+
+
+def test_deeply_nested_targets_document_is_malformed():
+    with pytest.raises(MalformedScenario, match="nested too deeply"):
+        load_targets_document("[" * 100_000)
 
 
 _GOOD_TARGET = {"kind": "saving", "area": "urban", "configuration": "MOCN", "value": 20.0}

@@ -147,6 +147,30 @@ def test_run_wrongly_typed_configuration_prints_one_error_line(tmp_path, capsys)
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("broken", ["scenario", "cost_table"])
+@pytest.mark.parametrize("payload", [b'\xff{"name": "x"}', b"[" * 100_000], ids=["non_utf8", "deep"])
+def test_run_unparseable_file_prints_one_error_line(tmp_path, broken, payload, capsys):
+    files = {
+        "scenario": {
+            "name": "x",
+            "areas": ["urban"],
+            "cost_tables": {"urban": "table.json"},
+            "configurations": ["MOCN"],
+        },
+        "cost_table": {"area": "urban", "entries": {"nodeb": {"capex": 1.0}}},
+    }
+    files = {name: json.dumps(doc).encode() for name, doc in files.items()}
+    files[broken] = payload
+    (tmp_path / "table.json").write_bytes(files["cost_table"])
+    path = tmp_path / "scenario.json"
+    path.write_bytes(files["scenario"])
+    code, out, err = _run(capsys, "run", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+
+
 def test_run_strict_fails_on_ladder_warnings(capsys):
     code, _, err = _run(capsys, "run", USE_CASE, "--strict")
     assert code == 1

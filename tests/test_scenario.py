@@ -117,6 +117,8 @@ _UNIT_TABLE = json.loads(_document())["cost_tables"]["urban"]
         {"sweep": 5},
         {"sweep": {"parameter": "horizon_years", "from": "1", "to": 5, "steps": 5}},
         {"cost_tables": {"urban": {**_UNIT_TABLE, "entries": {"nodeb": {"capex": None}}}}},
+        {"cost_tables": {"urban": {**_UNIT_TABLE, "currency": 5}}},
+        {"areas": [{"kind": "urban", "subscriber_count": True}]},
     ],
     ids=lambda overrides: json.dumps(overrides),
 )
@@ -184,6 +186,11 @@ def test_fixture_dir_env_override(tmp_path, monkeypatch):
     assert fixture_dir() == tmp_path
     doubled = reference_cost_table(AreaKind.URBAN)
     assert doubled.capex_total() == pytest.approx(2.0 * table.capex_total())
+
+
+def test_cost_table_name_too_long_for_the_file_system_is_malformed():
+    with pytest.raises(MalformedScenario, match="too long"):
+        load_scenario(_document(cost_tables={"urban": "x" * 300 + ".json"}))
 
 
 def test_missing_fixture_reports_search_paths():
@@ -388,6 +395,16 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="discount_rate", start=0.0, stop=0.1, steps=3)
     spec = SweepSpec(parameter="split_ratio", start=0.2, stop=0.8, steps=4)
     assert spec.values() == pytest.approx([0.2, 0.4, 0.6, 0.8])
+
+
+@pytest.mark.parametrize(
+    "start, stop", [(float("-inf"), 5.0), (1.0, float("inf")), (-1e308, 1e308)]
+)
+def test_non_finite_sweep_range_is_rejected(start, stop):
+    # an infinite span makes every point NaN, which int() cannot take for horizon_years
+    bad_sweep = {"parameter": "horizon_years", "from": start, "to": stop, "steps": 3}
+    with pytest.raises(InvalidSweepParameter, match="finite"):
+        load_scenario(_document(sweep=bad_sweep))
 
 
 def test_sweep_spec_round_trips_through_json():
