@@ -633,21 +633,33 @@ def _parse_target(doc: Mapping) -> Target:
         raise MalformedScenario("target needs a 'value'")
     common = dict(
         area=area,
-        metric=str(doc.get("metric", "total")),
+        metric=_text(doc.get("metric", "total"), "target 'metric'"),
         value=_number(doc["value"], "target 'value'"),
         weight=_number(doc.get("weight", 1.0), "target 'weight'"),
         bound=_number(doc.get("bound", 2.0), "target 'bound'"),
-        note=str(doc.get("note", "")),
+        note=_text(doc.get("note", ""), "target 'note'"),
     )
     if kind == "saving":
         if "configuration" not in doc:
             raise MalformedScenario("saving target needs 'configuration'")
-        return SavingsTarget(configuration=str(doc["configuration"]), **common)
+        return SavingsTarget(
+            configuration=_text(doc["configuration"], "target 'configuration'"), **common
+        )
     if kind == "delta":
         if "first" not in doc or "second" not in doc:
             raise MalformedScenario("delta target needs 'first' and 'second'")
-        return DeltaTarget(first=str(doc["first"]), second=str(doc["second"]), **common)
+        return DeltaTarget(
+            first=_text(doc["first"], "target 'first'"),
+            second=_text(doc["second"], "target 'second'"),
+            **common,
+        )
     raise MalformedScenario(f"unknown target kind {kind!r}")
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise MalformedScenario(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def _natural(value, what: str, least: int) -> int:

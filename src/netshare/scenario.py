@@ -28,6 +28,8 @@ from .costmodel import (
     SavingsReport,
     cumulative_cost,
     grid_savings,
+    masked_factors,
+    shared_mask,
     sharing_factors,
 )
 from .errors import (
@@ -158,6 +160,8 @@ class SweepSpec:
     class_name: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.parameter, str):
+            raise InvalidSweepParameter(f"sweep parameter must be a string, got {self.parameter!r}")
         if self.parameter not in SWEEP_PARAMETERS:
             raise InvalidSweepParameter(
                 f"unknown sweep parameter {self.parameter!r}; "
@@ -175,12 +179,19 @@ class SweepSpec:
             raise InvalidSweepParameter(
                 f"sweep range must be finite, got [{self.start}, {self.stop}]"
             )
+        if self.class_name is not None and not isinstance(self.class_name, str):
+            raise InvalidSweepParameter(f"sweep 'class' must be a string, got {self.class_name!r}")
         if self.parameter == "class_cost_fraction" and not self.class_name:
             raise InvalidSweepParameter("class_cost_fraction sweeps need a 'class'")
         if self.parameter != "class_cost_fraction" and self.class_name:
             raise InvalidSweepParameter(
                 f"'class' only applies to class_cost_fraction, not {self.parameter!r}"
             )
+        if self.class_name:
+            try:
+                ElementClass.from_label(self.class_name)
+            except KeyError as exc:
+                raise InvalidSweepParameter(f"sweep 'class': {exc.args[0]}") from exc
 
     def values(self) -> Tuple[float, ...]:
         span = self.stop - self.start
@@ -213,7 +224,7 @@ class SweepSpec:
         if missing:
             raise MalformedScenario(f"sweep needs keys: {sorted(missing)!r}")
         return cls(
-            parameter=str(doc["parameter"]),
+            parameter=doc["parameter"],
             start=_number(doc["from"], "sweep 'from'"),
             stop=_number(doc["to"], "sweep 'to'"),
             steps=doc["steps"],
@@ -327,24 +338,25 @@ def _require_valid(scenario: Scenario) -> None:
         )
 
 
-def _baselines(scenario: Scenario) -> Tuple[CostBreakdown, ...]:
+def _baselines(scenario: Scenario, horizon: int) -> Tuple[CostBreakdown, ...]:
     return tuple(
-        cumulative_cost(scenario.cost_tables[profile.kind], scenario.horizon_years)
-        for profile in scenario.areas
+        cumulative_cost(scenario.cost_tables[profile.kind], horizon) for profile in scenario.areas
     )
 
 
-def _factors(scenario: Scenario) -> Tuple[Tuple[float, ...], ...]:
-    return tuple(sharing_factors(config) for config in scenario.configurations)
+def _factors(configs: Sequence[SharingConfiguration]) -> Tuple[Tuple[float, ...], ...]:
+    return tuple(sharing_factors(config) for config in configs)
 
 
 def _evaluate(
     scenario: Scenario,
+    horizon: int,
     baselines: Sequence[CostBreakdown],
+    configs: Sequence[SharingConfiguration],
     factors: Sequence[Tuple[float, ...]],
 ) -> ScenarioResult:
-    """Grid of an already validated scenario from its areas' baselines and factors."""
-    configs = scenario.configurations
+    """Grid of an already validated scenario's areas from their baselines over
+    ``horizon`` and the factors of ``configs``."""
     grid = {}
     for profile, baseline in zip(scenario.areas, baselines):
         try:
@@ -358,7 +370,7 @@ def _evaluate(
             grid[(profile.kind, config.name)] = report
     return ScenarioResult(
         scenario_name=scenario.name,
-        horizon_years=scenario.horizon_years,
+        horizon_years=horizon,
         area_order=tuple(p.kind for p in scenario.areas),
         configuration_order=tuple(c.name for c in configs),
         grid=grid,
@@ -372,7 +384,8 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     re-raised annotated with the grid cell that produced them.
     """
     _require_valid(scenario)
-    return _evaluate(scenario, _baselines(scenario), _factors(scenario))
+    horizon, configs = scenario.horizon_years, scenario.configurations
+    return _evaluate(scenario, horizon, _baselines(scenario, horizon), configs, _factors(configs))
 
 
 # ---------------------------------------------------------------------------
@@ -394,52 +407,144 @@ class SweepResult:
     points: Tuple[SweepPoint, ...]
 
 
+def _check_fraction(parameter: str, value: float) -> None:
+    if not (0.0 < value < 1.0):
+        raise InvalidSweepParameter(f"{parameter} values must lie in (0, 1), got {value}")
+
+
+def _split_configs(
+    configs: Sequence[SharingConfiguration], value: float
+) -> Tuple[SharingConfiguration, ...]:
+    """``configs`` with operator 0 paying ``value`` of each shared cost, the rest
+    split evenly between the other operators."""
+    _check_fraction("split_ratio", value)
+    out = []
+    for config in configs:
+        rest = (1.0 - value) / (config.operator_count - 1)
+        out.append(replace(config, split_ratios=(value,) + (rest,) * (config.operator_count - 1)))
+    return tuple(out)
+
+
+def _intl_flag(value: float) -> bool:
+    return value >= 0.5
+
+
+def _intl_configs(
+    configs: Sequence[SharingConfiguration], flag: bool
+) -> Tuple[SharingConfiguration, ...]:
+    return tuple(replace(config, intl_shared=flag) for config in configs)
+
+
+def _class_share(
+    kind: AreaKind, table: CostTable, cls: ElementClass, horizon: int
+) -> Tuple[float, float]:
+    """(cost of the rest of the table, cost of ``cls``) over ``horizon``; both must be positive."""
+    entry = table.entries[cls]
+    class_grand = entry.capex + entry.opex_annual * horizon
+    grand = table.capex_total() + table.opex_annual_total() * horizon
+    others = grand - class_grand
+    if class_grand <= 0 or others <= 0:
+        raise InvalidSweepParameter(
+            f"class {cls.value!r} cannot be rescaled in area {kind.value}: "
+            "it or the rest of the table carries no cost"
+        )
+    return others, class_grand
+
+
+def _rescaled_entry(entry: CostEntry, value: float, share: Tuple[float, float]) -> CostEntry:
+    """``entry`` scaled so that its class takes ``value`` of its table's cumulative total.
+
+    ``share`` is the table's :func:`_class_share`.  ``CostEntry`` rejects an
+    amount that the scaling overflows to infinity.
+    """
+    others, class_grand = share
+    factor = (value * others / (1.0 - value)) / class_grand
+    return CostEntry(entry.capex * factor, entry.opex_annual * factor)
+
+
 def _swept_scenario(scenario: Scenario, spec: SweepSpec, value: float) -> Scenario:
+    """The whole scenario rebuilt at one sweep point: the reference for :func:`sweep`."""
     if spec.parameter == "horizon_years":
         return replace(scenario, horizon_years=int(value), sweep=None)
-
     if spec.parameter == "split_ratio":
-        if not (0.0 < value < 1.0):
-            raise InvalidSweepParameter(f"split_ratio values must lie in (0, 1), got {value}")
-        configs = []
-        for config in scenario.configurations:
-            rest = (1.0 - value) / (config.operator_count - 1)
-            ratios = (value,) + (rest,) * (config.operator_count - 1)
-            configs.append(replace(config, split_ratios=ratios))
-        return replace(scenario, configurations=tuple(configs), sweep=None)
-
+        configs = _split_configs(scenario.configurations, value)
+        return replace(scenario, configurations=configs, sweep=None)
     if spec.parameter == "intl_shared":
-        flag = value >= 0.5
-        configs = tuple(replace(c, intl_shared=flag) for c in scenario.configurations)
+        configs = _intl_configs(scenario.configurations, _intl_flag(value))
         return replace(scenario, configurations=configs, sweep=None)
 
     # class_cost_fraction: rescale one class so it takes the requested
     # fraction of each area's cumulative grand total.
-    if not (0.0 < value < 1.0):
-        raise InvalidSweepParameter(
-            f"class_cost_fraction values must lie in (0, 1), got {value}"
-        )
-    try:
-        cls = ElementClass.from_label(spec.class_name)
-    except KeyError as exc:
-        raise InvalidSweepParameter(str(exc)) from exc
+    _check_fraction(spec.parameter, value)
+    cls = ElementClass.from_label(spec.class_name)
     tables = {}
     for kind, table in scenario.cost_tables.items():
-        h = scenario.horizon_years
-        entry = table.entries[cls]
-        class_grand = entry.capex + entry.opex_annual * h
-        grand = table.capex_total() + table.opex_annual_total() * h
-        others = grand - class_grand
-        if class_grand <= 0 or others <= 0:
-            raise InvalidSweepParameter(
-                f"class {spec.class_name!r} cannot be rescaled in area {kind.value}: "
-                "it or the rest of the table carries no cost"
-            )
-        factor = (value * others / (1.0 - value)) / class_grand
+        share = _class_share(kind, table, cls, scenario.horizon_years)
         entries = dict(table.entries)
-        entries[cls] = CostEntry(entry.capex * factor, entry.opex_annual * factor)
+        entries[cls] = _rescaled_entry(entries[cls], value, share)
         tables[kind] = CostTable(area=table.area, entries=entries, currency=table.currency)
     return replace(scenario, cost_tables=tables, sweep=None)
+
+
+def _points(scenario: Scenario, spec: SweepSpec):
+    """``(value, horizon, baselines, configurations, factors)`` of each sweep point.
+
+    Each point equals the one :func:`_swept_scenario` builds, but rebuilds only
+    what its parameter moves.
+    """
+    horizon, configs = scenario.horizon_years, scenario.configurations
+    values = spec.values()
+    if spec.parameter == "horizon_years":
+        factors = _factors(configs)
+        for value in values:
+            yield value, int(value), _baselines(scenario, int(value)), configs, factors
+        return
+
+    baselines = _baselines(scenario, horizon)
+    if spec.parameter == "split_ratio":
+        # Each point keeps every configuration's shared classes and moves its ratio.
+        masks = [shared_mask(config) for config in configs]
+        for value in values:
+            swept = _split_configs(configs, value)
+            factors = tuple(masked_factors(m, c.split_ratios[0]) for m, c in zip(masks, swept))
+            yield value, horizon, baselines, swept, factors
+        return
+
+    if spec.parameter == "intl_shared":
+        by_flag = {}
+        for flag in (False, True):
+            swept = _intl_configs(configs, flag)
+            by_flag[flag] = (swept, _factors(swept))
+        for value in values:
+            yield (value, horizon, baselines) + by_flag[_intl_flag(value)]
+        return
+
+    # class_cost_fraction: each point moves one slot of each area's baseline,
+    # with the float operations of CostTable -> cumulative_cost.
+    cls = ElementClass.from_label(spec.class_name)
+    slot = tuple(ElementClass).index(cls)
+    factors = _factors(configs)
+    tables = scenario.cost_tables
+    _check_fraction(spec.parameter, values[0])  # _swept_scenario checks the value before the tables
+    shares = {kind: _class_share(kind, table, cls, horizon) for kind, table in tables.items()}
+    for value in values:
+        _check_fraction(spec.parameter, value)
+        entries = {
+            kind: _rescaled_entry(tables[kind].entries[cls], value, share)
+            for kind, share in shares.items()
+        }
+        point = []
+        for profile, base in zip(scenario.areas, baselines):
+            entry = entries[profile.kind]
+            point.append(
+                CostBreakdown(
+                    base.area,
+                    horizon,
+                    base.capex[:slot] + (entry.capex,) + base.capex[slot + 1 :],
+                    base.opex[:slot] + (entry.opex_annual * horizon,) + base.opex[slot + 1 :],
+                )
+            )
+        yield value, horizon, tuple(point), configs, factors
 
 
 def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
@@ -447,33 +552,28 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
 
     Points come back strictly ordered by parameter value with no
     duplicates.  Validation reads neither the swept parameter nor the costs,
-    so it runs once.  A point rebuilds only what its parameter changes: the
-    area baselines for ``horizon_years`` and ``class_cost_fraction``, the
-    configurations' factors for ``split_ratio`` and ``intl_shared``.
+    so it runs once.  A point rebuilds only what its parameter changes:
+    ``horizon_years`` rebuilds the area baselines; ``class_cost_fraction``
+    rescales the swept class's slot of each baseline; ``split_ratio`` rebuilds
+    the configurations and takes their factors from shared-class masks worked
+    out once per sweep; ``intl_shared`` builds the configurations and factors
+    of each flag once per sweep.
     """
     spec = spec if spec is not None else scenario.sweep
     if spec is None:
         raise InvalidSweepParameter(f"scenario {scenario.name!r} has no sweep specification")
     _require_valid(scenario)
-    moves_costs = spec.parameter in ("horizon_years", "class_cost_fraction")
-    baselines = None if moves_costs else _baselines(scenario)
-    factors = _factors(scenario) if moves_costs else None
-    points = []
-    for value in spec.values():
-        swept = _swept_scenario(scenario, spec, value)
-        result = _evaluate(
-            swept,
-            _baselines(swept) if moves_costs else baselines,
-            factors if moves_costs else _factors(swept),
-        )
-        points.append(SweepPoint(value=value, result=result))
+    points = tuple(
+        SweepPoint(value=value, result=_evaluate(scenario, *point))
+        for value, *point in _points(scenario, spec)
+    )
     values = [p.value for p in points]
     assert values == sorted(set(values)), "sweep values must be strictly increasing"
     return SweepResult(
         scenario_name=scenario.name,
         parameter=spec.parameter,
         class_name=spec.class_name,
-        points=tuple(points),
+        points=points,
     )
 
 

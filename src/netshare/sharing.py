@@ -96,6 +96,14 @@ def _equal_split(n: int) -> Tuple[float, ...]:
     return tuple(1.0 / n for _ in range(n))
 
 
+class _SharedMap(dict):
+    """A shared map that already holds one bool per element class.
+
+    Only :meth:`SharingConfiguration.__post_init__` builds one, so a
+    configuration made by ``replace`` from another skips re-normalising it.
+    """
+
+
 @dataclass(frozen=True)
 class SharingConfiguration:
     """Which element classes are shared and how their cost is split.
@@ -122,13 +130,14 @@ class SharingConfiguration:
             raise InvalidConfiguration(
                 f"operator_count must be an integer >= 2, got {self.operator_count!r}"
             )
-        unknown = set(self.shared) - set(ElementClass)
-        if unknown:
-            raise InvalidConfiguration(
-                f"unknown element classes in shared map: {sorted(unknown)!r}"
-            )
-        full = {cls: bool(self.shared.get(cls, False)) for cls in ElementClass}
-        object.__setattr__(self, "shared", full)
+        if type(self.shared) is not _SharedMap:
+            unknown = set(self.shared) - set(ElementClass)
+            if unknown:
+                raise InvalidConfiguration(
+                    f"unknown element classes in shared map: {sorted(unknown)!r}"
+                )
+            full = _SharedMap((cls, bool(self.shared.get(cls, False))) for cls in ElementClass)
+            object.__setattr__(self, "shared", full)
         ratios = self.split_ratios
         if ratios is None:
             ratios = _equal_split(self.operator_count)

@@ -318,6 +318,11 @@ _GOOD_TARGET = {"kind": "saving", "area": "urban", "configuration": "MOCN", "val
         {"targets": [_GOOD_TARGET], "constraints": 5},
         {"targets": [_GOOD_TARGET], "constraints": {"constraints": [5]}},
         {"targets": [_GOOD_TARGET], "constraints": {"constraints": [{"label": "a"}]}},
+        {"targets": [dict(_GOOD_TARGET, configuration=["MOCN"])]},
+        {"targets": [dict(_GOOD_TARGET, metric=["total"])]},
+        {"targets": [dict(_GOOD_TARGET, note=5)]},
+        {"targets": [{**_GOOD_TARGET, "kind": "delta", "first": "GWCN", "second": 5}]},
+        {"targets": [{**_GOOD_TARGET, "kind": "delta", "first": ["GWCN"], "second": "MOCN"}]},
     ],
     ids=json.dumps,
 )

@@ -24,6 +24,7 @@ from netshare import (
     sweep,
 )
 from netshare.errors import (
+    InvalidAmount,
     InvalidHorizon,
     InvalidScenario,
     InvalidSweepParameter,
@@ -407,6 +408,37 @@ def test_non_finite_sweep_range_is_rejected(start, stop):
         load_scenario(_document(sweep=bad_sweep))
 
 
+@pytest.mark.parametrize(
+    "bad_sweep, message",
+    [
+        ({"parameter": "class_cost_fraction", "class": 5}, "must be a string"),
+        ({"parameter": "class_cost_fraction", "class": "nope"}, "nope"),
+        ({"parameter": ["split_ratio"]}, "must be a string"),
+    ],
+    ids=lambda value: json.dumps(value) if isinstance(value, dict) else value,
+)
+def test_sweep_class_and_parameter_are_checked_at_load(bad_sweep, message):
+    with pytest.raises(InvalidSweepParameter, match=message):
+        load_scenario(_document(sweep={"from": 0.1, "to": 0.4, "steps": 3, **bad_sweep}))
+
+
+def test_class_sweep_overflowing_the_swept_class_is_an_invalid_amount():
+    entries = {cls.value: {"capex": 1e300, "opex_annual": 1e300} for cls in ElementClass}
+    entries["backhaul"] = {"capex": 1e-300, "opex_annual": 1e-300}
+    spec = {
+        "parameter": "class_cost_fraction",
+        "class": "backhaul",
+        "from": 0.1,
+        "to": 0.4,
+        "steps": 3,
+    }
+    scenario = _sweep_scenario(spec, cost_tables={"urban": {"area": "urban", "entries": entries}})
+    with pytest.raises(InvalidAmount, match="capex must be finite, got inf"):
+        sweep(scenario)
+    with pytest.raises(InvalidAmount, match="capex must be finite, got inf"):
+        _swept_scenario(scenario, scenario.sweep, 0.1)
+
+
 def test_sweep_spec_round_trips_through_json():
     spec = SweepSpec(
         parameter="class_cost_fraction", start=0.1, stop=0.5, steps=5, class_name="backhaul"
@@ -487,9 +519,13 @@ def test_grid_kernel_is_bit_identical_to_the_pipeline(seed):
             _assert_pipeline_equal(point.result, _swept_scenario(scenario, spec, point.value))
 
 
-def test_swept_report_builds_shared_cost_from_its_point_configuration():
+@pytest.mark.parametrize(
+    "spec",
+    [SweepSpec("split_ratio", 0.2, 0.8, 4), SweepSpec("intl_shared", 0.0, 1.0, 4)],
+    ids=lambda spec: spec.parameter,
+)
+def test_swept_report_builds_shared_cost_from_its_point_configuration(spec):
     scenario = _random_scenario(random.Random(11))
-    spec = SweepSpec("split_ratio", 0.2, 0.8, 4)
     point = sweep(scenario, spec).points[1]
     swept = _swept_scenario(scenario, spec, point.value)
     for config in swept.configurations:

@@ -1,6 +1,7 @@
 """Sharing configurations, presets, level ladder and validation rules."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -113,6 +114,30 @@ def test_shared_map_defaults_every_class_to_false():
     config = SharingConfiguration(name="bare", shared={ElementClass.NODEB: True})
     assert set(config.shared) == set(ElementClass)
     assert config.shared[ElementClass.STAFF] is False
+
+
+def test_configuration_replaced_from_a_normalised_one_equals_a_fresh_one():
+    base = preset("GWCN + Backhaul", operator_count=3)
+    assert replace(base, split_ratios=(0.2, 0.3, 0.5)) == preset(
+        "GWCN + Backhaul", operator_count=3, split_ratios=(0.2, 0.3, 0.5)
+    )
+    assert replace(base, intl_shared=True) == preset(
+        "GWCN + Backhaul", operator_count=3, intl_shared=True
+    )
+
+
+def test_fresh_shared_map_with_an_unknown_key_is_rejected():
+    base = preset("MOCN")
+    with pytest.raises(InvalidConfiguration, match="unknown element classes"):
+        replace(base, shared={**base.shared, "nodeb": True})
+    with pytest.raises(InvalidConfiguration, match="unknown element classes"):
+        SharingConfiguration(name="labels", shared={"nodeb": True})
+
+
+def test_with_shared_normalises_the_map():
+    config = preset("MOCN").with_shared(ElementClass.ANTENNA, 1)
+    assert config.shared[ElementClass.ANTENNA] is True
+    assert config == preset("MOCN").with_shared(ElementClass.ANTENNA, True)
 
 
 def test_split_ratios_must_sum_to_one():
