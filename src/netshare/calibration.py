@@ -17,6 +17,7 @@ never runs inside the engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -84,8 +85,7 @@ class SavingsTarget:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.metric not in ("capex", "opex", "total"):
-            raise MalformedScenario(f"unknown target metric {self.metric!r}")
+        _check_target(self)
 
     def describe(self) -> str:
         return f"{self.area.value}: {self.metric}({self.configuration}) = {self.value}"
@@ -105,8 +105,7 @@ class DeltaTarget:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.metric not in ("capex", "opex", "total"):
-            raise MalformedScenario(f"unknown target metric {self.metric!r}")
+        _check_target(self)
 
     def describe(self) -> str:
         return (
@@ -116,6 +115,15 @@ class DeltaTarget:
 
 
 Target = Union[SavingsTarget, DeltaTarget]
+
+
+def _check_target(target: Target) -> None:
+    if target.metric not in ("capex", "opex", "total"):
+        raise MalformedScenario(f"unknown target metric {target.metric!r}")
+    for name in ("value", "weight", "bound"):
+        number = _number(getattr(target, name), f"target {name!r}")
+        if not math.isfinite(number):
+            raise MalformedScenario(f"target {name!r} must be finite, got {number!r}")
 
 
 @dataclass(frozen=True)
@@ -217,10 +225,10 @@ def _normalise_targets(targets: Sequence) -> Tuple[Target, ...]:
             area, configuration, value = t
             out.append(
                 SavingsTarget(
-                    area=area if isinstance(area, AreaKind) else AreaKind(area),
+                    area=_area(area),
                     metric="total",
                     configuration=str(configuration),
-                    value=float(value),
+                    value=_number(value, "target value"),
                 )
             )
         else:
@@ -239,8 +247,7 @@ def _mask(classes) -> np.ndarray:
 def _interval_rows(constraints: Sequence[RepartitionConstraint], margin: float = 0.0):
     """``A_ub @ f <= b_ub`` rows keeping each group's fraction ``margin`` inside its bounds.
 
-    The margin is capped at half of each interval's width.  Returns
-    ``(None, None)`` for an empty constraint list.
+    The margin is capped at half of each interval's width.
     """
     a_ub, b_ub = [], []
     for con in constraints:
@@ -250,33 +257,14 @@ def _interval_rows(constraints: Sequence[RepartitionConstraint], margin: float =
         b_ub.append(con.upper - inset)
         a_ub.append(-row)  # sum >= lower
         b_ub.append(-(con.lower + inset))
-    if not a_ub:
-        return None, None
-    return np.array(a_ub), np.array(b_ub)
+    return np.array(a_ub).reshape(-1, _N), np.array(b_ub)
 
 
-def _ledger_feasible(constraints: Sequence[RepartitionConstraint]) -> bool:
-    """LP feasibility of fraction vectors under the interval constraints."""
-    if not constraints:
-        return True
+def _feasible_point(constraints: Sequence[RepartitionConstraint], cost: np.ndarray):
+    """The LP vertex of ``cost`` among fraction vectors meeting ``constraints``, or None."""
     a_ub, b_ub = _interval_rows(constraints)
     res = linprog(
-        c=np.zeros(_N),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=np.ones((1, _N)),
-        b_eq=np.array([1.0]),
-        bounds=[(0.0, 1.0)] * _N,
-        method="highs",
-    )
-    return bool(res.success)
-
-
-def _feasible_point(constraints: Sequence[RepartitionConstraint], rng: np.random.Generator):
-    """A random feasible fraction vector: the LP vertex of a random cost."""
-    a_ub, b_ub = _interval_rows(constraints)
-    res = linprog(
-        c=rng.standard_normal(_N),
+        c=cost,
         A_ub=a_ub,
         b_ub=b_ub,
         A_eq=np.ones((1, _N)),
@@ -340,13 +328,33 @@ class _AreaProblem:
     ) -> None:
         self.area = area
         self.targets = tuple(targets)
-        self.constraints = tuple(constraints)
         self.horizon = horizon_years
+        self.by_ledger = {
+            ledger: tuple(c for c in constraints if c.ledger.base() is ledger)
+            for ledger in _LEDGER_PART
+        }
         # Share of each class's cost that operator 0 stops carrying, per configuration.
         self.weights = {
             name: 1.0 - np.array(sharing_factors(config))
             for name, config in configurations.items()
         }
+        # Linear constraints G @ x >= h.  With f = x[part] / sum(x[part]), a
+        # fraction row a @ f <= b is the amount row (b * 1 - a) @ x[part] >= 0.
+        # Row 0 keeps the OPEX ledger non-degenerate; S @ x is the ledger sum
+        # of every later row.
+        rows, sums = [], []
+        for ledger, part in _LEDGER_PART.items():
+            a_ub, b_ub = _interval_rows(self.by_ledger[ledger])
+            row = np.zeros((len(b_ub), 2 * _N))
+            row[:, part] = b_ub[:, None] - a_ub
+            total = np.zeros_like(row)
+            total[:, part] = 1.0
+            rows.append(row)
+            sums.append(total)
+        self.G = np.vstack([np.repeat([[0.0, 1.0]], _N, axis=1), *rows])
+        self.h = np.zeros(len(self.G))
+        self.h[0] = 1e-3
+        self.S = np.vstack(sums)
 
     # -- metric evaluation ------------------------------------------------
 
@@ -383,29 +391,18 @@ class _AreaProblem:
     # -- constraints for SLSQP ---------------------------------------------
 
     def slsqp_constraints(self):
-        cons = [{"type": "eq", "fun": lambda x: x[:_N].sum() - 1.0}]
-        # keep the OPEX ledger non-degenerate
-        cons.append({"type": "ineq", "fun": lambda x: x[_N:].sum() - 1e-3})
-        for con in self.constraints:
-            mask, part = _mask(con.classes), _LEDGER_PART[con.ledger.base()]
-
-            def lo(x, m=mask, p=part, c=con):
-                return float(m @ x[p]) - c.lower * x[p].sum()
-
-            def hi(x, m=mask, p=part, c=con):
-                return c.upper * x[p].sum() - float(m @ x[p])
-
-            cons.append({"type": "ineq", "fun": lo})
-            cons.append({"type": "ineq", "fun": hi})
-        return cons
+        """The CAPEX equality and all inequality rows, each with its constant Jacobian."""
+        capex_sum, G, h = np.repeat([[1.0, 0.0]], _N, axis=1), self.G, self.h
+        return (
+            {"type": "eq", "fun": lambda x: capex_sum @ x - 1.0, "jac": lambda x: capex_sum},
+            {"type": "ineq", "fun": lambda x: G @ x - h, "jac": lambda x: G},
+        )
 
     def initial_guesses(self, rng: np.random.Generator, count: int):
-        cap_cons = [c for c in self.constraints if c.ledger.base() is Ledger.CAPEX]
-        op_cons = [c for c in self.constraints if c.ledger.base() is Ledger.OPEX]
         vertices = []
         for _ in range(count):
-            cap = _feasible_point(cap_cons, rng)
-            op = _feasible_point(op_cons, rng)
+            cap = _feasible_point(self.by_ledger[Ledger.CAPEX], rng.standard_normal(_N))
+            op = _feasible_point(self.by_ledger[Ledger.OPEX], rng.standard_normal(_N))
             if cap is not None and op is not None:
                 vertices.append((cap, op))
         if not vertices:
@@ -440,7 +437,7 @@ class _AreaProblem:
             )
             if not np.all(np.isfinite(res.x)):
                 continue
-            violation = self._max_violation(res.x, cons)
+            violation = self._max_violation(res.x)
             score = (violation > FRACTION_TOL, res.fun)
             if best is None or score < best[0]:
                 best = (score, res.x.copy())
@@ -448,21 +445,18 @@ class _AreaProblem:
             return None
         return best[1]
 
-    def _max_violation(self, x: np.ndarray, cons) -> float:
-        """Largest violation of ``cons`` at ``x``, on the scale of ``FRACTION_TOL``.
+    def _max_violation(self, x: np.ndarray) -> float:
+        """Largest constraint violation at ``x``, on the scale of ``FRACTION_TOL``.
 
-        ``cons`` is :meth:`slsqp_constraints`: the CAPEX equality, the OPEX
-        floor, then a lower and an upper row per repartition constraint.  Those
-        rows are amounts; dividing by their ledger's sum makes them fractions,
-        as :func:`check_repartition` measures them.
+        Repartition rows are amounts; dividing each shortfall by its ledger's
+        sum makes it a fraction, as :func:`check_repartition` measures it.  An
+        empty OPEX ledger already breaks the floor row, so rows of an empty
+        ledger are not divided.
         """
-        sums = {ledger: x[part].sum() for ledger, part in _LEDGER_PART.items()}
-        worst = max(abs(sums[Ledger.CAPEX] - 1.0), -min(0.0, cons[1]["fun"](x)))
-        for con, lo, hi in zip(self.constraints, cons[2::2], cons[3::2]):
-            total = sums[con.ledger.base()]
-            if total > 0:  # an empty OPEX ledger already breaks the floor row
-                worst = max(worst, -min(0.0, lo["fun"](x), hi["fun"](x)) / total)
-        return worst
+        shortfall = np.maximum(self.h - self.G @ x, 0.0)
+        sums = self.S @ x
+        fractions = np.divide(shortfall[1:], sums, out=np.zeros_like(sums), where=sums > 0)
+        return max(abs(x[:_N].sum() - 1.0), shortfall[0], fractions.max(initial=0.0))
 
 
 def _pipeline_metric(
@@ -497,6 +491,7 @@ def calibrate_reference(
     candidate still fails :func:`check_repartition`, or when a target ends up
     farther from its value than its declared residual bound.
     """
+    horizon_years = _natural(horizon_years, "horizon_years", 1)
     targets = _normalise_targets(targets)
     if not targets:
         raise MalformedScenario("calibration needs at least one target")
@@ -526,13 +521,6 @@ def calibrate_reference(
     outcomes = []
     for area in areas:
         area_constraints = constraints.for_area(area)
-        for ledger in (Ledger.CAPEX, Ledger.OPEX):
-            subset = [c for c in area_constraints if c.ledger.base() is ledger]
-            if not _ledger_feasible(subset):
-                raise InfeasibleCalibration(
-                    f"{area.value} {ledger.value} constraints admit no fraction vector",
-                    violations=[c.label for c in subset],
-                )
         problem = _AreaProblem(
             area=area,
             targets=[t for t in targets if t.area is area],
@@ -540,6 +528,12 @@ def calibrate_reference(
             configurations=config_map,
             horizon_years=horizon_years,
         )
+        for ledger, subset in problem.by_ledger.items():
+            if _feasible_point(subset, np.zeros(_N)) is None:
+                raise InfeasibleCalibration(
+                    f"{area.value} {ledger.value} constraints admit no fraction vector",
+                    violations=[c.label for c in subset],
+                )
         solution = problem.solve(rng, restarts=restarts, maxiter=maxiter)
         if solution is None:
             raise InfeasibleCalibration(
@@ -551,12 +545,8 @@ def calibrate_reference(
         # rescale jointly so the CAPEX ledger sums to capex_scale without
         # moving the CAPEX/OPEX balance
         scale = capex_scale / cap.sum()
-        cap = _within_constraints(
-            cap * scale, [c for c in area_constraints if c.ledger.base() is Ledger.CAPEX]
-        )
-        op = _within_constraints(
-            op * scale, [c for c in area_constraints if c.ledger.base() is Ledger.OPEX]
-        )
+        cap = _within_constraints(cap * scale, problem.by_ledger[Ledger.CAPEX])
+        op = _within_constraints(op * scale, problem.by_ledger[Ledger.OPEX])
         entries = {}
         for cls in _CLASSES:
             capex = round(float(cap[_INDEX[cls]]), 4)
@@ -625,10 +615,7 @@ def _parse_target(doc: Mapping) -> Target:
     if unknown:
         raise MalformedScenario(f"unknown target keys: {sorted(unknown)!r}")
     kind = doc.get("kind", "saving")
-    try:
-        area = AreaKind(doc["area"])
-    except (KeyError, ValueError) as exc:
-        raise MalformedScenario(f"target needs a valid 'area': {exc}") from exc
+    area = _area(doc.get("area"))
     if "value" not in doc:
         raise MalformedScenario("target needs a 'value'")
     common = dict(
@@ -654,6 +641,13 @@ def _parse_target(doc: Mapping) -> Target:
             **common,
         )
     raise MalformedScenario(f"unknown target kind {kind!r}")
+
+
+def _area(value) -> AreaKind:
+    try:
+        return AreaKind(value)
+    except ValueError as exc:
+        raise MalformedScenario(f"target needs a valid 'area': {exc}") from exc
 
 
 def _text(value, what: str) -> str:

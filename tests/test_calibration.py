@@ -25,6 +25,7 @@ from netshare.calibration import (
     GRID_PRESETS,
     DeltaTarget,
     _AreaProblem,
+    _feasible_point,
     _within_constraints,
     load_targets_document,
 )
@@ -120,12 +121,11 @@ def test_every_initial_guess_is_feasible(constraints):
     configs = {name: preset(name) for name in GRID_PRESETS}
     for area in AreaKind:
         problem = _AreaProblem(area, [], constraints.for_area(area), configs, 5)
-        cons = problem.slsqp_constraints()
         for seed in range(5):
             guesses = problem.initial_guesses(np.random.default_rng(seed), 8)
             assert len(guesses) == 8
             for guess in guesses:
-                assert problem._max_violation(guess, cons) <= FRACTION_TOL
+                assert problem._max_violation(guess) <= FRACTION_TOL
 
 
 @pytest.mark.parametrize("opex_total", [0.02, 0.1, 0.3])
@@ -135,14 +135,38 @@ def test_opex_rows_are_judged_as_fractions(opex_total):
         "intl", Ledger.OPEX, frozenset({ElementClass.INTERNATIONAL_CONNECTIVITY}), 0.5, 0.6
     )
     problem = _AreaProblem(AreaKind.URBAN, [], [intl], {}, 5)
-    cons = problem.slsqp_constraints()
     cap = np.full(len(ElementClass), 1.0 / len(ElementClass))
     index = list(ElementClass).index(ElementClass.INTERNATIONAL_CONNECTIVITY)
     for share, violates in ((0.6, False), (0.6 + 2 * FRACTION_TOL, True)):
         op = np.full(len(ElementClass), (1.0 - share) / (len(ElementClass) - 1))
         op[index] = share
         x = np.concatenate([cap, op * opex_total])
-        assert bool(problem._max_violation(x, cons) > FRACTION_TOL) is violates
+        assert bool(problem._max_violation(x) > FRACTION_TOL) is violates
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_rows_agree_with_the_verifier(seed):
+    # LP vertices sit on their bounds; moved 1e-13 .. 1e-3 of the way toward a
+    # random point, they land on both sides of the tolerance
+    n = len(ElementClass)
+    rng = np.random.default_rng(seed)
+    outcomes = set()
+    for area in AreaKind:
+        problem = _AreaProblem(area, [], CALIBRATION_CONSTRAINTS.for_area(area), {}, 5)
+        for _ in range(12):
+            x = np.concatenate(
+                [_feasible_point(problem.by_ledger[ledger], rng.standard_normal(n))
+                 for ledger in (Ledger.CAPEX, Ledger.OPEX)]
+            )
+            step = 10 ** rng.uniform(-13, -3)
+            x = (1.0 - step) * x + step * rng.random(2 * n)
+            x[:n] /= x[:n].sum()
+            x[n:] *= 10 ** rng.uniform(-2, 1) / x[n:].sum()
+            table = CostTable(area, {cls: (x[i], x[n + i]) for i, cls in enumerate(ElementClass)})
+            rejected = not check_repartition(table, CALIBRATION_CONSTRAINTS).overall
+            assert bool(problem._max_violation(x) > FRACTION_TOL) is rejected
+            outcomes.add(rejected)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("ledger", [Ledger.CAPEX, Ledger.OPEX])
@@ -175,6 +199,21 @@ def test_unknown_target_configuration_is_malformed():
 def test_empty_target_list_is_malformed():
     with pytest.raises(MalformedScenario):
         calibrate_reference(CALIBRATION_CONSTRAINTS, [], **FAST)
+
+
+@pytest.mark.parametrize("horizon", [0, -1, True, 2.5])
+def test_horizon_must_be_a_positive_integer(horizon):
+    targets = [("urban", "MOCN", 25.0)]
+    with pytest.raises(MalformedScenario, match="horizon_years"):
+        calibrate_reference(CALIBRATION_CONSTRAINTS, targets, horizon_years=horizon, **FAST)
+
+
+@pytest.mark.parametrize(
+    "target, message", [(("nope", "MOCN", 30), "area"), (("urban", "MOCN", "x"), "value")]
+)
+def test_malformed_tuple_targets_are_malformed(target, message):
+    with pytest.raises(MalformedScenario, match=message):
+        calibrate_reference(CALIBRATION_CONSTRAINTS, [target], **FAST)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +362,13 @@ _GOOD_TARGET = {"kind": "saving", "area": "urban", "configuration": "MOCN", "val
         {"targets": [dict(_GOOD_TARGET, note=5)]},
         {"targets": [{**_GOOD_TARGET, "kind": "delta", "first": "GWCN", "second": 5}]},
         {"targets": [{**_GOOD_TARGET, "kind": "delta", "first": ["GWCN"], "second": "MOCN"}]},
+        {"targets": [dict(_GOOD_TARGET, value=float("nan"))]},
+        {"targets": [dict(_GOOD_TARGET, value=float("inf"))]},
+        {"targets": [dict(_GOOD_TARGET, value=float("-inf"))]},
+        {"targets": [dict(_GOOD_TARGET, weight=float("nan"))]},
+        {"targets": [dict(_GOOD_TARGET, bound=float("inf"))]},
+        {"targets": [{**_GOOD_TARGET, "kind": "delta", "first": "GWCN", "second": "MOCN",
+                      "value": float("nan")}]},
     ],
     ids=json.dumps,
 )
