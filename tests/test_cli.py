@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,34 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# ---------------------------------------------------------------------------
+# golden output bytes
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_FORMATS = {
+    "csv": ("--format", "csv"),
+    "json": ("--format", "json", "--no-provenance"),
+    "txt": ("--format", "table"),
+}
+GOLDEN_CASES = {
+    "run_paper_use_case": ("run", USE_CASE),
+    **{
+        f"sweep_{parameter}": ("sweep", str(GOLDEN / "scenarios" / f"sweep_{parameter}.json"))
+        for parameter in ("split_ratio", "horizon_years", "intl_shared", "class_cost_fraction")
+    },
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(GOLDEN_FORMATS))
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_output_matches_golden_bytes(case, suffix, capsys):
+    """Header, row layout, 4-decimal CSV, full-precision JSON and table layout, byte for byte."""
+    code, out, err = _run(capsys, *GOLDEN_CASES[case], *GOLDEN_FORMATS[suffix])
+    assert code == 0, err
+    assert out.encode("utf-8") == (GOLDEN / f"{case}.{suffix}").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +105,7 @@ def test_run_json_round_trips_exact_values(capsys):
         if r["area"] == "urban" and r["configuration"] == "GWCN + Backhaul"
     )
     assert emitted == in_memory
+    assert doc["reports"] == [r.to_json_dict() for r in result.reports()]
 
 
 def test_run_json_provenance_names_scenario_and_engine(capsys):
