@@ -32,6 +32,7 @@ from .inventory import (
     Ledger,
     RepartitionConstraint,
     RepartitionConstraintSet,
+    _c,
     check_repartition,
 )
 from .scenario import _number, _parse_json
@@ -124,6 +125,8 @@ def _check_target(target: Target) -> None:
         number = _number(getattr(target, name), f"target {name!r}")
         if not math.isfinite(number):
             raise MalformedScenario(f"target {name!r} must be finite, got {number!r}")
+        if name != "value" and number < 0:
+            raise MalformedScenario(f"target {name!r} must not be negative, got {number!r}")
 
 
 @dataclass(frozen=True)
@@ -156,12 +159,6 @@ class CalibrationResult:
 # ---------------------------------------------------------------------------
 
 _E = ElementClass
-
-
-def _c(label, ledger, classes, lower, upper, area=None):
-    return RepartitionConstraint(
-        label=label, ledger=ledger, classes=frozenset(classes), lower=lower, upper=upper, area=area
-    )
 
 
 # Feasible variant of the use-case envelope from default_constraints().
@@ -304,6 +301,8 @@ def _within_constraints(
         b_eq=np.array([1.0]),
         bounds=[(0.0, 1.0)] * _N + [(0.0, None)] * _N,
         method="highs",
+        # The default feasibility tolerance (1e-7) exceeds the margin and let points miss the rows.
+        options={"primal_feasibility_tolerance": 1e-10},
     )
     if not res.success:
         return amounts

@@ -7,9 +7,9 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 domain errors,
 
 Output formats: ``table`` (human-readable, 2 decimals), ``csv`` (4
 decimals, stable header) and ``json`` (full precision, versioned schema).
-Identical inputs produce byte-identical csv/json; the json provenance
-block carries a timestamp and is suppressed by ``--no-provenance`` so
-golden-file comparisons stay stable.
+Identical inputs produce byte-identical csv/json; the provenance block of
+run and sweep json carries a timestamp and is suppressed by
+``--no-provenance`` so golden-file comparisons stay stable.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .advisor import (
     compare_lte,
     recommend,
 )
-from .costmodel import SAVINGS_CSV_HEADER, savings_csv_row, savings_to_csv
 from .errors import IoFailure, NetshareError
 from .inventory import (
     AreaKind,
@@ -89,6 +88,96 @@ def _format_table(rows, header) -> str:
 
 
 # ---------------------------------------------------------------------------
+# documents and savings output
+# ---------------------------------------------------------------------------
+
+
+def _document(kind: str, body: dict) -> str:
+    """A versioned JSON document: ``schema_version``, ``kind``, then ``body``'s keys."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **body}, indent=2)
+
+
+def _savings_csv(parameter: Optional[str], points) -> str:
+    """One row per report: its JSON fields in order, floats to 4 decimals.
+
+    A sweep's rows lead with its ``parameter`` and the point's value.
+    """
+    rows = []
+    for value, result in points:
+        lead = {} if parameter is None else {"parameter": parameter, "value": format(value, ".6g")}
+        for report in result.reports():
+            row = dict(lead)
+            for key, cell in report.to_json_dict().items():
+                row[key] = f"{cell:.4f}" if isinstance(cell, float) else cell
+            rows.append(row)
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _point_json(result) -> dict:
+    """A point's JSON fields: its horizon and its reports."""
+    return {
+        "horizon_years": result.horizon_years,
+        "reports": [r.to_json_dict() for r in result.reports()],
+    }
+
+
+def _run_table(result) -> str:
+    rows = [
+        (
+            r.area.value,
+            r.configuration,
+            f"{r.capex_saving_pct:.2f}",
+            f"{r.opex_saving_pct:.2f}",
+            f"{r.total_saving_pct:.2f}",
+        )
+        for r in result.reports()
+    ]
+    title = (
+        f"scenario: {result.scenario_name} "
+        f"(horizon {result.horizon_years} years, per-operator savings)\n"
+    )
+    return title + _format_table(rows, ("area", "configuration", "capex %", "opex %", "total %"))
+
+
+def _sweep_table(parameter: str, points) -> str:
+    rows = [
+        (format(value, ".6g"), r.area.value, r.configuration, f"{r.total_saving_pct:.2f}")
+        for value, result in points
+        for r in result.reports()
+    ]
+    return _format_table(rows, (parameter, "area", "configuration", "total %"))
+
+
+def _write_savings(args, kind: str, head: dict, parameter: Optional[str], points) -> None:
+    """Write ``(value, ScenarioResult)`` points in ``args.format``.
+
+    A run is one point with no ``parameter``: its JSON body carries the
+    point's fields.  A sweep names its ``parameter`` and its JSON body lists
+    the points.  ``head`` opens the JSON body.
+    """
+    if args.format == "csv":
+        text = _savings_csv(parameter, points)
+    elif args.format == "json":
+        body = dict(head)
+        if parameter is None:
+            body.update(_point_json(points[0][1]))
+        else:
+            body["points"] = [{"value": value, **_point_json(result)} for value, result in points]
+        if not args.no_provenance:
+            body["provenance"] = _provenance(head["scenario"])
+        text = _document(kind, body)
+    elif parameter is None:
+        text = _run_table(points[0][1])
+    else:
+        text = _sweep_table(parameter, points)
+    _emit(text, args.out)
+
+
+# ---------------------------------------------------------------------------
 # run / sweep / validate
 # ---------------------------------------------------------------------------
 
@@ -98,86 +187,19 @@ def _cmd_run(args) -> int:
     if args.strict:
         _fail_on_warnings(scenario)
     result = run_scenario(scenario)
-    reports = result.reports()
-    if args.format == "csv":
-        _emit(savings_to_csv(reports), args.out)
-    elif args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "savings_grid",
-            "scenario": result.scenario_name,
-            "horizon_years": result.horizon_years,
-            "reports": [r.to_json_dict() for r in reports],
-        }
-        if not args.no_provenance:
-            doc["provenance"] = _provenance(result.scenario_name)
-        _emit(json.dumps(doc, indent=2), args.out)
-    else:
-        rows = [
-            (
-                r.area.value,
-                r.configuration,
-                f"{r.capex_saving_pct:.2f}",
-                f"{r.opex_saving_pct:.2f}",
-                f"{r.total_saving_pct:.2f}",
-            )
-            for r in reports
-        ]
-        header = ("area", "configuration", "capex %", "opex %", "total %")
-        title = (
-            f"scenario: {result.scenario_name} "
-            f"(horizon {result.horizon_years} years, per-operator savings)\n"
-        )
-        _emit(title + _format_table(rows, header), args.out)
+    _write_savings(args, "savings_grid", {"scenario": result.scenario_name}, None, [(None, result)])
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    scenario = load_scenario_file(args.scenario)
-    result = run_sweep(scenario)
-    if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("parameter", "value") + SAVINGS_CSV_HEADER)
-        for point in result.points:
-            for report in point.result.reports():
-                writer.writerow(
-                    (result.parameter, format(point.value, ".6g")) + savings_csv_row(report)
-                )
-        _emit(buffer.getvalue(), args.out)
-    elif args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "sweep",
-            "scenario": result.scenario_name,
-            "parameter": result.parameter,
-            "class": result.class_name,
-            "points": [
-                {
-                    "value": point.value,
-                    "horizon_years": point.result.horizon_years,
-                    "reports": [r.to_json_dict() for r in point.result.reports()],
-                }
-                for point in result.points
-            ],
-        }
-        if not args.no_provenance:
-            doc["provenance"] = _provenance(result.scenario_name)
-        _emit(json.dumps(doc, indent=2), args.out)
-    else:
-        rows = []
-        for point in result.points:
-            for r in point.result.reports():
-                rows.append(
-                    (
-                        format(point.value, ".6g"),
-                        r.area.value,
-                        r.configuration,
-                        f"{r.total_saving_pct:.2f}",
-                    )
-                )
-        header = (result.parameter, "area", "configuration", "total %")
-        _emit(_format_table(rows, header), args.out)
+    result = run_sweep(load_scenario_file(args.scenario))
+    head = {
+        "scenario": result.scenario_name,
+        "parameter": result.parameter,
+        "class": result.class_name,
+    }
+    points = [(point.value, point.result) for point in result.points]
+    _write_savings(args, "sweep", head, result.parameter, points)
     return 0
 
 
@@ -237,9 +259,7 @@ def _cmd_presets(args) -> int:
 def _cmd_recommend(args) -> int:
     rec = recommend(AreaKind(args.area), Technology(args.tech))
     if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "recommendation"}
-        doc.update(rec.to_json_dict())
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(_document("recommendation", rec.to_json_dict()), args.out)
     else:
         lines = [rec.verdict.value]
         for note in rec.notes:
@@ -258,9 +278,7 @@ def _cmd_compare_lte(args) -> int:
     )
     report = compare_lte(ctx)
     if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "lte_comparison"}
-        doc.update(report.to_json_dict())
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(_document("lte_comparison", report.to_json_dict()), args.out)
     else:
         rows = [(r.criterion, r.mocn, r.gwcn, r.remark) for r in report.rows]
         table = _format_table(rows, ("criterion", "MOCN", "GWCN", "remark"))
@@ -275,9 +293,7 @@ def _cmd_compare_lte(args) -> int:
 def _cmd_checklist(args) -> int:
     doc = checklist(NetworkState(args.state))
     if args.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "kind": "checklist"}
-        payload.update(doc.to_json_dict())
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(_document("checklist", doc.to_json_dict()), args.out)
     else:
         lines = [f"checklist for {doc.network_state.value} networks:"]
         for idx, item in enumerate(doc.items):
@@ -315,9 +331,8 @@ def _cmd_calibrate(args) -> int:
         _emit(table.to_json(indent=2), str(path))
         written.append(path.name)
 
-    sidecar = _sidecar_document(result, constraints)
     path = out_dir / "reference_calibration.json"
-    _emit(json.dumps(sidecar, indent=2), str(path))
+    _emit(_document("calibration_record", _sidecar_body(result, constraints)), str(path))
     written.append(path.name)
 
     print(f"wrote {', '.join(written)} to {out_dir}", file=sys.stderr)
@@ -329,7 +344,7 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _sidecar_document(result, constraints) -> dict:
+def _sidecar_body(result, constraints) -> dict:
     targets_doc = []
     for outcome in result.outcomes:
         target = outcome.target
@@ -396,8 +411,6 @@ def _sidecar_document(result, constraints) -> dict:
         }
 
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "calibration_record",
         "method": result.method,
         "seed": result.seed,
         "horizon_years": result.horizon_years,

@@ -10,9 +10,6 @@ that class's cost, which caps the achievable saving at 50 percent.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -34,13 +31,11 @@ __all__ = [
     "ClassCost",
     "ConfigDelta",
     "CostBreakdown",
-    "SAVINGS_CSV_HEADER",
     "SavingsReport",
     "apply_sharing",
     "config_delta",
     "cumulative_cost",
     "savings_report",
-    "savings_csv_row",
 ]
 
 DEFAULT_HORIZON_YEARS = 5
@@ -300,42 +295,3 @@ def config_delta(first: SavingsReport, second: SavingsReport) -> ConfigDelta:
         opex_delta_pp=first.opex_saving_pct - second.opex_saving_pct,
         total_delta_pp=first.total_saving_pct - second.total_saving_pct,
     )
-
-
-# ---------------------------------------------------------------------------
-# Tabular output
-# ---------------------------------------------------------------------------
-
-SAVINGS_CSV_HEADER = (
-    "area",
-    "configuration",
-    "capex_saving_pct",
-    "opex_saving_pct",
-    "total_saving_pct",
-    "horizon_years",
-)
-
-
-def savings_csv_row(report: SavingsReport) -> Tuple[str, ...]:
-    """One CSV row per report; percentages fixed to 4 decimal places."""
-    return (
-        report.area.value,
-        report.configuration,
-        f"{report.capex_saving_pct:.4f}",
-        f"{report.opex_saving_pct:.4f}",
-        f"{report.total_saving_pct:.4f}",
-        str(report.horizon_years),
-    )
-
-
-def savings_to_csv(reports) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SAVINGS_CSV_HEADER)
-    for report in reports:
-        writer.writerow(savings_csv_row(report))
-    return buffer.getvalue()
-
-
-def savings_to_json(reports, indent: Optional[int] = 2) -> str:
-    return json.dumps([r.to_json_dict() for r in reports], indent=indent)

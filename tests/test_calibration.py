@@ -190,6 +190,15 @@ def test_projected_amounts_pass_the_verifier_after_rounding(ledger):
             assert check_repartition(table, constraints).overall
 
 
+def test_projection_meets_its_rows_in_a_single_target_search():
+    # HiGHS's default feasibility tolerance let the projected CAPEX ledger
+    # miss core_share by more than the rounding margin.
+    targets = [SavingsTarget(AreaKind.URBAN, "capex", "MOCN", 25.0)]
+    result = calibrate_reference(CALIBRATION_CONSTRAINTS, targets, **FAST)
+    table = result.tables[AreaKind.URBAN]
+    assert check_repartition(table, result.constraint_sets[AreaKind.URBAN]).overall
+
+
 def test_unknown_target_configuration_is_malformed():
     targets = [(AreaKind.URBAN, "MORAN Deluxe", 30.0)]
     with pytest.raises(MalformedScenario, match="MORAN Deluxe"):
@@ -374,6 +383,15 @@ _GOOD_TARGET = {"kind": "saving", "area": "urban", "configuration": "MOCN", "val
 )
 def test_wrongly_typed_targets_documents_are_malformed(doc):
     with pytest.raises(MalformedScenario):
+        load_targets_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["weight", "bound"])
+def test_negative_target_weight_or_bound_is_malformed(field):
+    # A negative weight rewards distance from the target; a negative bound
+    # can never be met.  Both are refused before any search runs.
+    doc = {"targets": [dict(_GOOD_TARGET, **{field: -1})]}
+    with pytest.raises(MalformedScenario, match=f"'{field}' must not be negative"):
         load_targets_document(json.dumps(doc))
 
 

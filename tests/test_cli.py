@@ -381,6 +381,19 @@ def test_calibrate_bad_seed_prints_one_error_line(tmp_path, capsys, doc, extra):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("field", ["weight", "bound"])
+def test_calibrate_negative_weight_or_bound_prints_one_error_line(tmp_path, capsys, field):
+    target = {"area": "urban", "configuration": "MOCN", "value": 25.0, field: -1}
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps({"targets": [target]}))
+    code, out, err = _run(capsys, "calibrate", "--targets", str(path), "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # ---------------------------------------------------------------------------
 # usage plumbing
 # ---------------------------------------------------------------------------

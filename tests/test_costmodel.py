@@ -18,12 +18,6 @@ from netshare import (
     reference_cost_table,
     savings_report,
 )
-from netshare.costmodel import (
-    SAVINGS_CSV_HEADER,
-    savings_csv_row,
-    savings_to_csv,
-    savings_to_json,
-)
 from netshare.errors import (
     AreaMismatch,
     HorizonMismatch,
@@ -353,38 +347,3 @@ def test_delta_requires_matching_area_and_horizon():
     shorter = _full_report(reference_cost_table(AreaKind.URBAN), preset("MOCN"), horizon=3)
     with pytest.raises(HorizonMismatch):
         config_delta(urban, shorter)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_csv_header_is_byte_exact():
-    assert ",".join(SAVINGS_CSV_HEADER) == (
-        "area,configuration,capex_saving_pct,opex_saving_pct,total_saving_pct,horizon_years"
-    )
-
-
-def test_csv_rows_use_four_decimals():
-    table = reference_cost_table(AreaKind.URBAN)
-    report = _full_report(table, preset("GWCN + Backhaul"))
-    row = savings_csv_row(report)
-    assert row[0] == "urban"
-    assert row[1] == "GWCN + Backhaul"
-    assert row[2] == f"{report.capex_saving_pct:.4f}"
-    assert row[5] == "5"
-    text = savings_to_csv([report])
-    lines = text.splitlines()
-    assert lines[0] == ",".join(SAVINGS_CSV_HEADER)
-    assert len(lines) == 2
-
-
-def test_json_emission_round_trips_full_precision():
-    import json
-
-    table = reference_cost_table(AreaKind.URBAN)
-    report = _full_report(table, preset("GWCN + Backhaul"))
-    parsed = json.loads(savings_to_json([report]))
-    assert parsed[0]["total_saving_pct"] == report.total_saving_pct
-    assert parsed[0]["configuration"] == "GWCN + Backhaul"
