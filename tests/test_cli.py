@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, files and determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -433,6 +434,23 @@ def test_every_help_exits_zero(command):
     with pytest.raises(SystemExit) as info:
         main(command + ["--help"])
     assert info.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["netshare", "run", "sweep", "validate", "presets", "recommend", "compare-lte", "checklist",
+     "calibrate"],
+)
+def test_help_matches_golden_bytes(command):
+    """Every help text, byte for byte, as a console 80 columns wide prints it."""
+    argv = [] if command == "netshare" else [command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "netshare", *argv, "--help"],
+        capture_output=True,
+        env={**os.environ, "COLUMNS": "80"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "help" / f"{command}.txt").read_bytes()
 
 
 def test_console_entry_point_runs():
