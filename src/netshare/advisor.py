@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Mapping, Optional, Tuple
 
 from .errors import InvalidAmount
-from .inventory import AreaKind
+from .inventory import AreaKind, NetworkState, Technology
 
 __all__ = [
     "ChecklistItem",
@@ -32,11 +32,6 @@ __all__ = [
     "compare_lte",
     "recommend",
 ]
-
-
-class Technology(Enum):
-    G2 = "2g"
-    G3 = "3g"
 
 
 class Verdict(Enum):
@@ -246,11 +241,6 @@ def compare_lte(ctx: LteContext) -> LteComparisonReport:
 # ---------------------------------------------------------------------------
 # Feasibility checklists
 # ---------------------------------------------------------------------------
-
-
-class NetworkState(Enum):
-    EXISTING = "existing"
-    NEW = "new"
 
 
 @dataclass(frozen=True)

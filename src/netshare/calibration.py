@@ -23,13 +23,9 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .costmodel import apply_sharing, cumulative_cost, savings_report, sharing_factors
 from .errors import InfeasibleCalibration, MalformedScenario, MissingDependency, NetshareError
-from .inventory import (
+from .inventory import AreaKind, CostEntry, CostTable, ElementClass, Ledger
+from .repartition import (
     FRACTION_TOL,
-    AreaKind,
-    CostEntry,
-    CostTable,
-    ElementClass,
-    Ledger,
     RepartitionConstraint,
     RepartitionConstraintSet,
     _c,

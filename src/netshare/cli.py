@@ -15,46 +15,32 @@ run and sweep json carries a timestamp and is suppressed by
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .advisor import (
-    LteContext,
-    NetworkState,
-    Technology,
-    checklist,
-    compare_lte,
-    recommend,
-)
 from .errors import IoFailure, NetshareError
 from .inventory import (
     AreaKind,
     Ledger,
     Market,
-    check_repartition,
-    default_constraints,
+    NetworkState,
+    Technology,
     default_profile,
     element_quantity,
 )
-from .scenario import (
-    _read_text,
-    fixture_path,
-    load_scenario_file,
-    run_scenario,
-    sweep as run_sweep,
-)
-from .sharing import preset_names
+
+# Each command imports the modules it runs when it runs, so a call loads
+# only what its command needs.
 
 SCHEMA_VERSION = 1
 
 
 def _provenance(scenario_name: str) -> dict:
+    from datetime import datetime, timezone
+
     return {
         "scenario": scenario_name,
         "engine_version": __version__,
@@ -102,6 +88,9 @@ def _savings_csv(parameter: Optional[str], points) -> str:
 
     A sweep's rows lead with its ``parameter`` and the point's value.
     """
+    import csv
+    import io
+
     rows = []
     for value, result in points:
         lead = {} if parameter is None else {"parameter": parameter, "value": format(value, ".6g")}
@@ -183,6 +172,8 @@ def _write_savings(args, kind: str, head: dict, parameter: Optional[str], points
 
 
 def _cmd_run(args) -> int:
+    from .scenario import load_scenario_file, run_scenario
+
     scenario = load_scenario_file(args.scenario)
     if args.strict:
         _fail_on_warnings(scenario)
@@ -192,7 +183,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    result = run_sweep(load_scenario_file(args.scenario))
+    from .scenario import load_scenario_file, sweep
+
+    result = sweep(load_scenario_file(args.scenario))
     head = {
         "scenario": result.scenario_name,
         "parameter": result.parameter,
@@ -215,6 +208,8 @@ def _fail_on_warnings(scenario) -> None:
 
 
 def _cmd_validate(args) -> int:
+    from .scenario import load_scenario_file
+
     scenario = load_scenario_file(args.scenario)
     reports = scenario.validation_reports()
     lines = [f"scenario: {scenario.name}"]
@@ -242,21 +237,20 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    names = preset_names()
+    from .sharing import PRESET_NAMES, preset_names
+
+    aliases = [name for name in preset_names(include_aliases=True) if name not in PRESET_NAMES]
     if args.format == "json":
-        _emit(
-            json.dumps(
-                {"schema_version": SCHEMA_VERSION, "presets": list(names), "aliases": ["MORAN"]},
-                indent=2,
-            ),
-            args.out,
-        )
+        doc = {"schema_version": SCHEMA_VERSION, "presets": list(PRESET_NAMES), "aliases": aliases}
+        _emit(json.dumps(doc, indent=2), args.out)
     else:
-        _emit("\n".join(names) + "\naliases: MORAN\n", args.out)
+        _emit("\n".join(PRESET_NAMES) + f"\naliases: {', '.join(aliases)}\n", args.out)
     return 0
 
 
 def _cmd_recommend(args) -> int:
+    from .advisor import recommend
+
     rec = recommend(AreaKind(args.area), Technology(args.tech))
     if args.format == "json":
         _emit(_document("recommendation", rec.to_json_dict()), args.out)
@@ -269,6 +263,8 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_compare_lte(args) -> int:
+    from .advisor import LteContext, compare_lte
+
     ctx = LteContext(
         needs_inter_rat_mobility=args.needs_inter_rat_mobility,
         needs_cs_fallback=args.needs_cs_fallback,
@@ -291,6 +287,8 @@ def _cmd_compare_lte(args) -> int:
 
 
 def _cmd_checklist(args) -> int:
+    from .advisor import checklist
+
     doc = checklist(NetworkState(args.state))
     if args.format == "json":
         _emit(_document("checklist", doc.to_json_dict()), args.out)
@@ -311,6 +309,7 @@ def _cmd_checklist(args) -> int:
 def _cmd_calibrate(args) -> int:
     # Imported here: calibration loads numpy and scipy, which no other command needs.
     from .calibration import calibrate_reference, load_targets_document
+    from .scenario import _read_text, fixture_path
 
     targets, constraints, horizon, seed = load_targets_document(
         _read_text(fixture_path(args.targets))
@@ -345,6 +344,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _sidecar_body(result, constraints) -> dict:
+    from .repartition import check_repartition, default_constraints
+
     targets_doc = []
     for outcome in result.outcomes:
         target = outcome.target

@@ -1,4 +1,4 @@
-"""Network inventories, cost tables and cost-structure constraints.
+"""Network inventories, cost tables, area profiles and market tables.
 
 The unit of account is an element class: a category of network equipment or
 recurring expense (sites, antennas, NodeBs, RNCs, backhaul, packet-core
@@ -7,11 +7,8 @@ class a one-off CAPEX amount and an annual OPEX amount for one operator
 deploying alone in one area.  Everything downstream (sharing arithmetic,
 scenario grids, calibration) consumes these tables.
 
-Cost structures are validated against :class:`RepartitionConstraint` sets:
-closed intervals on the fraction each class (or group of classes) takes of a
-ledger total.  Default constraint sets describe typical CAPEX/OPEX structures
-of emerging and developed markets and the tighter structure used by the
-bundled three-area use case.
+The cost-structure envelopes a table must fit live in
+:mod:`netshare.repartition`.
 """
 
 from __future__ import annotations
@@ -19,25 +16,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import InvalidAmount, MissingCostEntry, ZeroTotalLedger
 
 __all__ = [
     "AreaKind",
     "AreaProfile",
-    "ConstraintCheck",
-    "ConstraintReport",
     "CostEntry",
     "CostTable",
     "ElementClass",
     "Ledger",
     "Market",
-    "RepartitionConstraint",
-    "RepartitionConstraintSet",
+    "NetworkState",
+    "Technology",
     "build_inventory",
-    "check_repartition",
-    "default_constraints",
     "default_market_costs",
     "default_profile",
     "DEFAULT_PROFILES",
@@ -101,6 +94,16 @@ class AreaKind(Enum):
     URBAN = "urban"
     SUBURBAN = "suburban"
     RURAL = "rural"
+
+
+class Technology(Enum):
+    G2 = "2g"
+    G3 = "3g"
+
+
+class NetworkState(Enum):
+    EXISTING = "existing"
+    NEW = "new"
 
 
 class Market(Enum):
@@ -406,244 +409,7 @@ def build_inventory(
     return CostTable(area=profile.kind, entries=entries, currency=currency)
 
 
-# ---------------------------------------------------------------------------
-# Repartition constraints
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RepartitionConstraint:
-    """Closed interval on the ledger fraction carried by a class group.
-
-    ``area`` narrows the constraint to one area kind; ``None`` applies to
-    every area.  Bounds are fractions in [0, 1] with ``lower <= upper``.
-    """
-
-    label: str
-    ledger: Ledger
-    classes: frozenset
-    lower: float
-    upper: float
-    area: Optional[AreaKind] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", frozenset(self.classes))
-        if not self.classes:
-            raise InvalidAmount(f"constraint {self.label!r} must name at least one class")
-        if not (0.0 <= self.lower <= self.upper <= 1.0):
-            raise InvalidAmount(
-                f"constraint {self.label!r} needs 0 <= lower <= upper <= 1, "
-                f"got [{self.lower}, {self.upper}]"
-            )
-
-    def applies_to(self, area: AreaKind) -> bool:
-        return self.area is None or self.area is area
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "ledger": self.ledger.base().value,
-            "classes": sorted(c.value for c in self.classes),
-            "lower": self.lower,
-            "upper": self.upper,
-            "area": self.area.value if self.area else None,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "RepartitionConstraint":
-        if not isinstance(doc, Mapping):
-            raise InvalidAmount(f"constraint must be an object, got {doc!r}")
-        allowed = {"label", "ledger", "classes", "lower", "upper", "area"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise InvalidAmount(f"unknown constraint keys: {sorted(unknown)!r}")
-        missing = {"label", "ledger", "classes", "lower", "upper"} - set(doc)
-        if missing:
-            raise InvalidAmount(f"constraint needs keys: {sorted(missing)!r}")
-        for key in ("lower", "upper"):
-            if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
-                raise InvalidAmount(f"constraint {key!r} must be a number, got {doc[key]!r}")
-        if not isinstance(doc["classes"], (list, tuple)):
-            raise InvalidAmount(f"constraint 'classes' must be a list, got {doc['classes']!r}")
-        try:
-            return cls(
-                label=str(doc["label"]),
-                ledger=Ledger(doc["ledger"]),
-                classes=frozenset(ElementClass.from_label(v) for v in doc["classes"]),
-                lower=float(doc["lower"]),
-                upper=float(doc["upper"]),
-                area=AreaKind(doc["area"]) if doc.get("area") else None,
-            )
-        except (KeyError, ValueError) as exc:
-            # An unknown ledger, element class or area label.
-            raise InvalidAmount(f"constraint {doc['label']!r}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class RepartitionConstraintSet:
-    """Named, ordered collection of repartition constraints."""
-
-    name: str
-    constraints: Tuple[RepartitionConstraint, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-
-    def for_area(self, area: AreaKind) -> Tuple[RepartitionConstraint, ...]:
-        return tuple(c for c in self.constraints if c.applies_to(area))
-
-    def __iter__(self):
-        return iter(self.constraints)
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "constraints": [c.to_json_dict() for c in self.constraints],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "RepartitionConstraintSet":
-        if not isinstance(doc, Mapping):
-            raise InvalidAmount(f"constraint set must be an object, got {doc!r}")
-        if not isinstance(doc.get("constraints", ()), (list, tuple)):
-            raise InvalidAmount(f"'constraints' must be a list, got {doc['constraints']!r}")
-        return cls(
-            name=str(doc.get("name", "unnamed")),
-            constraints=tuple(
-                RepartitionConstraint.from_json_dict(c) for c in doc.get("constraints", ())
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class ConstraintCheck:
-    constraint: RepartitionConstraint
-    observed: float  # rounded to 4 decimals for reporting
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    checks: Tuple[ConstraintCheck, ...]
-    overall: bool
-
-    def failures(self) -> Tuple[ConstraintCheck, ...]:
-        return tuple(c for c in self.checks if not c.satisfied)
-
-
-# Slack allowed on every interval bound.  The calibration search shares it, so
-# the tables it returns are judged by the same tolerance it selected them with.
-FRACTION_TOL = 1e-9
-
-
-def check_repartition(
-    table: CostTable, constraints: Union[RepartitionConstraintSet, Sequence[RepartitionConstraint]]
-) -> ConstraintReport:
-    """Evaluate every applicable constraint against the table's fractions.
-
-    Constraints scoped to a different area are skipped.  Referencing a ledger
-    whose total is zero raises :class:`ZeroTotalLedger`.
-    """
-    checks = []
-    for constraint in constraints:
-        if not constraint.applies_to(table.area):
-            continue
-        observed = table.fraction(constraint.classes, constraint.ledger)
-        ok = constraint.lower - FRACTION_TOL <= observed <= constraint.upper + FRACTION_TOL
-        checks.append(ConstraintCheck(constraint, round(observed, 4), ok))
-    return ConstraintReport(checks=tuple(checks), overall=all(c.satisfied for c in checks))
-
-
-# ---------------------------------------------------------------------------
-# Default constraint catalogues
-# ---------------------------------------------------------------------------
-
 _E = ElementClass
-_ALL = None  # constraint applies to every area
-
-
-def _c(label, ledger, classes, lower, upper, area=_ALL):
-    return RepartitionConstraint(
-        label=label,
-        ledger=ledger,
-        classes=frozenset(classes),
-        lower=lower,
-        upper=upper,
-        area=area,
-    )
-
-
-# Coarse market-level cost structures.  Intervals are +/- 2 points around the
-# headline shares of the respective market profile.
-_EMERGING_CAPEX = (
-    _c("civil_site_share", Ledger.CAPEX, {_E.PASSIVE_SITE}, 0.39, 0.43),
-    _c("power_share", Ledger.CAPEX, {_E.POWER}, 0.29, 0.33),
-    _c("nodeb_share", Ledger.CAPEX, {_E.NODEB}, 0.13, 0.17),
-)
-_DEVELOPED_CAPEX = (
-    _c("civil_site_share", Ledger.CAPEX, {_E.PASSIVE_SITE}, 0.50, 0.54),
-)
-_EMERGING_OPEX = (
-    _c("support_share", Ledger.OPEX, {_E.OAM}, 0.18, 0.22),
-    _c("power_share", Ledger.OPEX, {_E.POWER}, 0.18, 0.22),
-    _c("land_rent_share", Ledger.OPEX, {_E.SITE_RENT}, 0.13, 0.17),
-    _c("backhaul_share", Ledger.OPEX, {_E.BACKHAUL}, 0.12, 0.16),
-)
-_DEVELOPED_OPEX = (
-    _c("land_rent_share", Ledger.OPEX, {_E.SITE_RENT}, 0.40, 0.44),
-)
-
-# Tighter structure of the bundled three-area use case.  RNC weight drops in
-# the rural area, where a coverage-driven NodeB grid dominates radio CAPEX.
-_USE_CASE_CAPEX = (
-    _c("core_share", Ledger.CAPEX, {_E.CORE_SGSN, _E.CORE_GGSN}, 0.08, 0.17),
-    _c("oam_share", Ledger.CAPEX, {_E.OAM}, 0.08, 0.17),
-    _c("backhaul_share", Ledger.CAPEX, {_E.BACKHAUL}, 0.32, 0.41),
-    _c("nodeb_share", Ledger.CAPEX, {_E.NODEB}, 0.23, 0.29),
-    _c("rnc_share_urban", Ledger.CAPEX, {_E.RNC}, 0.32, 0.41, AreaKind.URBAN),
-    _c("rnc_share_suburban", Ledger.CAPEX, {_E.RNC}, 0.32, 0.41, AreaKind.SUBURBAN),
-    _c("rnc_share_rural", Ledger.CAPEX, {_E.RNC}, 0.09, 0.13, AreaKind.RURAL),
-)
-_USE_CASE_OPEX = (
-    _c(
-        "international_share",
-        Ledger.OPEX,
-        {_E.INTERNATIONAL_CONNECTIVITY},
-        0.50,
-        0.60,
-    ),
-    _c(
-        "licence_core_share",
-        Ledger.OPEX,
-        {_E.SPECTRUM_LICENSE, _E.CORE_SGSN, _E.CORE_GGSN},
-        0.08,
-        0.12,
-    ),
-)
-
-_CATALOGUE = {
-    (Market.EMERGING, Ledger.CAPEX): ("emerging_capex", _EMERGING_CAPEX),
-    (Market.EMERGING, Ledger.OPEX): ("emerging_opex", _EMERGING_OPEX),
-    (Market.DEVELOPED, Ledger.CAPEX): ("developed_capex", _DEVELOPED_CAPEX),
-    (Market.DEVELOPED, Ledger.OPEX): ("developed_opex", _DEVELOPED_OPEX),
-}
-
-
-def default_constraints(market: Market, ledger: Ledger) -> RepartitionConstraintSet:
-    """Published cost-structure envelope for a market profile and ledger.
-
-    ``Ledger.USE_CASE_CAPEX``/``USE_CASE_OPEX`` return the tighter intervals
-    of the bundled three-area use case regardless of market.
-    """
-    if ledger is Ledger.USE_CASE_CAPEX:
-        return RepartitionConstraintSet("use_case_capex", _USE_CASE_CAPEX)
-    if ledger is Ledger.USE_CASE_OPEX:
-        return RepartitionConstraintSet("use_case_opex", _USE_CASE_OPEX)
-    name, constraints = _CATALOGUE[(market, ledger)]
-    return RepartitionConstraintSet(name, constraints)
 
 
 # Representative whole-market cost tables.  CAPEX shares in an emerging

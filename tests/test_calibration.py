@@ -30,7 +30,7 @@ from netshare.calibration import (
     load_targets_document,
 )
 from netshare.errors import InfeasibleCalibration, MalformedScenario
-from netshare.inventory import FRACTION_TOL
+from netshare.repartition import FRACTION_TOL
 from netshare.sharing import preset
 
 

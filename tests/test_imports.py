@@ -1,4 +1,4 @@
-"""Import cost: numpy and scipy load only for calibration."""
+"""Import cost: each command loads only what it runs; numpy and scipy only for calibration."""
 
 import json
 import os
@@ -31,6 +31,17 @@ def test_import_netshare_loads_neither_numpy_nor_scipy():
     assert json.loads(proc.stdout) == []
 
 
+_SUBMODULES = (
+    "import sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('netshare.'))))"
+)
+
+
+def test_import_netshare_loads_no_submodule():
+    proc = _python(f"import json, netshare; {_SUBMODULES}")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 @pytest.fixture(scope="module")
 def sweep_scenario(tmp_path_factory):
     doc = {
@@ -45,31 +56,56 @@ def sweep_scenario(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["run", "paper_use_case.json", "--format", "json"],
-        ["sweep", "SWEEP", "--format", "csv"],
-        ["validate", "paper_use_case.json"],
-        ["presets"],
-        ["recommend", "--area", "rural", "--tech", "3g"],
-        ["compare-lte", "--needs-roaming"],
-        ["checklist", "--state", "new"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_cli_commands_other_than_calibrate_load_neither(argv, sweep_scenario):
+CLI_COMMANDS = [
+    ["run", "paper_use_case.json", "--format", "json"],
+    ["sweep", "SWEEP", "--format", "csv"],
+    ["validate", "paper_use_case.json"],
+    ["presets"],
+    ["recommend", "--area", "rural", "--tech", "3g"],
+    ["compare-lte", "--needs-roaming"],
+    ["checklist", "--state", "new"],
+]
+
+
+def _run_command(argv, sweep_scenario, report):
+    """Run one command in a fresh interpreter; return what ``report`` prints after it."""
     argv = [sweep_scenario if a == "SWEEP" else a for a in argv]
     code = (
         "import contextlib, io, json, sys\n"
         "from netshare.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(sys.argv[1:]) == 0\n"
-        f"{_LOADED}\n"
+        f"{report}\n"
     )
     proc = _python(code, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", CLI_COMMANDS, ids=lambda argv: argv[0])
+def test_cli_commands_other_than_calibrate_load_neither(argv, sweep_scenario):
+    assert _run_command(argv, sweep_scenario, _LOADED) == []
+
+
+# netshare modules each command must leave unloaded.
+_ENGINE = {"advisor", "calibration", "repartition"}
+_ADVISOR = {"calibration", "costmodel", "repartition", "scenario", "sharing"}
+_NOT_LOADED = {
+    "run": _ENGINE,
+    "sweep": _ENGINE,
+    "validate": _ENGINE,
+    "presets": {"advisor", "calibration", "costmodel", "repartition", "scenario"},
+    "recommend": _ADVISOR,
+    "compare-lte": _ADVISOR,
+    "checklist": _ADVISOR,
+}
+
+
+@pytest.mark.parametrize("argv", CLI_COMMANDS, ids=lambda argv: argv[0])
+def test_cli_commands_load_only_the_modules_they_run(argv, sweep_scenario):
+    loaded = {m.split(".", 1)[1] for m in _run_command(argv, sweep_scenario, _SUBMODULES)}
+    assert "cli" in loaded
+    assert loaded.isdisjoint(_NOT_LOADED[argv[0]]), sorted(loaded)
 
 
 def test_calibration_names_resolve_to_the_calibration_module():
@@ -80,6 +116,28 @@ def test_calibration_names_resolve_to_the_calibration_module():
     assert set(netshare.__all__) <= set(dir(netshare))
     with pytest.raises(AttributeError, match="no_such_name"):
         netshare.no_such_name
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    """In a fresh interpreter, each lazy name is what its module binds, and defines there."""
+    code = (
+        "import importlib, inspect, json, netshare\n"
+        "wrong = []\n"
+        "for name in netshare.__all__:\n"
+        "    if name == '__version__':\n"
+        "        continue\n"
+        "    value = getattr(netshare, name)\n"
+        "    module = importlib.import_module('netshare.' + netshare._MODULE_OF[name])\n"
+        "    defines = inspect.isclass(value) or inspect.isfunction(value)\n"
+        "    if value is not getattr(module, name) or (\n"
+        "        defines and value.__module__ != module.__name__\n"
+        "    ):\n"
+        "        wrong.append(name)\n"
+        "print(json.dumps(wrong))\n"
+    )
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_star_import_provides_every_public_name():
