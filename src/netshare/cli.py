@@ -22,15 +22,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .errors import IoFailure, NetshareError
-from .inventory import (
-    AreaKind,
-    Ledger,
-    Market,
-    NetworkState,
-    Technology,
-    default_profile,
-    element_quantity,
-)
+from .inventory import AreaKind, NetworkState, Technology
 
 # Each command imports the modules it runs when it runs, so a call loads
 # only what its command needs.
@@ -344,6 +336,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _sidecar_body(result, constraints) -> dict:
+    from .inventory import Ledger, Market, default_profile, element_quantity
     from .repartition import check_repartition, default_constraints
 
     targets_doc = []
