@@ -200,9 +200,11 @@ def _fail_on_warnings(scenario) -> None:
 
 
 def _cmd_validate(args) -> int:
-    from .scenario import load_scenario_file
+    from .scenario import check_sweep, load_scenario_file
 
     scenario = load_scenario_file(args.scenario)
+    if scenario.sweep is not None:
+        check_sweep(scenario, scenario.sweep)
     reports = scenario.validation_reports()
     lines = [f"scenario: {scenario.name}"]
     warned = False

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from types import MappingProxyType
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     AreaMismatch,
@@ -84,13 +84,18 @@ class CostBreakdown:
         return self.capex_total() + self.opex_cumulative_total()
 
 
+def check_horizon(horizon_years: int) -> None:
+    """Raise :class:`InvalidHorizon` unless ``horizon_years`` is a positive integer."""
+    if not isinstance(horizon_years, int) or isinstance(horizon_years, bool) or horizon_years < 1:
+        raise InvalidHorizon(f"horizon_years must be a positive integer, got {horizon_years!r}")
+
+
 def cumulative_cost(table: CostTable, horizon_years: int = DEFAULT_HORIZON_YEARS) -> CostBreakdown:
     """Accumulate a cost table over a planning horizon.
 
     CAPEX counts once, OPEX counts ``horizon_years`` times.
     """
-    if not isinstance(horizon_years, int) or isinstance(horizon_years, bool) or horizon_years < 1:
-        raise InvalidHorizon(f"horizon_years must be a positive integer, got {horizon_years!r}")
+    check_horizon(horizon_years)
     entries = table.entries.values()  # filled in ElementClass order
     return CostBreakdown(
         table.area,
@@ -151,29 +156,33 @@ def apply_sharing(
     )
 
 
-def _saving_pct(baseline: float, shared: float) -> float:
-    # A ledger that costs nothing saves nothing.
-    if baseline == 0:
-        return 0.0
-    return (baseline - shared) / baseline * 100.0
-
-
 @dataclass(frozen=True)
 class SavingsReport:
     """Per-operator savings of a sharing configuration against build-alone.
 
-    ``shared``, the cost operator 0 carries under ``sharing``, is built from
-    ``baseline`` on first access unless :func:`savings_report` was given it.
+    A report stores its three percentages, ``baseline`` and ``sharing``;
+    ``configuration``, ``area`` and ``horizon_years`` are read from the last
+    two.  ``shared``, the cost operator 0 carries under ``sharing``, is built
+    from ``baseline`` on first access unless :func:`savings_report` was given it.
     """
 
-    configuration: str
-    area: AreaKind
-    horizon_years: int
     capex_saving_pct: float
     opex_saving_pct: float
     total_saving_pct: float
     baseline: CostBreakdown
     sharing: SharingConfiguration
+
+    @property
+    def configuration(self) -> str:
+        return self.sharing.name
+
+    @property
+    def area(self) -> AreaKind:
+        return self.baseline.area
+
+    @property
+    def horizon_years(self) -> int:
+        return self.baseline.horizon_years
 
     @cached_property
     def shared(self) -> CostBreakdown:
@@ -214,35 +223,37 @@ def savings_report(
             f"baseline area {baseline.area.value}, shared area {shared.area.value}, "
             f"report area {area.value}"
         )
-    totals = (baseline.capex_total(), baseline.opex_cumulative_total())
-    report = _report(baseline, totals, config, sum(shared.capex), sum(shared.opex))
+    (report,) = _area_reports(baseline, (config,), (sum(shared.capex),), (sum(shared.opex),))
     # The caller's breakdown may come from another operator or carrier factor.
     object.__setattr__(report, "shared", shared)
     return report
 
 
-def _report(
+def _area_reports(
     baseline: CostBreakdown,
-    totals: Tuple[float, float],
-    config: SharingConfiguration,
-    shared_capex: float,
-    shared_opex: float,
-) -> SavingsReport:
-    """Savings of shared ledger sums against the baseline's ``totals`` (CAPEX, OPEX)."""
-    capex_total, opex_total = totals
+    configs: Sequence[SharingConfiguration],
+    shared_capex: Iterable[float],
+    shared_opex: Iterable[float],
+) -> List[SavingsReport]:
+    """Report of each configuration from its shared CAPEX and OPEX ledger sums.
+
+    A ledger that costs nothing saves nothing; a baseline whose grand total
+    is zero has no defined savings at all.
+    """
+    capex_total, opex_total = baseline.capex_total(), baseline.opex_cumulative_total()
     grand_total = capex_total + opex_total
     if grand_total == 0:
         raise ZeroBaseline("baseline grand total is zero; savings are undefined")
-    return SavingsReport(
-        config.name,
-        baseline.area,
-        baseline.horizon_years,
-        _saving_pct(capex_total, shared_capex),
-        _saving_pct(opex_total, shared_opex),
-        _saving_pct(grand_total, shared_capex + shared_opex),
-        baseline,
-        config,
-    )
+    return [
+        SavingsReport(
+            0.0 if capex_total == 0 else (capex_total - capex) / capex_total * 100.0,
+            0.0 if opex_total == 0 else (opex_total - opex) / opex_total * 100.0,
+            (grand_total - (capex + opex)) / grand_total * 100.0,
+            baseline,
+            config,
+        )
+        for config, capex, opex in zip(configs, shared_capex, shared_opex)
+    ]
 
 
 def grid_savings(
@@ -252,19 +263,19 @@ def grid_savings(
 ) -> List[SavingsReport]:
     """Operator-0 savings report of each configuration against one baseline.
 
-    ``factors`` holds each configuration's :func:`sharing_factors`.  The
-    baseline's ledger totals are summed once; every shared ledger is summed
-    in ``ElementClass`` order from the same products :func:`apply_sharing`
-    forms, so each report equals
+    ``factors`` holds each configuration's :func:`sharing_factors`.  Every
+    shared ledger is summed in ``ElementClass`` order from the same products
+    :func:`apply_sharing` forms, so each report equals
     ``savings_report(baseline, apply_sharing(baseline, config), config)``
     bit for bit, without building the shared breakdown.
     """
     capex, opex = baseline.capex, baseline.opex
-    totals = (baseline.capex_total(), baseline.opex_cumulative_total())
-    return [
-        _report(baseline, totals, config, sum(map(mul, capex, factor)), sum(map(mul, opex, factor)))
-        for config, factor in zip(configs, factors)
-    ]
+    return _area_reports(
+        baseline,
+        configs,
+        [sum(map(mul, capex, factor)) for factor in factors],
+        [sum(map(mul, opex, factor)) for factor in factors],
+    )
 
 
 @dataclass(frozen=True)

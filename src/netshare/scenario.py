@@ -20,12 +20,14 @@ import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .costmodel import (
     DEFAULT_HORIZON_YEARS,
     CostBreakdown,
     SavingsReport,
+    check_horizon,
     cumulative_cost,
     grid_savings,
     masked_factors,
@@ -33,7 +35,6 @@ from .costmodel import (
     sharing_factors,
 )
 from .errors import (
-    InvalidHorizon,
     InvalidScenario,
     InvalidSweepParameter,
     MalformedScenario,
@@ -257,14 +258,7 @@ class Scenario:
             raise InvalidScenario(f"scenario {self.name!r} lists no areas")
         if not self.configurations:
             raise InvalidScenario(f"scenario {self.name!r} lists no configurations")
-        if (
-            not isinstance(self.horizon_years, int)
-            or isinstance(self.horizon_years, bool)
-            or self.horizon_years < 1
-        ):
-            raise InvalidHorizon(
-                f"horizon_years must be a positive integer, got {self.horizon_years!r}"
-            )
+        check_horizon(self.horizon_years)
         kinds = [p.kind for p in self.areas]
         if len(set(kinds)) != len(kinds):
             raise InvalidScenario(f"scenario {self.name!r} repeats an area kind")
@@ -292,33 +286,44 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Savings reports for every (area, configuration) grid cell."""
+    """Savings reports for every (area, configuration) grid cell.
+
+    ``cells`` holds the reports row-major: one row per area in
+    ``area_order``, one report per configuration in ``configuration_order``.
+    """
 
     scenario_name: str
     horizon_years: int
     area_order: Tuple[AreaKind, ...]
     configuration_order: Tuple[str, ...]
-    grid: Mapping[Tuple[AreaKind, str], SavingsReport]
+    cells: Tuple[SavingsReport, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grid", dict(self.grid))
+    @property
+    def grid(self) -> Mapping[Tuple[AreaKind, str], SavingsReport]:
+        """The cells keyed by ``(area, configuration name)``."""
+        return MappingProxyType({(r.area, r.configuration): r for r in self.cells})
 
     def report(self, area: AreaKind, configuration: str) -> SavingsReport:
-        return self.grid[(area, configuration)]
+        try:
+            i = self.area_order.index(area)
+            j = self.configuration_order.index(configuration)
+        except ValueError:
+            raise KeyError((area, configuration)) from None
+        return self.cells[i * len(self.configuration_order) + j]
 
     def reports(self) -> Tuple[SavingsReport, ...]:
         """Grid cells in deterministic scenario order (areas outer)."""
-        return tuple(
-            self.grid[(area, name)]
-            for area in self.area_order
-            for name in self.configuration_order
-        )
+        return self.cells
 
     def best_configuration(self, area: AreaKind) -> SavingsReport:
         """Cell with the highest total saving in the area (first wins ties)."""
+        try:
+            i = self.area_order.index(area)
+        except ValueError:
+            raise KeyError(area) from None
+        width = len(self.configuration_order)
         best = None
-        for name in self.configuration_order:
-            candidate = self.grid[(area, name)]
+        for candidate in self.cells[i * width : (i + 1) * width]:
             if best is None or candidate.total_saving_pct > best.total_saving_pct + 1e-12:
                 best = candidate
         return best
@@ -357,23 +362,21 @@ def _evaluate(
 ) -> ScenarioResult:
     """Grid of an already validated scenario's areas from their baselines over
     ``horizon`` and the factors of ``configs``."""
-    grid = {}
+    cells = []
     for profile, baseline in zip(scenario.areas, baselines):
         try:
-            reports = grid_savings(baseline, configs, factors)
+            cells += grid_savings(baseline, configs, factors)
         except NetshareError as exc:
             # The only cell error is a zero baseline, which fails the area's first cell.
             raise type(exc)(
                 f"[area={profile.kind.value} configuration={configs[0].name}] {exc}"
             ) from exc
-        for config, report in zip(configs, reports):
-            grid[(profile.kind, config.name)] = report
     return ScenarioResult(
         scenario_name=scenario.name,
         horizon_years=horizon,
         area_order=tuple(p.kind for p in scenario.areas),
         configuration_order=tuple(c.name for c in configs),
-        grid=grid,
+        cells=tuple(cells),
     )
 
 
@@ -420,8 +423,20 @@ def _split_configs(
     _check_fraction("split_ratio", value)
     out = []
     for config in configs:
-        rest = (1.0 - value) / (config.operator_count - 1)
-        out.append(replace(config, split_ratios=(value,) + (rest,) * (config.operator_count - 1)))
+        count = config.operator_count
+        rest = (1.0 - value) / (count - 1)
+        out.append(
+            SharingConfiguration(
+                name=config.name,
+                shared=config.shared,
+                operator_count=count,
+                split_ratios=(value,) + (rest,) * (count - 1),
+                intl_shared=config.intl_shared,
+                couple_site_costs=config.couple_site_costs,
+                single_spectrum=config.single_spectrum,
+                policy=config.policy,
+            )
+        )
     return tuple(out)
 
 
@@ -525,10 +540,8 @@ def _points(scenario: Scenario, spec: SweepSpec):
     slot = tuple(ElementClass).index(cls)
     factors = _factors(configs)
     tables = scenario.cost_tables
-    _check_fraction(spec.parameter, values[0])  # _swept_scenario checks the value before the tables
     shares = {kind: _class_share(kind, table, cls, horizon) for kind, table in tables.items()}
     for value in values:
-        _check_fraction(spec.parameter, value)
         entries = {
             kind: _rescaled_entry(tables[kind].entries[cls], value, share)
             for kind, share in shares.items()
@@ -547,12 +560,34 @@ def _points(scenario: Scenario, spec: SweepSpec):
         yield value, horizon, tuple(point), configs, factors
 
 
+def check_sweep(scenario: Scenario, spec: SweepSpec) -> None:
+    """Raise what :func:`sweep` raises for a value out of its parameter's range
+    or a class that cannot be rescaled, without evaluating any point.
+
+    The checks run in the order of :func:`_swept_scenario`'s points: a class
+    sweep checks its first value before the tables.
+    """
+    values = spec.values()
+    if spec.parameter == "horizon_years":
+        for value in values:
+            check_horizon(int(value))
+    elif spec.parameter != "intl_shared":
+        _check_fraction(spec.parameter, values[0])
+        if spec.parameter == "class_cost_fraction":
+            cls = ElementClass.from_label(spec.class_name)
+            for kind, table in scenario.cost_tables.items():
+                _class_share(kind, table, cls, scenario.horizon_years)
+        for value in values:
+            _check_fraction(spec.parameter, value)
+
+
 def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
     """Re-run the scenario grid at every point of the sweep range.
 
     Points come back strictly ordered by parameter value with no
     duplicates.  Validation reads neither the swept parameter nor the costs,
-    so it runs once.  A point rebuilds only what its parameter changes:
+    so it runs once, and :func:`check_sweep` checks every value before the
+    first point.  A point rebuilds only what its parameter changes:
     ``horizon_years`` rebuilds the area baselines; ``class_cost_fraction``
     rescales the swept class's slot of each baseline; ``split_ratio`` rebuilds
     the configurations and takes their factors from shared-class masks worked
@@ -563,6 +598,7 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
     if spec is None:
         raise InvalidSweepParameter(f"scenario {scenario.name!r} has no sweep specification")
     _require_valid(scenario)
+    check_sweep(scenario, spec)
     points = tuple(
         SweepPoint(value=value, result=_evaluate(scenario, *point))
         for value, *point in _points(scenario, spec)

@@ -10,6 +10,7 @@ import pytest
 
 from netshare import AreaKind, load_scenario_file, run_scenario
 from netshare.cli import main
+from netshare.scenario import fixture_path
 
 USE_CASE = "paper_use_case.json"
 
@@ -272,6 +273,53 @@ def test_validate_reports_warnings_and_strict_fails(capsys):
     assert "NonContiguousLadder" in out
     code, _, err = _run(capsys, "validate", USE_CASE, "--strict")
     assert code == 1
+
+
+@pytest.mark.parametrize("case", sorted(c for c in GOLDEN_CASES if c.startswith("sweep_")))
+def test_validate_accepts_the_golden_sweeps(case, capsys):
+    code, out, err = _run(capsys, "validate", GOLDEN_CASES[case][1])
+    assert code == 0 and err == ""
+    assert out.startswith("scenario: golden_")
+
+
+_UNSWEEPABLE = {
+    "split_ratio_from_zero": (
+        {"parameter": "split_ratio", "from": 0.0, "to": 0.9, "steps": 4},
+        "split_ratio values must lie in (0, 1), got 0.0",
+    ),
+    "class_fraction_past_one": (
+        {"parameter": "class_cost_fraction", "from": 0.1, "to": 1.5, "steps": 8, "class": "backhaul"},
+        "class_cost_fraction values must lie in (0, 1), got 1.1",
+    ),
+    "horizon_below_one_year": (
+        {"parameter": "horizon_years", "from": 0.2, "to": 5, "steps": 5},
+        "horizon_years must be a positive integer, got 0",
+    ),
+    "class_without_cost": (
+        {"parameter": "class_cost_fraction", "from": 0.1, "to": 0.5, "steps": 3, "class": "rnc"},
+        "class 'rnc' cannot be rescaled in area urban",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNSWEEPABLE))
+def test_validate_rejects_what_sweep_rejects(tmp_path, capsys, case):
+    spec, message = _UNSWEEPABLE[case]
+    doc = json.loads(fixture_path(USE_CASE).read_text())
+    if case == "class_without_cost":
+        urban = json.loads(fixture_path(doc["cost_tables"]["urban"]).read_text())
+        urban["entries"]["rnc"] = {"capex": 0.0, "opex_annual": 0.0}
+        doc["cost_tables"]["urban"] = urban
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(dict(doc, sweep=spec)))
+    errors = []
+    for command in ("validate", "sweep"):
+        code, out, err = _run(capsys, command, str(path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert message in errors[0]
 
 
 def test_presets_lists_all_nine_names(capsys):

@@ -1,5 +1,6 @@
 """Cumulative costs, the sharing rule, savings reports and deltas."""
 
+import dataclasses
 import random
 
 import pytest
@@ -236,6 +237,57 @@ def test_savings_never_negative_under_the_model():
         assert report.capex_saving_pct >= 0.0
         assert report.opex_saving_pct >= 0.0
         assert report.total_saving_pct >= 0.0
+
+
+_REPORT_ATTRIBUTES = (
+    "configuration",
+    "area",
+    "horizon_years",
+    "capex_saving_pct",
+    "opex_saving_pct",
+    "total_saving_pct",
+    "baseline",
+    "sharing",
+)
+
+
+@pytest.mark.parametrize("name", _REPORT_ATTRIBUTES)
+def test_savings_report_attributes_cannot_be_assigned(name):
+    report = _full_report(reference_cost_table(AreaKind.URBAN), preset("MOCN"))
+    before = getattr(report, name)
+    with pytest.raises(AttributeError):
+        setattr(report, name, before)
+    assert getattr(report, name) == before
+
+
+def test_savings_reports_compare_by_value():
+    table = reference_cost_table(AreaKind.SUBURBAN)
+    report = _full_report(table, preset("GWCN"))
+    assert report == _full_report(reference_cost_table(AreaKind.SUBURBAN), preset("GWCN"))
+    other_baseline = cumulative_cost(table, 6)
+    variants = [
+        dataclasses.replace(report, capex_saving_pct=report.capex_saving_pct + 1.0),
+        dataclasses.replace(report, opex_saving_pct=report.opex_saving_pct + 1.0),
+        dataclasses.replace(report, total_saving_pct=report.total_saving_pct + 1.0),
+        dataclasses.replace(report, baseline=other_baseline),
+        dataclasses.replace(report, sharing=preset("GWCN", couple_site_costs=True)),
+        _full_report(table, preset("GWCN"), horizon=6),
+    ]
+    for variant in variants:
+        assert variant != report
+
+
+def test_savings_report_reads_its_cell_from_baseline_and_configuration():
+    rng = random.Random(37)
+    for index in range(40):
+        horizon = rng.randint(1, 15)
+        area = rng.choice(tuple(AreaKind))
+        config = random_config(rng, name=f"cell-{index}")
+        report = _full_report(random_cost_table(rng, area), config, horizon)
+        assert report.configuration == report.sharing.name == f"cell-{index}"
+        assert report.area is report.baseline.area is area
+        assert report.horizon_years == report.baseline.horizon_years == horizon
+        assert report.to_json_dict()["configuration"] == config.name
 
 
 # ---------------------------------------------------------------------------

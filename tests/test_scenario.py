@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -9,6 +10,7 @@ from netshare import (
     AreaKind,
     CostTable,
     ElementClass,
+    RegulatoryPolicy,
     Scenario,
     SharingConfiguration,
     SweepSpec,
@@ -31,7 +33,7 @@ from netshare.errors import (
     MalformedScenario,
     ZeroBaseline,
 )
-from netshare.scenario import _swept_scenario, fixture_dir, fixture_path
+from netshare.scenario import _split_configs, _swept_scenario, fixture_dir, fixture_path
 
 from conftest import random_config, random_cost_table
 
@@ -537,6 +539,88 @@ def test_swept_report_builds_shared_cost_from_its_point_configuration(spec):
             cls: report.baseline.per_class[cls].total - expected.per_class[cls].total
             for cls in ElementClass
         }
+
+
+def _assert_lookups_agree(result) -> None:
+    """report(), grid and best_configuration() against the flat reports() tuple."""
+    reports = result.reports()
+    width = len(result.configuration_order)
+    assert len(reports) == len(result.area_order) * width == len(result.grid)
+    for i, area in enumerate(result.area_order):
+        row = reports[i * width : (i + 1) * width]
+        for name, cell in zip(result.configuration_order, row):
+            assert cell.area is area and cell.configuration == name
+            assert result.report(area, name) is cell
+            assert result.grid[(area, name)] is cell
+        # first wins ties, as the documented rule says
+        best = row[0]
+        for cell in row[1:]:
+            if cell.total_saving_pct > best.total_saving_pct + 1e-12:
+                best = cell
+        assert result.best_configuration(area) is best
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flat_result_lookups_agree_with_reports(seed):
+    scenario = _random_scenario(random.Random(100 + seed))
+    _assert_lookups_agree(run_scenario(scenario))
+    for point in sweep(scenario, SweepSpec("split_ratio", 0.1, 0.9, 3)).points:
+        _assert_lookups_agree(point.result)
+
+
+def test_flat_result_unknown_cells_raise_key_error():
+    result = run_scenario(load_scenario(_document(configurations=["MOCN", "GWCN"])))
+    with pytest.raises(KeyError):
+        result.report(AreaKind.RURAL, "MOCN")
+    with pytest.raises(KeyError):
+        result.report(AreaKind.URBAN, "GWCN + Backhaul")
+    with pytest.raises(KeyError):
+        result.report("urban", "MOCN")
+    with pytest.raises(KeyError):
+        result.best_configuration(AreaKind.RURAL)
+    with pytest.raises(KeyError):
+        result.grid[(AreaKind.SUBURBAN, "MOCN")]
+    assert result.report(AreaKind.URBAN, "GWCN").configuration == "GWCN"
+
+
+def _split_point_configs():
+    policy = RegulatoryPolicy(min_own_coverage_fraction=0.2, spectrum_pooling_allowed=False)
+    ran = {cls: True for cls in (ElementClass.PASSIVE_SITE, ElementClass.NODEB, ElementClass.RNC)}
+    return (
+        SharingConfiguration(name="policy", shared=ran, operator_count=3, policy=policy),
+        SharingConfiguration(name="coupled", shared=ran, operator_count=4, couple_site_costs=True),
+        SharingConfiguration(
+            name="single", shared=ran, operator_count=3, single_spectrum=True, intl_shared=True
+        ),
+        SharingConfiguration(
+            name="everything",
+            shared={cls: True for cls in ElementClass},
+            operator_count=4,
+            split_ratios=(0.1, 0.2, 0.3, 0.4),
+            intl_shared=True,
+            couple_site_costs=True,
+            single_spectrum=True,
+            policy=policy,
+        ),
+        preset("GWCN + Backhaul", operator_count=3, split_ratios=(0.5, 0.25, 0.25)),
+    )
+
+
+@pytest.mark.parametrize("value", [0.05, 1 / 3, 0.5, 0.95])
+def test_split_point_configurations_keep_every_field(value):
+    configs = _split_point_configs()
+    for config, got in zip(configs, _split_configs(configs, value)):
+        rest = (1.0 - value) / (config.operator_count - 1)
+        expected = replace(config, split_ratios=(value,) + (rest,) * (config.operator_count - 1))
+        for field in fields(SharingConfiguration):
+            assert getattr(got, field.name) == getattr(expected, field.name), field.name
+        assert got == expected
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_split_point_configurations_refuse_invalid_splits(value):
+    with pytest.raises(InvalidSweepParameter):
+        _split_configs(_split_point_configs(), value)
 
 
 def test_savings_report_keeps_the_shared_cost_it_is_given():
