@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Optional, Tuple
 
-from .errors import InvalidAmount
+from .errors import InvalidAmount, read_object
 from .inventory import AreaKind, NetworkState, Technology
 
 __all__ = [
@@ -276,10 +276,7 @@ class ConstraintChecklist:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "ConstraintChecklist":
-        allowed = {"network_state", "items"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise InvalidAmount(f"unknown checklist keys: {sorted(unknown)!r}")
+        read_object(doc, "checklist", InvalidAmount, ("network_state", "items"), ("network_state",))
         items = tuple(
             ChecklistItem(
                 domain=str(i["domain"]),

@@ -22,7 +22,16 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .costmodel import apply_sharing, cumulative_cost, savings_report, sharing_factors
-from .errors import InfeasibleCalibration, MalformedScenario, MissingDependency, NetshareError
+from .errors import (
+    InfeasibleCalibration,
+    MalformedScenario,
+    MissingDependency,
+    NetshareError,
+    read_integer,
+    read_number,
+    read_object,
+    read_text,
+)
 from .inventory import AreaKind, CostEntry, CostTable, ElementClass, Ledger
 from .repartition import (
     FRACTION_TOL,
@@ -31,7 +40,7 @@ from .repartition import (
     _c,
     check_repartition,
 )
-from .scenario import _number, _parse_json
+from .scenario import _parse_json
 from .sharing import SharingConfiguration, preset
 
 try:
@@ -118,7 +127,7 @@ def _check_target(target: Target) -> None:
     if target.metric not in ("capex", "opex", "total"):
         raise MalformedScenario(f"unknown target metric {target.metric!r}")
     for name in ("value", "weight", "bound"):
-        number = _number(getattr(target, name), f"target {name!r}")
+        number = read_number(getattr(target, name), f"target {name!r}", MalformedScenario)
         if not math.isfinite(number):
             raise MalformedScenario(f"target {name!r} must be finite, got {number!r}")
         if name != "value" and number < 0:
@@ -221,7 +230,7 @@ def _normalise_targets(targets: Sequence) -> Tuple[Target, ...]:
                     area=_area(area),
                     metric="total",
                     configuration=str(configuration),
-                    value=_number(value, "target value"),
+                    value=read_number(value, "target value", MalformedScenario),
                 )
             )
         else:
@@ -486,7 +495,7 @@ def calibrate_reference(
     candidate still fails :func:`check_repartition`, or when a target ends up
     farther from its value than its declared residual bound.
     """
-    horizon_years = _natural(horizon_years, "horizon_years", 1)
+    horizon_years = read_integer(horizon_years, "horizon_years", MalformedScenario, 1)
     targets = _normalise_targets(targets)
     if not targets:
         raise MalformedScenario("calibration needs at least one target")
@@ -510,7 +519,7 @@ def calibrate_reference(
         if target.area not in areas:
             areas.append(target.area)
 
-    rng = np.random.default_rng(_natural(seed, "seed", 0))
+    rng = np.random.default_rng(read_integer(seed, "seed", MalformedScenario, 0))
     tables = {}
     constraint_sets = {}
     outcomes = []
@@ -600,42 +609,39 @@ def calibrate_reference(
 # Targets document
 # ---------------------------------------------------------------------------
 
-_TARGET_KEYS = {"kind", "area", "metric", "configuration", "first", "second", "value", "weight", "bound", "note"}
+# Each target kind: its class and the configuration names it reads.
+_TARGET_KINDS = {
+    "saving": (SavingsTarget, ("configuration",)),
+    "delta": (DeltaTarget, ("first", "second")),
+}
+_TARGET_KEYS = (
+    "kind", "area", "metric", "configuration", "first", "second", "value", "weight", "bound", "note"
+)
 
 
 def _parse_target(doc: Mapping) -> Target:
-    if not isinstance(doc, Mapping):
-        raise MalformedScenario(f"target must be an object, got {doc!r}")
-    unknown = set(doc) - _TARGET_KEYS
-    if unknown:
-        raise MalformedScenario(f"unknown target keys: {sorted(unknown)!r}")
-    kind = doc.get("kind", "saving")
-    area = _area(doc.get("area"))
-    if "value" not in doc:
-        raise MalformedScenario("target needs a 'value'")
-    common = dict(
-        area=area,
-        metric=_text(doc.get("metric", "total"), "target 'metric'"),
-        value=_number(doc["value"], "target 'value'"),
-        weight=_number(doc.get("weight", 1.0), "target 'weight'"),
-        bound=_number(doc.get("bound", 2.0), "target 'bound'"),
-        note=_text(doc.get("note", ""), "target 'note'"),
+    read_object(doc, "target", MalformedScenario, _TARGET_KEYS, ("value",))
+    kind = read_text(doc.get("kind", "saving"), "target 'kind'", MalformedScenario)
+    if kind not in _TARGET_KINDS:
+        raise MalformedScenario(f"unknown target kind {kind!r}")
+    cls, names = _TARGET_KINDS[kind]
+    read_object(doc, f"{kind} target", MalformedScenario, _TARGET_KEYS, names)
+
+    def text(name, default=None):
+        return read_text(doc.get(name, default), f"target {name!r}", MalformedScenario)
+
+    def number(name, default=None):
+        return read_number(doc.get(name, default), f"target {name!r}", MalformedScenario)
+
+    return cls(
+        area=_area(doc.get("area")),
+        metric=text("metric", "total"),
+        value=number("value"),
+        weight=number("weight", 1.0),
+        bound=number("bound", 2.0),
+        note=text("note", ""),
+        **{name: text(name) for name in names},
     )
-    if kind == "saving":
-        if "configuration" not in doc:
-            raise MalformedScenario("saving target needs 'configuration'")
-        return SavingsTarget(
-            configuration=_text(doc["configuration"], "target 'configuration'"), **common
-        )
-    if kind == "delta":
-        if "first" not in doc or "second" not in doc:
-            raise MalformedScenario("delta target needs 'first' and 'second'")
-        return DeltaTarget(
-            first=_text(doc["first"], "target 'first'"),
-            second=_text(doc["second"], "target 'second'"),
-            **common,
-        )
-    raise MalformedScenario(f"unknown target kind {kind!r}")
 
 
 def _area(value) -> AreaKind:
@@ -643,18 +649,6 @@ def _area(value) -> AreaKind:
         return AreaKind(value)
     except ValueError as exc:
         raise MalformedScenario(f"target needs a valid 'area': {exc}") from exc
-
-
-def _text(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise MalformedScenario(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _natural(value, what: str, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise MalformedScenario(f"{what} must be an integer >= {least}, got {value!r}")
-    return value
 
 
 def load_targets_document(text: str):
@@ -665,12 +659,8 @@ def load_targets_document(text: str):
     constraints default to :data:`CALIBRATION_CONSTRAINTS`.
     """
     doc = _parse_json(text)
-    if not isinstance(doc, Mapping):
-        raise MalformedScenario(f"targets document must be an object, got {type(doc).__name__}")
-    allowed = {"horizon_years", "seed", "constraints", "targets"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise MalformedScenario(f"unknown targets-document keys: {sorted(unknown)!r}")
+    keys = ("horizon_years", "seed", "constraints", "targets")
+    read_object(doc, "targets document", MalformedScenario, keys)
     if "targets" not in doc or not doc["targets"]:
         raise MalformedScenario("targets document lists no targets")
     if not isinstance(doc["targets"], list):
@@ -685,6 +675,6 @@ def load_targets_document(text: str):
     return (
         targets,
         constraints,
-        _natural(doc.get("horizon_years", 5), "horizon_years", 1),
-        _natural(doc.get("seed", 0), "seed", 0),
+        read_integer(doc.get("horizon_years", 5), "horizon_years", MalformedScenario, 1),
+        read_integer(doc.get("seed", 0), "seed", MalformedScenario, 0),
     )

@@ -10,6 +10,7 @@ that class's cost, which caps the achievable saving at 50 percent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -97,12 +98,11 @@ def cumulative_cost(table: CostTable, horizon_years: int = DEFAULT_HORIZON_YEARS
     """
     check_horizon(horizon_years)
     entries = table.entries.values()  # filled in ElementClass order
-    return CostBreakdown(
-        table.area,
-        horizon_years,
-        tuple(e.capex for e in entries),
-        tuple(e.opex_annual * horizon_years for e in entries),
-    )
+    try:
+        opex = tuple(e.opex_annual * horizon_years for e in entries)
+    except OverflowError as exc:  # a horizon too large to convert to a float
+        raise InvalidAmount("horizon_years is too large to accumulate OPEX over") from exc
+    return CostBreakdown(table.area, horizon_years, tuple(e.capex for e in entries), opex)
 
 
 def sharing_factors(config: SharingConfiguration, operator_index: int = 0) -> Tuple[float, ...]:
@@ -238,12 +238,15 @@ def _area_reports(
     """Report of each configuration from its shared CAPEX and OPEX ledger sums.
 
     A ledger that costs nothing saves nothing; a baseline whose grand total
-    is zero has no defined savings at all.
+    is zero has no defined savings at all, and one whose total overflows to
+    infinity has no finite ones.
     """
     capex_total, opex_total = baseline.capex_total(), baseline.opex_cumulative_total()
     grand_total = capex_total + opex_total
     if grand_total == 0:
         raise ZeroBaseline("baseline grand total is zero; savings are undefined")
+    if not math.isfinite(grand_total):
+        raise InvalidAmount(f"baseline grand total is {grand_total}; savings are undefined")
     return [
         SavingsReport(
             0.0 if capex_total == 0 else (capex_total - capex) / capex_total * 100.0,

@@ -2,8 +2,11 @@
 
 Every domain failure raises a subclass of :class:`NetshareError`, so callers
 (including the command line front end) can distinguish model errors from
-programming errors with a single except clause.
+programming errors with a single except clause.  The ``read_*`` functions at
+the end check the fields of every input document.
 """
+
+from collections.abc import Mapping
 
 
 class NetshareError(Exception):
@@ -94,3 +97,67 @@ class InfeasibleCalibration(NetshareError):
     def __init__(self, message, violations=None):
         super().__init__(message)
         self.violations = tuple(violations or ())
+
+
+# ---------------------------------------------------------------------------
+# Document readers
+# ---------------------------------------------------------------------------
+# Every input document is strict: an unknown key, a missing key or a wrongly
+# typed value is refused rather than ignored or coerced.  Each reader raises
+# the error class its caller passes, with a message that names the field.
+
+
+def read_object(doc, what: str, error: type, keys, required=()) -> None:
+    """Refuse ``doc`` unless it is an object whose keys lie in ``keys`` and include ``required``."""
+    if not isinstance(doc, Mapping):
+        raise error(f"{what} must be an object, got {type(doc).__name__}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise error(f"unknown {what} keys: {sorted(unknown)!r}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise error(f"{what} needs keys: {missing!r}")
+
+
+def read_number(value, what: str, error: type) -> float:
+    """``value`` as a float.  Infinity and NaN pass: range checks belong to the constructors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise error(f"{what} must fit in a float, got {_shown(value)}") from exc
+
+
+def read_integer(value, what: str, error: type, least: int, most=None) -> int:
+    """``value`` if it is an integer from ``least`` up to ``most`` (unbounded when None)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < least
+        or (most is not None and value > most)
+    ):
+        bounds = f">= {least}" if most is None else f"from {least} to {most}"
+        raise error(f"{what} must be an integer {bounds}, got {_shown(value)}")
+    return value
+
+
+def read_text(value, what: str, error: type) -> str:
+    """``value`` if it is a string."""
+    if not isinstance(value, str):
+        raise error(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def read_flag(value, what: str, error: type) -> bool:
+    """``value`` if it is ``true`` or ``false``; no other value counts as a flag."""
+    if not isinstance(value, bool):
+        raise error(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or the length of an integer too long for one error line."""
+    if isinstance(value, int) and not -10**20 < value < 10**20:
+        return f"an integer of about {int(abs(value).bit_length() * 0.30103) + 1} digits"
+    return repr(value)

@@ -14,11 +14,20 @@ The cost-structure envelopes a table must fit live in
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .errors import InvalidAmount, MissingCostEntry, ZeroTotalLedger
+from .errors import (
+    InvalidAmount,
+    MissingCostEntry,
+    ZeroTotalLedger,
+    read_integer,
+    read_number,
+    read_object,
+    read_text,
+)
 
 __all__ = [
     "AreaKind",
@@ -64,6 +73,10 @@ class ElementClass(Enum):
             if member.value == label:
                 return member
         raise KeyError(f"unknown element class {label!r}")
+
+
+_CLASS_LABELS = frozenset(cls.value for cls in ElementClass)
+_AMOUNTS = ("capex", "opex_annual")
 
 
 # Domain partition: every class belongs to exactly one group.
@@ -138,11 +151,9 @@ class CostEntry:
     opex_annual: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("capex", "opex_annual"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise InvalidAmount(f"{name} must be a number, got {value!r}")
-            if value != value or value in (float("inf"), float("-inf")):
+        for name in _AMOUNTS:
+            value = read_number(getattr(self, name), name, InvalidAmount)
+            if not math.isfinite(value):
                 raise InvalidAmount(f"{name} must be finite, got {value!r}")
             if value < 0:
                 raise InvalidAmount(f"{name} must be >= 0, got {value!r}")
@@ -241,36 +252,20 @@ class CostTable:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "CostTable":
-        if not isinstance(doc, Mapping):
-            raise InvalidAmount(f"cost table document must be an object, got {type(doc).__name__}")
-        allowed = {"area", "currency", "entries"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise InvalidAmount(f"unknown cost table keys: {sorted(unknown)!r}")
+        read_object(doc, "cost table", InvalidAmount, ("area", "currency", "entries"), ("area",))
         try:
             area = AreaKind(doc["area"])
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise InvalidAmount(f"cost table needs a valid 'area': {exc}") from exc
-        entries = {}
         raw = doc.get("entries", {})
-        if not isinstance(raw, Mapping):
-            raise InvalidAmount("'entries' must be an object keyed by element class")
+        read_object(raw, "'entries'", InvalidAmount, _CLASS_LABELS)
+        entries = {}
         for label, payload in raw.items():
-            try:
-                key = ElementClass.from_label(label)
-            except KeyError as exc:
-                raise InvalidAmount(str(exc)) from exc
-            if not isinstance(payload, Mapping) or set(payload) - {"capex", "opex_annual"}:
-                raise InvalidAmount(
-                    f"entry for {label!r} must be an object with keys capex/opex_annual"
-                )
-            amounts = (payload.get("capex", 0.0), payload.get("opex_annual", 0.0))
-            if any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in amounts):
-                raise InvalidAmount(f"entry for {label!r}: capex and opex_annual must be numbers")
-            entries[key] = CostEntry(*(float(a) for a in amounts))
-        currency = doc.get("currency", "units")
-        if not isinstance(currency, str):
-            raise InvalidAmount(f"'currency' must be a string, got {currency!r}")
+            read_object(payload, f"entry for {label!r}", InvalidAmount, _AMOUNTS)
+            entries[ElementClass(label)] = CostEntry(
+                *(read_number(payload.get(k, 0.0), f"{label} {k}", InvalidAmount) for k in _AMOUNTS)
+            )
+        currency = read_text(doc.get("currency", "units"), "'currency'", InvalidAmount)
         return cls(area=area, entries=entries, currency=currency)
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -296,17 +291,8 @@ class AreaProfile:
 
     def __post_init__(self) -> None:
         for name in ("nodeb_count", "rnc_count", "sgsn_count", "ggsn_count"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InvalidAmount(f"{name} must be a positive integer, got {value!r}")
-        if (
-            not isinstance(self.subscriber_count, int)
-            or isinstance(self.subscriber_count, bool)
-            or self.subscriber_count < 0
-        ):
-            raise InvalidAmount(
-                f"subscriber_count must be a non-negative integer, got {self.subscriber_count!r}"
-            )
+            read_integer(getattr(self, name), name, InvalidAmount, 1)
+        read_integer(self.subscriber_count, "subscriber_count", InvalidAmount, 0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -320,20 +306,11 @@ class AreaProfile:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "AreaProfile":
-        allowed = {
-            "kind",
-            "nodeb_count",
-            "subscriber_count",
-            "rnc_count",
-            "sgsn_count",
-            "ggsn_count",
-        }
-        unknown = set(doc) - allowed
-        if unknown:
-            raise InvalidAmount(f"unknown area profile keys: {sorted(unknown)!r}")
+        keys = ("kind", "nodeb_count", "subscriber_count", "rnc_count", "sgsn_count", "ggsn_count")
+        read_object(doc, "area profile", InvalidAmount, keys, ("kind",))
         try:
             kind = AreaKind(doc["kind"])
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise InvalidAmount(f"area profile needs a valid 'kind': {exc}") from exc
         base = default_profile(kind)
         return cls(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import InvalidAmount
+from .errors import InvalidAmount, read_number, read_object, read_text
 from .inventory import AreaKind, CostTable, ElementClass, Ledger, Market
 
 __all__ = [
@@ -69,27 +69,20 @@ class RepartitionConstraint:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RepartitionConstraint":
-        if not isinstance(doc, Mapping):
-            raise InvalidAmount(f"constraint must be an object, got {doc!r}")
-        allowed = {"label", "ledger", "classes", "lower", "upper", "area"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise InvalidAmount(f"unknown constraint keys: {sorted(unknown)!r}")
-        missing = {"label", "ledger", "classes", "lower", "upper"} - set(doc)
-        if missing:
-            raise InvalidAmount(f"constraint needs keys: {sorted(missing)!r}")
-        for key in ("lower", "upper"):
-            if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
-                raise InvalidAmount(f"constraint {key!r} must be a number, got {doc[key]!r}")
+        required = ("label", "ledger", "classes", "lower", "upper")
+        read_object(doc, "constraint", InvalidAmount, required + ("area",), required)
         if not isinstance(doc["classes"], (list, tuple)):
             raise InvalidAmount(f"constraint 'classes' must be a list, got {doc['classes']!r}")
+        lower, upper = (
+            read_number(doc[key], f"constraint {key!r}", InvalidAmount) for key in ("lower", "upper")
+        )
         try:
             return cls(
-                label=str(doc["label"]),
+                label=read_text(doc["label"], "constraint 'label'", InvalidAmount),
                 ledger=Ledger(doc["ledger"]),
                 classes=frozenset(ElementClass.from_label(v) for v in doc["classes"]),
-                lower=float(doc["lower"]),
-                upper=float(doc["upper"]),
+                lower=lower,
+                upper=upper,
                 area=AreaKind(doc["area"]) if doc.get("area") else None,
             )
         except (KeyError, ValueError) as exc:
@@ -124,12 +117,11 @@ class RepartitionConstraintSet:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "RepartitionConstraintSet":
-        if not isinstance(doc, Mapping):
-            raise InvalidAmount(f"constraint set must be an object, got {doc!r}")
+        read_object(doc, "constraint set", InvalidAmount, ("name", "constraints"))
         if not isinstance(doc.get("constraints", ()), (list, tuple)):
             raise InvalidAmount(f"'constraints' must be a list, got {doc['constraints']!r}")
         return cls(
-            name=str(doc.get("name", "unnamed")),
+            name=read_text(doc.get("name", "unnamed"), "constraint set 'name'", InvalidAmount),
             constraints=tuple(
                 RepartitionConstraint.from_json_dict(c) for c in doc.get("constraints", ())
             ),

@@ -39,6 +39,11 @@ from .errors import (
     InvalidSweepParameter,
     MalformedScenario,
     NetshareError,
+    read_flag,
+    read_integer,
+    read_number,
+    read_object,
+    read_text,
 )
 from .inventory import AreaKind, AreaProfile, CostEntry, CostTable, ElementClass, default_profile
 from .sharing import (
@@ -111,12 +116,6 @@ def reference_cost_table(kind: AreaKind) -> CostTable:
     return CostTable.from_json_dict(_read_json(path))
 
 
-def _number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedScenario(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def _read_text(path: Path) -> str:
     """A UTF-8 input file's text; unreadable or undecodable files are malformed input."""
     try:
@@ -126,7 +125,8 @@ def _read_text(path: Path) -> str:
 
 
 def _parse_json(text: str, where: str = ""):
-    """Parse a JSON input document; syntax errors and runaway nesting are malformed input."""
+    """Parse a JSON input document; syntax errors, runaway nesting and integers
+    too long to read are malformed input."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -135,6 +135,8 @@ def _parse_json(text: str, where: str = ""):
         ) from exc
     except RecursionError as exc:
         raise MalformedScenario(f"{where}JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit (4300 by default)
+        raise MalformedScenario(f"{where}JSON integer too long to read") from exc
 
 
 def _read_json(path: Path):
@@ -161,27 +163,24 @@ class SweepSpec:
     class_name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.parameter, str):
-            raise InvalidSweepParameter(f"sweep parameter must be a string, got {self.parameter!r}")
+        read_text(self.parameter, "sweep parameter", InvalidSweepParameter)
         if self.parameter not in SWEEP_PARAMETERS:
             raise InvalidSweepParameter(
                 f"unknown sweep parameter {self.parameter!r}; "
                 f"expected one of {list(SWEEP_PARAMETERS)}"
             )
-        if not isinstance(self.steps, int) or self.steps < 2:
-            raise InvalidSweepParameter(f"steps must be an integer >= 2, got {self.steps!r}")
-        if self.steps > 10_000:
-            raise InvalidSweepParameter(f"steps must be <= 10000, got {self.steps!r}")
+        read_integer(self.steps, "steps", InvalidSweepParameter, 2, 10_000)
         if not (self.start < self.stop):
             raise InvalidSweepParameter(
                 f"sweep range must satisfy from < to, got [{self.start}, {self.stop}]"
             )
-        if not math.isfinite(self.stop - self.start):
+        # values() forms span * i for i up to steps - 1; each product must stay finite.
+        if not math.isfinite((self.stop - self.start) * (self.steps - 1)):
             raise InvalidSweepParameter(
                 f"sweep range must be finite, got [{self.start}, {self.stop}]"
             )
-        if self.class_name is not None and not isinstance(self.class_name, str):
-            raise InvalidSweepParameter(f"sweep 'class' must be a string, got {self.class_name!r}")
+        if self.class_name is not None:
+            read_text(self.class_name, "sweep 'class'", InvalidSweepParameter)
         if self.parameter == "class_cost_fraction" and not self.class_name:
             raise InvalidSweepParameter("class_cost_fraction sweeps need a 'class'")
         if self.parameter != "class_cost_fraction" and self.class_name:
@@ -215,19 +214,12 @@ class SweepSpec:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SweepSpec":
-        if not isinstance(doc, Mapping):
-            raise MalformedScenario(f"'sweep' must be an object, got {doc!r}")
-        allowed = {"parameter", "from", "to", "steps", "class"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise MalformedScenario(f"unknown sweep keys: {sorted(unknown)!r}")
-        missing = {"parameter", "from", "to", "steps"} - set(doc)
-        if missing:
-            raise MalformedScenario(f"sweep needs keys: {sorted(missing)!r}")
+        required = ("parameter", "from", "to", "steps")
+        read_object(doc, "sweep", MalformedScenario, required + ("class",), required)
         return cls(
             parameter=doc["parameter"],
-            start=_number(doc["from"], "sweep 'from'"),
-            stop=_number(doc["to"], "sweep 'to'"),
+            start=read_number(doc["from"], "sweep 'from'", MalformedScenario),
+            stop=read_number(doc["to"], "sweep 'to'", MalformedScenario),
             steps=doc["steps"],
             class_name=doc.get("class"),
         )
@@ -367,7 +359,7 @@ def _evaluate(
         try:
             cells += grid_savings(baseline, configs, factors)
         except NetshareError as exc:
-            # The only cell error is a zero baseline, which fails the area's first cell.
+            # A cell error is a zero or infinite baseline, which fails the area's first cell.
             raise type(exc)(
                 f"[area={profile.kind.value} configuration={configs[0].name}] {exc}"
             ) from exc
@@ -455,14 +447,15 @@ def _class_share(
 ) -> Tuple[float, float]:
     """(cost of the rest of the table, cost of ``cls``) over ``horizon``; both must be positive."""
     entry = table.entries[cls]
-    class_grand = entry.capex + entry.opex_annual * horizon
-    grand = table.capex_total() + table.opex_annual_total() * horizon
+    where = f"class {cls.value!r} cannot be rescaled in area {kind.value}"
+    try:
+        class_grand = entry.capex + entry.opex_annual * horizon
+        grand = table.capex_total() + table.opex_annual_total() * horizon
+    except OverflowError as exc:
+        raise InvalidSweepParameter(f"{where}: horizon_years is too large for a float") from exc
     others = grand - class_grand
     if class_grand <= 0 or others <= 0:
-        raise InvalidSweepParameter(
-            f"class {cls.value!r} cannot be rescaled in area {kind.value}: "
-            "it or the rest of the table carries no cost"
-        )
+        raise InvalidSweepParameter(f"{where}: it or the rest of the table carries no cost")
     return others, class_grand
 
 
@@ -477,35 +470,11 @@ def _rescaled_entry(entry: CostEntry, value: float, share: Tuple[float, float]) 
     return CostEntry(entry.capex * factor, entry.opex_annual * factor)
 
 
-def _swept_scenario(scenario: Scenario, spec: SweepSpec, value: float) -> Scenario:
-    """The whole scenario rebuilt at one sweep point: the reference for :func:`sweep`."""
-    if spec.parameter == "horizon_years":
-        return replace(scenario, horizon_years=int(value), sweep=None)
-    if spec.parameter == "split_ratio":
-        configs = _split_configs(scenario.configurations, value)
-        return replace(scenario, configurations=configs, sweep=None)
-    if spec.parameter == "intl_shared":
-        configs = _intl_configs(scenario.configurations, _intl_flag(value))
-        return replace(scenario, configurations=configs, sweep=None)
-
-    # class_cost_fraction: rescale one class so it takes the requested
-    # fraction of each area's cumulative grand total.
-    _check_fraction(spec.parameter, value)
-    cls = ElementClass.from_label(spec.class_name)
-    tables = {}
-    for kind, table in scenario.cost_tables.items():
-        share = _class_share(kind, table, cls, scenario.horizon_years)
-        entries = dict(table.entries)
-        entries[cls] = _rescaled_entry(entries[cls], value, share)
-        tables[kind] = CostTable(area=table.area, entries=entries, currency=table.currency)
-    return replace(scenario, cost_tables=tables, sweep=None)
-
-
 def _points(scenario: Scenario, spec: SweepSpec):
     """``(value, horizon, baselines, configurations, factors)`` of each sweep point.
 
-    Each point equals the one :func:`_swept_scenario` builds, but rebuilds only
-    what its parameter moves.
+    Each point equals the whole scenario rebuilt at that value, but rebuilds
+    only what its parameter moves.
     """
     horizon, configs = scenario.horizon_years, scenario.configurations
     values = spec.values()
@@ -564,8 +533,8 @@ def check_sweep(scenario: Scenario, spec: SweepSpec) -> None:
     """Raise what :func:`sweep` raises for a value out of its parameter's range
     or a class that cannot be rescaled, without evaluating any point.
 
-    The checks run in the order of :func:`_swept_scenario`'s points: a class
-    sweep checks its first value before the tables.
+    The checks run in the order of a rebuild of the whole scenario at each
+    point: a class sweep checks its first value before the tables.
     """
     values = spec.values()
     if spec.parameter == "horizon_years":
@@ -617,28 +586,16 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
 # Loading
 # ---------------------------------------------------------------------------
 
-_TOP_LEVEL_KEYS = {
-    "name",
-    "horizon_years",
-    "areas",
-    "cost_tables",
-    "configurations",
-    "policy",
-    "sweep",
-    "couple_site_costs",
-}
+_REQUIRED_KEYS = ("name", "areas", "cost_tables", "configurations")
+_TOP_LEVEL_KEYS = _REQUIRED_KEYS + ("horizon_years", "policy", "sweep", "couple_site_costs")
 _POLICY_KEYS = {"min_own_coverage_fraction", "spectrum_pooling_allowed", "max_level"}
 
 
 def _parse_policy(doc: Mapping) -> RegulatoryPolicy:
-    if not isinstance(doc, Mapping):
-        raise MalformedScenario(f"'policy' must be an object, got {doc!r}")
-    unknown = set(doc) - _POLICY_KEYS
-    if unknown:
-        raise MalformedScenario(f"unknown policy keys: {sorted(unknown)!r}")
+    read_object(doc, "policy", MalformedScenario, _POLICY_KEYS)
     max_level = None
     if doc.get("max_level") is not None:
-        label = str(doc["max_level"])
+        label = read_text(doc["max_level"], "max_level", MalformedScenario)
         try:
             max_level = SharingLevel[label]
         except KeyError as exc:
@@ -646,14 +603,10 @@ def _parse_policy(doc: Mapping) -> RegulatoryPolicy:
                 f"unknown max_level {label!r}; expected one of "
                 f"{[lvl.name for lvl in SharingLevel]}"
             ) from exc
-    pooling = doc.get("spectrum_pooling_allowed", True)
-    if not isinstance(pooling, bool):
-        raise MalformedScenario(f"spectrum_pooling_allowed must be true or false, got {pooling!r}")
+    fraction, pooling = "min_own_coverage_fraction", "spectrum_pooling_allowed"
     return RegulatoryPolicy(
-        min_own_coverage_fraction=_number(
-            doc.get("min_own_coverage_fraction", 0.0), "min_own_coverage_fraction"
-        ),
-        spectrum_pooling_allowed=pooling,
+        min_own_coverage_fraction=read_number(doc.get(fraction, 0.0), fraction, MalformedScenario),
+        spectrum_pooling_allowed=read_flag(doc.get(pooling, True), pooling, MalformedScenario),
         max_level=max_level,
     )
 
@@ -708,49 +661,32 @@ def load_scenario(document: Union[str, Mapping], base_dir: Optional[Path] = None
     validation (no configurations, configuration errors under the policy).
     """
     doc = _parse_json(document) if isinstance(document, str) else document
-    if not isinstance(doc, Mapping):
-        raise MalformedScenario(f"scenario document must be an object, got {type(doc).__name__}")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise MalformedScenario(f"unknown scenario keys: {sorted(unknown)!r}")
-    missing = {"name", "areas", "cost_tables", "configurations"} - set(doc)
-    if missing:
-        raise MalformedScenario(f"scenario needs keys: {sorted(missing)!r}")
-
-    if not isinstance(doc["name"], str):
-        raise MalformedScenario(f"'name' must be a string, got {doc['name']!r}")
+    read_object(doc, "scenario", MalformedScenario, _TOP_LEVEL_KEYS, _REQUIRED_KEYS)
     for key in ("areas", "configurations"):
         if not isinstance(doc[key], (list, tuple)):
             raise MalformedScenario(f"{key!r} must be a list, got {doc[key]!r}")
-    couple = doc.get("couple_site_costs", False)
-    if not isinstance(couple, bool):
-        raise MalformedScenario(f"couple_site_costs must be true or false, got {couple!r}")
+    couple = read_flag(doc.get("couple_site_costs", False), "couple_site_costs", MalformedScenario)
     areas = tuple(_parse_area(a) for a in doc["areas"])
     raw_tables = doc["cost_tables"]
-    if not isinstance(raw_tables, Mapping):
-        raise MalformedScenario("'cost_tables' must map area kinds to tables")
+    read_object(raw_tables, "cost_tables", MalformedScenario, [kind.value for kind in AreaKind])
     tables = {}
     for key, value in raw_tables.items():
-        try:
-            kind = AreaKind(key)
-        except ValueError as exc:
-            raise MalformedScenario(f"unknown area kind {key!r} in cost_tables") from exc
+        kind = AreaKind(key)
         tables[kind] = _parse_cost_table(kind, value, base_dir)
     configurations = tuple(_parse_configuration(c, couple) for c in doc["configurations"])
     policy = _parse_policy(doc["policy"]) if doc.get("policy") is not None else None
     sweep_spec = (
         SweepSpec.from_json_dict(doc["sweep"]) if doc.get("sweep") is not None else None
     )
-    horizon = doc.get("horizon_years", DEFAULT_HORIZON_YEARS)
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
-        raise MalformedScenario(f"horizon_years must be an integer, got {horizon!r}")
 
     scenario = Scenario(
-        name=doc["name"],
+        name=read_text(doc["name"], "'name'", MalformedScenario),
         areas=areas,
         cost_tables=tables,
         configurations=configurations,
-        horizon_years=horizon,
+        horizon_years=read_integer(
+            doc.get("horizon_years", DEFAULT_HORIZON_YEARS), "horizon_years", MalformedScenario, 1
+        ),
         policy=policy,
         sweep=sweep_spec,
     )

@@ -18,8 +18,16 @@ from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .errors import InvalidConfiguration, UnknownPreset
-from .inventory import ElementClass
+from .errors import (
+    InvalidConfiguration,
+    UnknownPreset,
+    read_flag,
+    read_integer,
+    read_number,
+    read_object,
+    read_text,
+)
+from .inventory import _CLASS_LABELS, ElementClass
 
 __all__ = [
     "LevelAssessment",
@@ -92,6 +100,17 @@ class RegulatoryPolicy:
             )
 
 
+# The flags and keys of a configuration document.
+_FLAGS = ("intl_shared", "couple_site_costs", "single_spectrum")
+_CONFIGURATION_KEYS = ("name", "shared", "operators", "split") + _FLAGS
+
+# A configuration builds one split ratio per operator before any other check,
+# so an operator count read from a document must be bounded first (as SweepSpec
+# bounds its steps).  Shared elements serve a handful of operators; the
+# ManyOperators warning starts at 5.
+_MAX_OPERATORS = 1_000
+
+
 def _equal_split(n: int) -> Tuple[float, ...]:
     return tuple(1.0 / n for _ in range(n))
 
@@ -126,10 +145,7 @@ class SharingConfiguration:
     policy: Optional[RegulatoryPolicy] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.operator_count, int) or self.operator_count < 2:
-            raise InvalidConfiguration(
-                f"operator_count must be an integer >= 2, got {self.operator_count!r}"
-            )
+        read_integer(self.operator_count, "operator_count", InvalidConfiguration, 2, _MAX_OPERATORS)
         if type(self.shared) is not _SharedMap:
             unknown = set(self.shared) - set(ElementClass)
             if unknown:
@@ -190,50 +206,21 @@ class SharingConfiguration:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SharingConfiguration":
-        if not isinstance(doc, Mapping):
-            raise InvalidConfiguration(f"configuration must be an object, got {doc!r}")
-        allowed = {
-            "name",
-            "shared",
-            "operators",
-            "split",
-            "intl_shared",
-            "couple_site_costs",
-            "single_spectrum",
+        error = InvalidConfiguration
+        read_object(doc, "configuration", error, _CONFIGURATION_KEYS, ("name", "shared"))
+        read_object(doc["shared"], "'shared'", error, _CLASS_LABELS)
+        shared = {
+            ElementClass(label): read_flag(flag, f"shared[{label!r}]", error)
+            for label, flag in doc["shared"].items()
         }
-        unknown = set(doc) - allowed
-        if unknown:
-            raise InvalidConfiguration(f"unknown configuration keys: {sorted(unknown)!r}")
-        if "name" not in doc or "shared" not in doc:
-            raise InvalidConfiguration("configuration needs 'name' and 'shared'")
-        if not isinstance(doc["name"], str):
-            raise InvalidConfiguration(f"configuration 'name' must be a string, got {doc['name']!r}")
-        raw = doc["shared"]
-        if not isinstance(raw, Mapping):
-            raise InvalidConfiguration("'shared' must map element class labels to booleans")
-        shared = {}
-        for label, flag in raw.items():
-            try:
-                key = ElementClass.from_label(label)
-            except KeyError as exc:
-                raise InvalidConfiguration(str(exc)) from exc
-            if not isinstance(flag, bool):
-                raise InvalidConfiguration(f"shared[{label!r}] must be a boolean, got {flag!r}")
-            shared[key] = flag
-        flags = {}
-        for key in ("intl_shared", "couple_site_costs", "single_spectrum"):
-            flags[key] = doc.get(key, False)
-            if not isinstance(flags[key], bool):
-                raise InvalidConfiguration(f"{key!r} must be true or false, got {flags[key]!r}")
+        flags = {key: read_flag(doc.get(key, False), repr(key), error) for key in _FLAGS}
         split = doc.get("split")
         if split is not None:
-            if not isinstance(split, (list, tuple)) or not all(
-                isinstance(r, (int, float)) and not isinstance(r, bool) for r in split
-            ):
-                raise InvalidConfiguration(f"'split' must be a list of numbers, got {split!r}")
-            split = tuple(split)
+            if not isinstance(split, (list, tuple)):
+                raise error(f"'split' must be a list of numbers, got {split!r}")
+            split = tuple(read_number(r, "'split' entry", error) for r in split)
         return cls(
-            name=doc["name"],
+            name=read_text(doc["name"], "configuration 'name'", error),
             shared=shared,
             operator_count=doc.get("operators", 2),
             split_ratios=split,

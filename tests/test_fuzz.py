@@ -90,6 +90,9 @@ _VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=4),
     st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e308, -1e308]),
+    # Integers that float() cannot take.  No huge integer a float can hold:
+    # as a count it could allocate before a check.
+    st.sampled_from([10**400, -(10**400)]),
     st.sampled_from(
         ["urban", "MOCN", "nodeb", "capex", "L1_SITE", "horizon_years", "paper_use_case.json"]
     ),

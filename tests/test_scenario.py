@@ -33,7 +33,16 @@ from netshare.errors import (
     MalformedScenario,
     ZeroBaseline,
 )
-from netshare.scenario import _split_configs, _swept_scenario, fixture_dir, fixture_path
+from netshare.scenario import (
+    _check_fraction,
+    _class_share,
+    _intl_configs,
+    _intl_flag,
+    _rescaled_entry,
+    _split_configs,
+    fixture_dir,
+    fixture_path,
+)
 
 from conftest import random_config, random_cost_table
 
@@ -276,6 +285,30 @@ def test_cell_errors_carry_grid_coordinates():
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
+
+
+def _swept_scenario(scenario: Scenario, spec: SweepSpec, value: float) -> Scenario:
+    """The whole scenario rebuilt at one sweep point: the reference for :func:`sweep`."""
+    if spec.parameter == "horizon_years":
+        return replace(scenario, horizon_years=int(value), sweep=None)
+    if spec.parameter == "split_ratio":
+        configs = _split_configs(scenario.configurations, value)
+        return replace(scenario, configurations=configs, sweep=None)
+    if spec.parameter == "intl_shared":
+        configs = _intl_configs(scenario.configurations, _intl_flag(value))
+        return replace(scenario, configurations=configs, sweep=None)
+
+    # class_cost_fraction: rescale one class so it takes the requested
+    # fraction of each area's cumulative grand total.
+    _check_fraction(spec.parameter, value)
+    cls = ElementClass.from_label(spec.class_name)
+    tables = {}
+    for kind, table in scenario.cost_tables.items():
+        share = _class_share(kind, table, cls, scenario.horizon_years)
+        entries = dict(table.entries)
+        entries[cls] = _rescaled_entry(entries[cls], value, share)
+        tables[kind] = CostTable(area=table.area, entries=entries, currency=table.currency)
+    return replace(scenario, cost_tables=tables, sweep=None)
 
 
 def _sweep_scenario(sweep_doc, **extra):
