@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Optional, Tuple
 
-from .errors import InvalidAmount, read_object
+from .errors import InvalidAmount, read_flag, read_object, read_text
 from .inventory import AreaKind, NetworkState, Technology
 
 __all__ = [
@@ -250,6 +250,9 @@ class ChecklistItem:
     answered: Optional[bool] = None
 
 
+_ITEM_KEYS = ("domain", "text", "answered")
+
+
 @dataclass(frozen=True)
 class ConstraintChecklist:
     network_state: NetworkState
@@ -276,16 +279,31 @@ class ConstraintChecklist:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "ConstraintChecklist":
-        read_object(doc, "checklist", InvalidAmount, ("network_state", "items"), ("network_state",))
-        items = tuple(
-            ChecklistItem(
-                domain=str(i["domain"]),
-                text=str(i["text"]),
-                answered=i.get("answered"),
+        error = InvalidAmount
+        read_object(doc, "checklist", error, ("network_state", "items"), ("network_state",))
+        state = read_text(doc["network_state"], "checklist 'network_state'", error)
+        try:
+            network_state = NetworkState(state)
+        except ValueError as exc:
+            raise error(
+                f"unknown network_state {state!r}; expected one of "
+                f"{[s.value for s in NetworkState]}"
+            ) from exc
+        raw_items = doc.get("items", ())
+        if not isinstance(raw_items, (list, tuple)):
+            raise error(f"checklist 'items' must be a list, got {type(raw_items).__name__}")
+        items = []
+        for item in raw_items:
+            read_object(item, "checklist item", error, _ITEM_KEYS, ("domain", "text"))
+            answered = item.get("answered")
+            items.append(
+                ChecklistItem(
+                    domain=read_text(item["domain"], "checklist item 'domain'", error),
+                    text=read_text(item["text"], "checklist item 'text'", error),
+                    answered=None if answered is None else read_flag(answered, "'answered'", error),
+                )
             )
-            for i in doc.get("items", ())
-        )
-        return cls(network_state=NetworkState(doc["network_state"]), items=items)
+        return cls(network_state=network_state, items=tuple(items))
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)

@@ -200,11 +200,12 @@ def _fail_on_warnings(scenario) -> None:
 
 
 def _cmd_validate(args) -> int:
-    from .scenario import check_sweep, load_scenario_file
+    from .scenario import check_sweep, load_scenario_file, run_scenario
 
     scenario = load_scenario_file(args.scenario)
     if scenario.sweep is not None:
         check_sweep(scenario, scenario.sweep)
+    run_scenario(scenario)  # refuses what run refuses, such as a baseline without a finite total
     reports = scenario.validation_reports()
     lines = [f"scenario: {scenario.name}"]
     warned = False

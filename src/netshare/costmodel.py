@@ -99,10 +99,10 @@ def cumulative_cost(table: CostTable, horizon_years: int = DEFAULT_HORIZON_YEARS
     check_horizon(horizon_years)
     entries = table.entries.values()  # filled in ElementClass order
     try:
-        opex = tuple(e.opex_annual * horizon_years for e in entries)
+        opex = tuple([e.opex_annual * horizon_years for e in entries])
     except OverflowError as exc:  # a horizon too large to convert to a float
         raise InvalidAmount("horizon_years is too large to accumulate OPEX over") from exc
-    return CostBreakdown(table.area, horizon_years, tuple(e.capex for e in entries), opex)
+    return CostBreakdown(table.area, horizon_years, tuple([e.capex for e in entries]), opex)
 
 
 def sharing_factors(config: SharingConfiguration, operator_index: int = 0) -> Tuple[float, ...]:
@@ -122,7 +122,7 @@ def masked_factors(mask: Sequence[bool], ratio: float) -> Tuple[float, ...]:
     A shared class costs the operator its split ratio of the full amount; an
     unshared class is carried in full (factor 1.0).
     """
-    return tuple(ratio if flag else 1.0 for flag in mask)
+    return tuple([ratio if flag else 1.0 for flag in mask])
 
 
 def apply_sharing(
@@ -156,7 +156,7 @@ def apply_sharing(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SavingsReport:
     """Per-operator savings of a sharing configuration against build-alone.
 
@@ -171,6 +171,27 @@ class SavingsReport:
     total_saving_pct: float
     baseline: CostBreakdown
     sharing: SharingConfiguration
+
+    def __init__(
+        self,
+        capex_saving_pct: float,
+        opex_saving_pct: float,
+        total_saving_pct: float,
+        baseline: CostBreakdown,
+        sharing: SharingConfiguration,
+    ) -> None:
+        # One store in place of the generated __init__'s five frozen setattr calls.
+        object.__setattr__(
+            self,
+            "__dict__",
+            {
+                "capex_saving_pct": capex_saving_pct,
+                "opex_saving_pct": opex_saving_pct,
+                "total_saving_pct": total_saving_pct,
+                "baseline": baseline,
+                "sharing": sharing,
+            },
+        )
 
     @property
     def configuration(self) -> str:

@@ -19,6 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple, Union
@@ -170,12 +171,14 @@ class SweepSpec:
                 f"expected one of {list(SWEEP_PARAMETERS)}"
             )
         read_integer(self.steps, "steps", InvalidSweepParameter, 2, 10_000)
-        if not (self.start < self.stop):
+        start = read_number(self.start, "sweep 'from'", InvalidSweepParameter)
+        stop = read_number(self.stop, "sweep 'to'", InvalidSweepParameter)
+        if not (start < stop):
             raise InvalidSweepParameter(
                 f"sweep range must satisfy from < to, got [{self.start}, {self.stop}]"
             )
         # values() forms span * i for i up to steps - 1; each product must stay finite.
-        if not math.isfinite((self.stop - self.start) * (self.steps - 1)):
+        if not math.isfinite((stop - start) * (self.steps - 1)):
             raise InvalidSweepParameter(
                 f"sweep range must be finite, got [{self.start}, {self.stop}]"
             )
@@ -275,6 +278,15 @@ class Scenario:
             for config in self.configurations
         }
 
+    @cached_property
+    def _failed_reports(self) -> Mapping[str, ValidationReport]:
+        """Report of each configuration that fails validation, worked out on first use.
+
+        Validity reads only ``configurations`` and ``policy``, which never
+        change, so a scenario is validated once however often it is run.
+        """
+        return {name: rep for name, rep in self.validation_reports().items() if not rep.valid}
+
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -323,8 +335,7 @@ class ScenarioResult:
 
 def _require_valid(scenario: Scenario) -> None:
     """Raise :class:`InvalidScenario` if any configuration fails validation."""
-    reports = scenario.validation_reports()
-    failed = {name: rep for name, rep in reports.items() if not rep.valid}
+    failed = scenario._failed_reports
     if failed:
         detail = "; ".join(
             f"{name}: {', '.join(i.code for i in rep.errors)}" for name, rep in failed.items()
@@ -336,13 +347,12 @@ def _require_valid(scenario: Scenario) -> None:
 
 
 def _baselines(scenario: Scenario, horizon: int) -> Tuple[CostBreakdown, ...]:
-    return tuple(
-        cumulative_cost(scenario.cost_tables[profile.kind], horizon) for profile in scenario.areas
-    )
+    tables = scenario.cost_tables
+    return tuple([cumulative_cost(tables[profile.kind], horizon) for profile in scenario.areas])
 
 
 def _factors(configs: Sequence[SharingConfiguration]) -> Tuple[Tuple[float, ...], ...]:
-    return tuple(sharing_factors(config) for config in configs)
+    return tuple([sharing_factors(config) for config in configs])
 
 
 def _evaluate(
@@ -366,8 +376,8 @@ def _evaluate(
     return ScenarioResult(
         scenario_name=scenario.name,
         horizon_years=horizon,
-        area_order=tuple(p.kind for p in scenario.areas),
-        configuration_order=tuple(c.name for c in configs),
+        area_order=tuple([p.kind for p in scenario.areas]),
+        configuration_order=tuple([c.name for c in configs]),
         cells=tuple(cells),
     )
 
@@ -471,7 +481,7 @@ def _rescaled_entry(entry: CostEntry, value: float, share: Tuple[float, float]) 
 
 
 def _points(scenario: Scenario, spec: SweepSpec):
-    """``(value, horizon, baselines, configurations, factors)`` of each sweep point.
+    """``(value, ScenarioResult)`` of each sweep point.
 
     Each point equals the whole scenario rebuilt at that value, but rebuilds
     only what its parameter moves.
@@ -481,7 +491,8 @@ def _points(scenario: Scenario, spec: SweepSpec):
     if spec.parameter == "horizon_years":
         factors = _factors(configs)
         for value in values:
-            yield value, int(value), _baselines(scenario, int(value)), configs, factors
+            years = int(value)
+            yield value, _evaluate(scenario, years, _baselines(scenario, years), configs, factors)
         return
 
     baselines = _baselines(scenario, horizon)
@@ -490,17 +501,20 @@ def _points(scenario: Scenario, spec: SweepSpec):
         masks = [shared_mask(config) for config in configs]
         for value in values:
             swept = _split_configs(configs, value)
-            factors = tuple(masked_factors(m, c.split_ratios[0]) for m, c in zip(masks, swept))
-            yield value, horizon, baselines, swept, factors
+            factors = tuple([masked_factors(m, c.split_ratios[0]) for m, c in zip(masks, swept)])
+            yield value, _evaluate(scenario, horizon, baselines, swept, factors)
         return
 
     if spec.parameter == "intl_shared":
+        # Every value maps to one of two flags; points with the same flag share
+        # one result, evaluated the first time the flag comes up.
         by_flag = {}
-        for flag in (False, True):
-            swept = _intl_configs(configs, flag)
-            by_flag[flag] = (swept, _factors(swept))
         for value in values:
-            yield (value, horizon, baselines) + by_flag[_intl_flag(value)]
+            flag = _intl_flag(value)
+            if flag not in by_flag:
+                swept = _intl_configs(configs, flag)
+                by_flag[flag] = _evaluate(scenario, horizon, baselines, swept, _factors(swept))
+            yield value, by_flag[flag]
         return
 
     # class_cost_fraction: each point moves one slot of each area's baseline,
@@ -526,7 +540,7 @@ def _points(scenario: Scenario, spec: SweepSpec):
                     base.opex[:slot] + (entry.opex_annual * horizon,) + base.opex[slot + 1 :],
                 )
             )
-        yield value, horizon, tuple(point), configs, factors
+        yield value, _evaluate(scenario, horizon, point, configs, factors)
 
 
 def check_sweep(scenario: Scenario, spec: SweepSpec) -> None:
@@ -555,23 +569,21 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
 
     Points come back strictly ordered by parameter value with no
     duplicates.  Validation reads neither the swept parameter nor the costs,
-    so it runs once, and :func:`check_sweep` checks every value before the
-    first point.  A point rebuilds only what its parameter changes:
-    ``horizon_years`` rebuilds the area baselines; ``class_cost_fraction``
-    rescales the swept class's slot of each baseline; ``split_ratio`` rebuilds
-    the configurations and takes their factors from shared-class masks worked
-    out once per sweep; ``intl_shared`` builds the configurations and factors
-    of each flag once per sweep.
+    so it runs once per scenario, and :func:`check_sweep` checks every value
+    before the first point.  A point rebuilds only what its parameter
+    changes: ``horizon_years`` rebuilds the area baselines;
+    ``class_cost_fraction`` rescales the swept class's slot of each baseline;
+    ``split_ratio`` rebuilds the configurations and takes their factors from
+    shared-class masks worked out once per sweep; ``intl_shared`` evaluates
+    each flag's grid once per sweep, and the points with that flag share its
+    result.
     """
     spec = spec if spec is not None else scenario.sweep
     if spec is None:
         raise InvalidSweepParameter(f"scenario {scenario.name!r} has no sweep specification")
     _require_valid(scenario)
     check_sweep(scenario, spec)
-    points = tuple(
-        SweepPoint(value=value, result=_evaluate(scenario, *point))
-        for value, *point in _points(scenario, spec)
-    )
+    points = tuple([SweepPoint(value, result) for value, result in _points(scenario, spec)])
     values = [p.value for p in points]
     assert values == sorted(set(values)), "sweep values must be strictly increasing"
     return SweepResult(

@@ -157,7 +157,10 @@ class SharingConfiguration:
         ratios = self.split_ratios
         if ratios is None:
             ratios = _equal_split(self.operator_count)
-        ratios = tuple(float(r) for r in ratios)
+        try:
+            ratios = tuple(map(float, ratios))
+        except OverflowError as exc:  # an integer too large for a float
+            raise InvalidConfiguration("split ratios must each fit in a float") from exc
         if len(ratios) != self.operator_count:
             raise InvalidConfiguration(
                 f"{len(ratios)} split ratios for {self.operator_count} operators"

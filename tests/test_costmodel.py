@@ -399,3 +399,25 @@ def test_delta_requires_matching_area_and_horizon():
     shorter = _full_report(reference_cost_table(AreaKind.URBAN), preset("MOCN"), horizon=3)
     with pytest.raises(HorizonMismatch):
         config_delta(urban, shorter)
+
+
+def test_savings_report_keeps_its_dataclass_behaviour():
+    report = _full_report(reference_cost_table(AreaKind.RURAL), preset("GWCN + Backhaul"))
+    names = ("capex_saving_pct", "opex_saving_pct", "total_saving_pct", "baseline", "sharing")
+    assert tuple(f.name for f in dataclasses.fields(report)) == names
+    assert repr(report) == "SavingsReport(" + ", ".join(
+        f"{name}={getattr(report, name)!r}" for name in names
+    ) + ")"
+    # Positional and keyword construction agree, and a report whose shared cost
+    # was built on access still equals one whose shared cost was not.
+    values = [getattr(report, name) for name in names]
+    twin = type(report)(*values)
+    assert twin == type(report)(**dict(zip(names, values))) == dataclasses.replace(report)
+    report.shared
+    assert twin == report and repr(twin) == repr(report)
+    assert twin != dataclasses.replace(report, total_saving_pct=0.0)
+    # The configuration holds a dict, so a report is unhashable, as generated.
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.capex_saving_pct = 0.0

@@ -9,6 +9,7 @@ import pytest
 
 from netshare import SharingConfiguration, SweepSpec, cumulative_cost, reference_cost_table
 from netshare.cli import main
+from netshare.advisor import ConstraintChecklist
 from netshare.errors import (
     InvalidAmount,
     InvalidConfiguration,
@@ -161,3 +162,55 @@ def test_readers_name_the_field_in_the_callers_error():
     assert math.isinf(read_number(float("inf"), "w", MalformedScenario))
     assert math.isnan(read_number(float("nan"), "w", MalformedScenario))
     assert read_number(3, "w", MalformedScenario) == 3.0
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _urban_table({c: {"capex": 1e308, "opex_annual": 1e308} for c in ("nodeb", "rnc", "oam")}),
+        _use_case(horizon_years=10**308),
+        _use_case(horizon_years=BIG),
+    ],
+    ids=["table amounts 1e308", "horizon 10**308", "horizon 10**400"],
+)
+def test_validate_refuses_the_baselines_run_refuses(tmp_path, capsys, doc):
+    text = json.dumps(doc)
+    validated = _cli(tmp_path, capsys, text, "validate")
+    _assert_one_short_error_line(*validated)
+    assert validated == _cli(tmp_path, capsys, text, "run", "--format", "csv")
+
+
+def test_sweep_spec_with_an_integer_too_large_for_a_float_names_the_field():
+    with pytest.raises(InvalidSweepParameter, match="sweep 'to' must fit in a float") as caught:
+        SweepSpec("split_ratio", 0, BIG, 3)
+    assert len(str(caught.value)) < 200
+    with pytest.raises(InvalidSweepParameter, match="sweep 'from' must fit in a float"):
+        SweepSpec("split_ratio", -BIG, 0.5, 3)
+
+
+def test_split_ratio_too_large_for_a_float_is_an_invalid_configuration():
+    with pytest.raises(InvalidConfiguration, match="must each fit in a float") as caught:
+        SharingConfiguration(name="x", split_ratios=(BIG, 0.5))
+    assert "0000" not in str(caught.value)
+
+
+_NETWORK_STATE = {"network_state": "new"}
+_ITEM = {"domain": "site", "text": "Mast height?"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**_NETWORK_STATE, "items": [5]}, "checklist item must be an object, got int"),
+        ({**_NETWORK_STATE, "items": [{"text": "x"}]}, "item needs keys: \\['domain'\\]"),
+        ({"network_state": "bogus"}, "unknown network_state 'bogus'"),
+        ({**_NETWORK_STATE, "items": 5}, "checklist 'items' must be a list, got int"),
+        ({**_NETWORK_STATE, "items": [{**_ITEM, "domain": 5}]}, "'domain' must be a string"),
+        ({**_NETWORK_STATE, "items": [{**_ITEM, "answered": "yes"}]}, "'answered' must be true"),
+    ],
+    ids=["item not an object", "item without domain", "unknown state", "items not a list",
+         "domain not a string", "answered not a flag"],
+)
+def test_malformed_checklist_is_an_invalid_amount(doc, message):
+    with pytest.raises(InvalidAmount, match=message):
+        ConstraintChecklist.from_json_dict(doc)

@@ -663,3 +663,89 @@ def test_savings_report_keeps_the_shared_cost_it_is_given():
     report = savings_report(baseline, other, config)
     assert report.shared is other
     assert report.shared != apply_sharing(baseline, config)
+
+
+# ---------------------------------------------------------------------------
+# settled work: one grid per intl_shared flag, one validation per scenario
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sweep_equals_the_rebuilt_scenario_field_for_field(seed):
+    scenario = _random_scenario(random.Random(200 + seed))
+    specs = (
+        SweepSpec("split_ratio", 0.1, 0.9, 5),
+        SweepSpec("horizon_years", 1, 9, 5),
+        SweepSpec("intl_shared", 0.0, 1.0, 6),
+        SweepSpec("class_cost_fraction", 0.1, 0.5, 4, class_name=_rescalable_class(scenario).value),
+    )
+    for spec in specs:
+        for point in sweep(scenario, spec).points:
+            expected = run_scenario(_swept_scenario(scenario, spec, point.value))
+            for field in fields(expected):
+                name = field.name
+                assert getattr(point.result, name) == getattr(expected, name), (spec, name)
+
+
+def test_intl_points_with_one_flag_share_one_result():
+    scenario = _random_scenario(random.Random(7))
+    points = sweep(scenario, SweepSpec("intl_shared", 0.0, 1.0, 7)).points
+    by_flag = {}
+    for point in points:
+        result = by_flag.setdefault(_intl_flag(point.value), point.result)
+        assert point.result is result
+    assert set(by_flag) == {False, True} and by_flag[False] is not by_flag[True]
+
+
+def test_intl_sweep_below_one_half_evaluates_only_the_unshared_grid(monkeypatch):
+    import netshare.scenario as scenario_module
+
+    grids = []
+    evaluate = scenario_module._evaluate
+
+    def counting(scenario, horizon, baselines, configs, factors):
+        grids.append(tuple(config.intl_shared for config in configs))
+        return evaluate(scenario, horizon, baselines, configs, factors)
+
+    monkeypatch.setattr(scenario_module, "_evaluate", counting)
+    scenario = _random_scenario(random.Random(8))
+    result = sweep(scenario, SweepSpec("intl_shared", 0.0, 0.45, 10))
+    assert len(result.points) == 10
+    assert grids == [(False,) * len(scenario.configurations)]
+
+
+def test_a_loaded_scenario_is_validated_once(monkeypatch):
+    import netshare.scenario as scenario_module
+
+    validated = []
+    validate = scenario_module.validate_configuration
+
+    def counting(config, coverage=None, policy=None):
+        validated.append(config.name)
+        return validate(config, coverage, policy)
+
+    monkeypatch.setattr(scenario_module, "validate_configuration", counting)
+    spec = {"parameter": "split_ratio", "from": 0.2, "to": 0.8, "steps": 4}
+    scenario = load_scenario(_document(configurations=["MOCN", "GWCN"], sweep=spec))
+    run_scenario(scenario)
+    sweep(scenario)
+    sweep(scenario, SweepSpec("intl_shared", 0.0, 1.0, 3))
+    run_scenario(scenario)
+    assert validated == ["MOCN", "GWCN"]
+
+
+def test_an_invalid_scenario_fails_on_every_call():
+    core_without_rnc = SharingConfiguration(name="core", shared={ElementClass.CORE_SGSN: True})
+    scenario = Scenario(
+        name="direct",
+        areas=(default_profile(AreaKind.URBAN),),
+        cost_tables={AreaKind.URBAN: reference_cost_table(AreaKind.URBAN)},
+        configurations=(preset("MOCN"), core_without_rnc),
+    )
+    for _ in range(2):
+        with pytest.raises(InvalidScenario, match="core: GwcnWithoutRan") as caught:
+            run_scenario(scenario)
+        assert [report.codes()[0] for report in caught.value.reports] == ["GwcnWithoutRan"]
+    with pytest.raises(InvalidScenario, match="core: GwcnWithoutRan"):
+        sweep(scenario, SweepSpec("horizon_years", 1, 5, 3))
+    assert not scenario.validation_reports()["core"].valid
