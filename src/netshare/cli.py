@@ -200,12 +200,13 @@ def _fail_on_warnings(scenario) -> None:
 
 
 def _cmd_validate(args) -> int:
-    from .scenario import check_sweep, load_scenario_file, run_scenario
+    from .scenario import load_scenario_file, run_scenario, sweep
 
     scenario = load_scenario_file(args.scenario)
+    # Refuse what the run and sweep commands refuse; write neither result.
+    run_scenario(scenario)
     if scenario.sweep is not None:
-        check_sweep(scenario, scenario.sweep)
-    run_scenario(scenario)  # refuses what run refuses, such as a baseline without a finite total
+        sweep(scenario)
     reports = scenario.validation_reports()
     lines = [f"scenario: {scenario.name}"]
     warned = False

@@ -525,6 +525,7 @@ def _points(scenario: Scenario, spec: SweepSpec):
     tables = scenario.cost_tables
     shares = {kind: _class_share(kind, table, cls, horizon) for kind, table in tables.items()}
     for value in values:
+        _check_fraction(spec.parameter, value)
         entries = {
             kind: _rescaled_entry(tables[kind].entries[cls], value, share)
             for kind, share in shares.items()
@@ -543,46 +544,24 @@ def _points(scenario: Scenario, spec: SweepSpec):
         yield value, _evaluate(scenario, horizon, point, configs, factors)
 
 
-def check_sweep(scenario: Scenario, spec: SweepSpec) -> None:
-    """Raise what :func:`sweep` raises for a value out of its parameter's range
-    or a class that cannot be rescaled, without evaluating any point.
-
-    The checks run in the order of a rebuild of the whole scenario at each
-    point: a class sweep checks its first value before the tables.
-    """
-    values = spec.values()
-    if spec.parameter == "horizon_years":
-        for value in values:
-            check_horizon(int(value))
-    elif spec.parameter != "intl_shared":
-        _check_fraction(spec.parameter, values[0])
-        if spec.parameter == "class_cost_fraction":
-            cls = ElementClass.from_label(spec.class_name)
-            for kind, table in scenario.cost_tables.items():
-                _class_share(kind, table, cls, scenario.horizon_years)
-        for value in values:
-            _check_fraction(spec.parameter, value)
-
-
 def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
     """Re-run the scenario grid at every point of the sweep range.
 
     Points come back strictly ordered by parameter value with no
     duplicates.  Validation reads neither the swept parameter nor the costs,
-    so it runs once per scenario, and :func:`check_sweep` checks every value
-    before the first point.  A point rebuilds only what its parameter
-    changes: ``horizon_years`` rebuilds the area baselines;
-    ``class_cost_fraction`` rescales the swept class's slot of each baseline;
-    ``split_ratio`` rebuilds the configurations and takes their factors from
-    shared-class masks worked out once per sweep; ``intl_shared`` evaluates
-    each flag's grid once per sweep, and the points with that flag share its
-    result.
+    so it runs once per scenario; each point checks the value it uses, and a
+    bad value anywhere in the range fails the whole sweep.  A point rebuilds
+    only what its parameter changes: ``horizon_years`` rebuilds the area
+    baselines; ``class_cost_fraction`` rescales the swept class's slot of
+    each baseline; ``split_ratio`` rebuilds the configurations and takes
+    their factors from shared-class masks worked out once per sweep;
+    ``intl_shared`` evaluates each flag's grid once per sweep, and the points
+    with that flag share its result.
     """
     spec = spec if spec is not None else scenario.sweep
     if spec is None:
         raise InvalidSweepParameter(f"scenario {scenario.name!r} has no sweep specification")
     _require_valid(scenario)
-    check_sweep(scenario, spec)
     points = tuple([SweepPoint(value, result) for value, result in _points(scenario, spec)])
     values = [p.value for p in points]
     assert values == sorted(set(values)), "sweep values must be strictly increasing"

@@ -115,12 +115,24 @@ def _equal_split(n: int) -> Tuple[float, ...]:
     return tuple(1.0 / n for _ in range(n))
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a configuration's shared map is read-only; use with_shared or replace")
+
+
 class _SharedMap(dict):
-    """A shared map that already holds one bool per element class.
+    """A read-only shared map that already holds one bool per element class.
 
     Only :meth:`SharingConfiguration.__post_init__` builds one, so a
     configuration made by ``replace`` from another skips re-normalising it.
+    It refuses writes, so a configuration cannot change behind the
+    validation a scenario caches.
     """
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # copy and pickle rebuild it whole, not key by key
+        return _SharedMap, (dict(self),)
 
 
 @dataclass(frozen=True)
@@ -161,6 +173,8 @@ class SharingConfiguration:
             ratios = tuple(map(float, ratios))
         except OverflowError as exc:  # an integer too large for a float
             raise InvalidConfiguration("split ratios must each fit in a float") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfiguration(f"split ratios must be numbers, got {ratios!r}") from exc
         if len(ratios) != self.operator_count:
             raise InvalidConfiguration(
                 f"{len(ratios)} split ratios for {self.operator_count} operators"

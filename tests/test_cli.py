@@ -299,6 +299,10 @@ _UNSWEEPABLE = {
         {"parameter": "class_cost_fraction", "from": 0.1, "to": 0.5, "steps": 3, "class": "rnc"},
         "class 'rnc' cannot be rescaled in area urban",
     ),
+    "horizon_overflowing_the_baseline": (
+        {"parameter": "horizon_years", "from": 1, "to": 1e307, "steps": 3},
+        "baseline grand total is inf",
+    ),
 }
 
 

@@ -194,6 +194,12 @@ def test_split_ratio_too_large_for_a_float_is_an_invalid_configuration():
     assert "0000" not in str(caught.value)
 
 
+@pytest.mark.parametrize("ratios", [("x", 0.5), 5], ids=["not a number", "not a sequence"])
+def test_split_ratios_that_are_not_numbers_are_an_invalid_configuration(ratios):
+    with pytest.raises(InvalidConfiguration, match="split ratios must be numbers"):
+        SharingConfiguration(name="x", split_ratios=ratios)
+
+
 _NETWORK_STATE = {"network_state": "new"}
 _ITEM = {"domain": "site", "text": "Mast height?"}
 

@@ -1,6 +1,8 @@
 """Scenario loading, grid execution and parameter sweeps."""
 
+import copy
 import json
+import pickle
 import random
 from dataclasses import fields, replace
 
@@ -749,3 +751,26 @@ def test_an_invalid_scenario_fails_on_every_call():
     with pytest.raises(InvalidScenario, match="core: GwcnWithoutRan"):
         sweep(scenario, SweepSpec("horizon_years", 1, 5, 3))
     assert not scenario.validation_reports()["core"].valid
+
+
+def test_a_loaded_configuration_refuses_writes_to_its_shared_map():
+    scenario = load_scenario_file(USE_CASE)
+    shared = scenario.configurations[0].shared
+    core_without_rnc = {ElementClass.CORE_SGSN: True, ElementClass.RNC: False}
+    writes = [
+        lambda: shared.__setitem__(ElementClass.CORE_SGSN, True),
+        lambda: shared.__delitem__(ElementClass.RNC),
+        lambda: shared.__ior__(core_without_rnc),
+        lambda: shared.update(core_without_rnc),
+        lambda: shared.setdefault(ElementClass.CORE_SGSN, True),
+        lambda: shared.pop(ElementClass.RNC),
+        shared.popitem,
+        shared.clear,
+    ]
+    for write in writes:
+        with pytest.raises(TypeError, match="read-only"):
+            write()
+    assert all(report.valid for report in scenario.validation_reports().values())
+    assert run_scenario(scenario) == run_scenario(load_scenario_file(USE_CASE))
+    config = scenario.configurations[0]
+    assert copy.deepcopy(config) == config == pickle.loads(pickle.dumps(config))
