@@ -180,18 +180,14 @@ class SavingsReport:
         baseline: CostBreakdown,
         sharing: SharingConfiguration,
     ) -> None:
-        # One store in place of the generated __init__'s five frozen setattr calls.
-        object.__setattr__(
-            self,
-            "__dict__",
-            {
-                "capex_saving_pct": capex_saving_pct,
-                "opex_saving_pct": opex_saving_pct,
-                "total_saving_pct": total_saving_pct,
-                "baseline": baseline,
-                "sharing": sharing,
-            },
-        )
+        # Five stores into the instance dict, which shares its keys, in place
+        # of the generated __init__'s five frozen setattr calls.
+        values = self.__dict__
+        values["capex_saving_pct"] = capex_saving_pct
+        values["opex_saving_pct"] = opex_saving_pct
+        values["total_saving_pct"] = total_saving_pct
+        values["baseline"] = baseline
+        values["sharing"] = sharing
 
     @property
     def configuration(self) -> str:
@@ -278,28 +274,6 @@ def _area_reports(
         )
         for config, capex, opex in zip(configs, shared_capex, shared_opex)
     ]
-
-
-def grid_savings(
-    baseline: CostBreakdown,
-    configs: Sequence[SharingConfiguration],
-    factors: Sequence[Tuple[float, ...]],
-) -> List[SavingsReport]:
-    """Operator-0 savings report of each configuration against one baseline.
-
-    ``factors`` holds each configuration's :func:`sharing_factors`.  Every
-    shared ledger is summed in ``ElementClass`` order from the same products
-    :func:`apply_sharing` forms, so each report equals
-    ``savings_report(baseline, apply_sharing(baseline, config), config)``
-    bit for bit, without building the shared breakdown.
-    """
-    capex, opex = baseline.capex, baseline.opex
-    return _area_reports(
-        baseline,
-        configs,
-        [sum(map(mul, capex, factor)) for factor in factors],
-        [sum(map(mul, opex, factor)) for factor in factors],
-    )
 
 
 @dataclass(frozen=True)

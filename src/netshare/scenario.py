@@ -20,17 +20,18 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import mul
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .costmodel import (
     DEFAULT_HORIZON_YEARS,
     CostBreakdown,
     SavingsReport,
+    _area_reports,
     check_horizon,
     cumulative_cost,
-    grid_savings,
     masked_factors,
     shared_mask,
     sharing_factors,
@@ -355,19 +356,32 @@ def _factors(configs: Sequence[SharingConfiguration]) -> Tuple[Tuple[float, ...]
     return tuple([sharing_factors(config) for config in configs])
 
 
+def _ledger_sums(ledger: Sequence[float], factors: Sequence[Tuple[float, ...]]) -> List[float]:
+    """Each configuration's share of one ledger: one ``sum`` of its per-class products.
+
+    The products are the ones :func:`apply_sharing` forms, summed in
+    ``ElementClass`` order, so each cell equals
+    ``savings_report(baseline, apply_sharing(baseline, config), config)`` bit
+    for bit.  A sweep point that moves one product sums the whole ledger
+    again: from Python 3.12 on, a sum resumed from a partial sum can differ.
+    """
+    return [sum(map(mul, ledger, factor)) for factor in factors]
+
+
 def _evaluate(
     scenario: Scenario,
     horizon: int,
     baselines: Sequence[CostBreakdown],
     configs: Sequence[SharingConfiguration],
-    factors: Sequence[Tuple[float, ...]],
+    sums: Sequence[Tuple[Sequence[float], Sequence[float]]],
 ) -> ScenarioResult:
     """Grid of an already validated scenario's areas from their baselines over
-    ``horizon`` and the factors of ``configs``."""
+    ``horizon`` and, per area, the shared CAPEX and OPEX :func:`_ledger_sums`
+    of ``configs``."""
     cells = []
-    for profile, baseline in zip(scenario.areas, baselines):
+    for profile, baseline, (capex, opex) in zip(scenario.areas, baselines, sums):
         try:
-            cells += grid_savings(baseline, configs, factors)
+            cells += _area_reports(baseline, configs, capex, opex)
         except NetshareError as exc:
             # A cell error is a zero or infinite baseline, which fails the area's first cell.
             raise type(exc)(
@@ -382,6 +396,13 @@ def _evaluate(
     )
 
 
+def _grid_sums(
+    baselines: Sequence[CostBreakdown], factors: Sequence[Tuple[float, ...]]
+) -> List[Tuple[List[float], List[float]]]:
+    """Each area's CAPEX and OPEX :func:`_ledger_sums`, as :func:`_evaluate` takes them."""
+    return [(_ledger_sums(b.capex, factors), _ledger_sums(b.opex, factors)) for b in baselines]
+
+
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Evaluate every grid cell of the scenario.
 
@@ -390,7 +411,9 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     """
     _require_valid(scenario)
     horizon, configs = scenario.horizon_years, scenario.configurations
-    return _evaluate(scenario, horizon, _baselines(scenario, horizon), configs, _factors(configs))
+    baselines = _baselines(scenario, horizon)
+    sums = _grid_sums(baselines, _factors(configs))
+    return _evaluate(scenario, horizon, baselines, configs, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -421,24 +444,21 @@ def _split_configs(
     configs: Sequence[SharingConfiguration], value: float
 ) -> Tuple[SharingConfiguration, ...]:
     """``configs`` with operator 0 paying ``value`` of each shared cost, the rest
-    split evenly between the other operators."""
+    split evenly between the other operators.
+
+    Each configuration is a copy of its source with new ``split_ratios``; it
+    skips ``__post_init__``, whose checks hold by construction: ``value`` lies
+    in (0, 1), so every ratio lies in (0, 1] and they sum to 1 up to
+    rounding, and the source's ``shared`` map is already normalised.
+    """
     _check_fraction("split_ratio", value)
     out = []
     for config in configs:
         count = config.operator_count
         rest = (1.0 - value) / (count - 1)
-        out.append(
-            SharingConfiguration(
-                name=config.name,
-                shared=config.shared,
-                operator_count=count,
-                split_ratios=(value,) + (rest,) * (count - 1),
-                intl_shared=config.intl_shared,
-                couple_site_costs=config.couple_site_costs,
-                single_spectrum=config.single_spectrum,
-                policy=config.policy,
-            )
-        )
+        copy = object.__new__(type(config))
+        copy.__dict__.update(config.__dict__, split_ratios=(value,) + (rest,) * (count - 1))
+        out.append(copy)
     return tuple(out)
 
 
@@ -480,19 +500,41 @@ def _rescaled_entry(entry: CostEntry, value: float, share: Tuple[float, float]) 
     return CostEntry(entry.capex * factor, entry.opex_annual * factor)
 
 
+def _slot_sums(
+    products: Sequence[List[float]], factors: Sequence[Tuple[float, ...]], slot: int, amount: float
+) -> List[float]:
+    """:func:`_ledger_sums` of a ledger whose ``slot`` now holds ``amount``.
+
+    ``products`` holds each configuration's per-class products of the ledger;
+    the slot's product is overwritten in place, and the whole list summed.
+    """
+    sums = []
+    for ledger, factor in zip(products, factors):
+        ledger[slot] = amount * factor[slot]
+        sums.append(sum(ledger))
+    return sums
+
+
 def _points(scenario: Scenario, spec: SweepSpec):
     """``(value, ScenarioResult)`` of each sweep point.
 
-    Each point equals the whole scenario rebuilt at that value, but rebuilds
-    only what its parameter moves.
+    Each point equals the whole scenario rebuilt at that value, but works
+    out only the ledger products its parameter moves.
     """
     horizon, configs = scenario.horizon_years, scenario.configurations
     values = spec.values()
     if spec.parameter == "horizon_years":
+        # The CAPEX ledgers do not depend on the horizon: their sums are
+        # worked out at the first point and kept for the others.
         factors = _factors(configs)
+        capex = None
         for value in values:
             years = int(value)
-            yield value, _evaluate(scenario, years, _baselines(scenario, years), configs, factors)
+            baselines = _baselines(scenario, years)
+            if capex is None:
+                capex = [_ledger_sums(b.capex, factors) for b in baselines]
+            sums = [(c, _ledger_sums(b.opex, factors)) for c, b in zip(capex, baselines)]
+            yield value, _evaluate(scenario, years, baselines, configs, sums)
         return
 
     baselines = _baselines(scenario, horizon)
@@ -502,7 +544,8 @@ def _points(scenario: Scenario, spec: SweepSpec):
         for value in values:
             swept = _split_configs(configs, value)
             factors = tuple([masked_factors(m, c.split_ratios[0]) for m, c in zip(masks, swept)])
-            yield value, _evaluate(scenario, horizon, baselines, swept, factors)
+            sums = _grid_sums(baselines, factors)
+            yield value, _evaluate(scenario, horizon, baselines, swept, sums)
         return
 
     if spec.parameter == "intl_shared":
@@ -513,35 +556,53 @@ def _points(scenario: Scenario, spec: SweepSpec):
             flag = _intl_flag(value)
             if flag not in by_flag:
                 swept = _intl_configs(configs, flag)
-                by_flag[flag] = _evaluate(scenario, horizon, baselines, swept, _factors(swept))
+                sums = _grid_sums(baselines, _factors(swept))
+                by_flag[flag] = _evaluate(scenario, horizon, baselines, swept, sums)
             yield value, by_flag[flag]
         return
 
     # class_cost_fraction: each point moves one slot of each area's baseline,
-    # with the float operations of CostTable -> cumulative_cost.
+    # with the float operations of CostTable -> cumulative_cost, and one
+    # product of each ledger, kept per sweep in lists of every class's product.
     cls = ElementClass.from_label(spec.class_name)
     slot = tuple(ElementClass).index(cls)
     factors = _factors(configs)
     tables = scenario.cost_tables
     shares = {kind: _class_share(kind, table, cls, horizon) for kind, table in tables.items()}
+    products = [
+        (
+            [list(map(mul, base.capex, factor)) for factor in factors],
+            [list(map(mul, base.opex, factor)) for factor in factors],
+        )
+        for base in baselines
+    ]
     for value in values:
         _check_fraction(spec.parameter, value)
         entries = {
             kind: _rescaled_entry(tables[kind].entries[cls], value, share)
             for kind, share in shares.items()
         }
-        point = []
-        for profile, base in zip(scenario.areas, baselines):
+        point, sums = [], []
+        for profile, base, (capex_products, opex_products) in zip(
+            scenario.areas, baselines, products
+        ):
             entry = entries[profile.kind]
+            capex, opex = entry.capex, entry.opex_annual * horizon
             point.append(
                 CostBreakdown(
                     base.area,
                     horizon,
-                    base.capex[:slot] + (entry.capex,) + base.capex[slot + 1 :],
-                    base.opex[:slot] + (entry.opex_annual * horizon,) + base.opex[slot + 1 :],
+                    base.capex[:slot] + (capex,) + base.capex[slot + 1 :],
+                    base.opex[:slot] + (opex,) + base.opex[slot + 1 :],
                 )
             )
-        yield value, _evaluate(scenario, horizon, point, configs, factors)
+            sums.append(
+                (
+                    _slot_sums(capex_products, factors, slot, capex),
+                    _slot_sums(opex_products, factors, slot, opex),
+                )
+            )
+        yield value, _evaluate(scenario, horizon, point, configs, sums)
 
 
 def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
@@ -550,11 +611,14 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
     Points come back strictly ordered by parameter value with no
     duplicates.  Validation reads neither the swept parameter nor the costs,
     so it runs once per scenario; each point checks the value it uses, and a
-    bad value anywhere in the range fails the whole sweep.  A point rebuilds
-    only what its parameter changes: ``horizon_years`` rebuilds the area
-    baselines; ``class_cost_fraction`` rescales the swept class's slot of
-    each baseline; ``split_ratio`` rebuilds the configurations and takes
-    their factors from shared-class masks worked out once per sweep;
+    bad value anywhere in the range fails the whole sweep.  A point works
+    out only the shared-ledger products its parameter changes, and sums each
+    ledger whole: ``horizon_years`` rebuilds the area baselines and sums
+    their OPEX ledgers, with the CAPEX sums worked out once per sweep;
+    ``class_cost_fraction`` rescales the swept class's slot of each baseline
+    and rewrites that one product of each ledger, kept per sweep;
+    ``split_ratio`` copies the configurations with the point's split and
+    takes their factors from shared-class masks worked out once per sweep;
     ``intl_shared`` evaluates each flag's grid once per sweep, and the points
     with that flag share its result.
     """

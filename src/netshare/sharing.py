@@ -159,11 +159,20 @@ class SharingConfiguration:
     def __post_init__(self) -> None:
         read_integer(self.operator_count, "operator_count", InvalidConfiguration, 2, _MAX_OPERATORS)
         if type(self.shared) is not _SharedMap:
+            if not isinstance(self.shared, Mapping):
+                raise InvalidConfiguration(
+                    f"shared must map element classes to flags, got {self.shared!r}"
+                )
             unknown = set(self.shared) - set(ElementClass)
             if unknown:
                 raise InvalidConfiguration(
                     f"unknown element classes in shared map: {sorted(unknown)!r}"
                 )
+            for cls, flag in self.shared.items():
+                if not (isinstance(flag, int) and flag in (0, 1)):
+                    raise InvalidConfiguration(
+                        f"shared[{cls.value!r}] must be true, false, 0 or 1, got {flag!r}"
+                    )
             full = _SharedMap((cls, bool(self.shared.get(cls, False))) for cls in ElementClass)
             object.__setattr__(self, "shared", full)
         ratios = self.split_ratios

@@ -524,16 +524,25 @@ def _assert_pipeline_equal(result, scenario: Scenario) -> None:
             assert got.baseline == baseline
 
 
-def _rescalable_class(scenario: Scenario) -> ElementClass:
+def _rescalable_classes(scenario: Scenario) -> list:
+    """Classes that carry some, but not all, of every area's cumulative cost."""
     h = scenario.horizon_years
-    for cls in ElementClass:
+    return [
+        cls
+        for cls in ElementClass
         if all(
             0 < t.entries[cls].capex + t.entries[cls].opex_annual * h
             < t.capex_total() + t.opex_annual_total() * h
             for t in scenario.cost_tables.values()
-        ):
-            return cls
-    raise AssertionError("no class carries cost in every area")
+        )
+    ]
+
+
+def _rescalable_class(scenario: Scenario) -> ElementClass:
+    classes = _rescalable_classes(scenario)
+    if not classes:
+        raise AssertionError("no class carries cost in every area")
+    return classes[0]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -554,6 +563,20 @@ def test_grid_kernel_is_bit_identical_to_the_pipeline(seed):
         assert [p.value for p in result.points] == list(spec.values())
         for point in result.points:
             _assert_pipeline_equal(point.result, _swept_scenario(scenario, spec, point.value))
+
+
+def test_class_sweep_matches_the_pipeline_at_every_slot():
+    scenario = _random_scenario(random.Random(17))
+    classes = _rescalable_classes(scenario)
+    slots = [tuple(ElementClass).index(cls) for cls in classes]
+    assert slots[0] == 0 and slots[-1] == len(ElementClass) - 1
+    for cls in classes:
+        spec = SweepSpec("class_cost_fraction", 0.05, 0.6, 4, class_name=cls.value)
+        result = sweep(scenario, spec)
+        for point in result.points:
+            _assert_pipeline_equal(point.result, _swept_scenario(scenario, spec, point.value))
+        # A second sweep starts from fresh products, not from the first's last point.
+        assert sweep(scenario, spec) == result
 
 
 @pytest.mark.parametrize(

@@ -140,6 +140,23 @@ def test_with_shared_normalises_the_map():
     assert config == preset("MOCN").with_shared(ElementClass.ANTENNA, True)
 
 
+@pytest.mark.parametrize(
+    "shared",
+    [
+        5,
+        None,
+        {ElementClass.RNC: "no"},
+        {ElementClass.RNC: 2},
+        {ElementClass.RNC: None},
+        {ElementClass.RNC: 1.0},
+    ],
+    ids=["int", "none", "string-flag", "two", "none-flag", "float-flag"],
+)
+def test_shared_that_is_not_a_map_of_flags_is_an_invalid_configuration(shared):
+    with pytest.raises(InvalidConfiguration, match="shared"):
+        SharingConfiguration(name="api", shared=shared)
+
+
 def test_split_ratios_must_sum_to_one():
     with pytest.raises(InvalidConfiguration):
         SharingConfiguration(name="bad", shared={}, split_ratios=(0.7, 0.7))
