@@ -7,20 +7,28 @@ from those two ingredients: a constrained least-squares search over per-area
 fraction vectors that must satisfy every repartition constraint and should
 come as close as possible to the savings targets.
 
-The search runs offline, seeded and deterministic.  Its output is committed
-as fixtures (``reference_costs_*.json``) together with a sidecar record
-(``reference_calibration.json``) holding the method, seed, constraint set,
-achieved residuals and derived unit costs.  A standing regression test
-re-verifies the committed tables against that record; the optimizer itself
-never runs inside the engine.
+Once the balance between an area's cumulative CAPEX and OPEX is fixed,
+every savings metric is linear in the two ledgers' fractions, so the search
+is one bounded scalar search over that balance, with a convex SLSQP problem
+at each value.  It draws no random numbers: the seed is checked and
+recorded, but changes no result.  Its output is committed as fixtures
+(``reference_costs_*.json``) together with a sidecar record
+(``reference_calibration.json``) holding the method, seed, balances,
+constraint set, achieved residuals, derived unit costs and the versions
+that produced them.  A standing regression test re-verifies the committed
+tables against that record; the optimizer itself never runs inside the
+engine.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import platform
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
+from . import __version__
 from .costmodel import apply_sharing, cumulative_cost, savings_report, sharing_factors
 from .errors import (
     InfeasibleCalibration,
@@ -32,20 +40,31 @@ from .errors import (
     read_object,
     read_text,
 )
-from .inventory import AreaKind, CostEntry, CostTable, ElementClass, Ledger
+from .inventory import (
+    AreaKind,
+    CostEntry,
+    CostTable,
+    ElementClass,
+    Ledger,
+    Market,
+    default_profile,
+    element_quantity,
+)
 from .repartition import (
-    FRACTION_TOL,
     RepartitionConstraint,
     RepartitionConstraintSet,
     _c,
     check_repartition,
+    default_constraints,
 )
 from .scenario import _parse_json
 from .sharing import SharingConfiguration, preset
 
 try:
     import numpy as np
-    from scipy.optimize import linprog, minimize
+    import scipy
+    from scipy.linalg import block_diag
+    from scipy.optimize import linprog, minimize, minimize_scalar
 except ImportError as exc:
     raise MissingDependency(
         f"calibration needs numpy and scipy ({exc}); "
@@ -65,8 +84,17 @@ __all__ = [
 _CLASSES = tuple(ElementClass)
 _INDEX = {cls: i for i, cls in enumerate(_CLASSES)}
 _N = len(_CLASSES)
-# Where each ledger's 13 amounts sit in a search vector.
-_LEDGER_PART = {Ledger.CAPEX: slice(None, _N), Ledger.OPEX: slice(_N, None)}
+# The ledgers in the order of a search vector's two halves.
+_LEDGERS = (Ledger.CAPEX, Ledger.OPEX)
+# The environment variables that set the BLAS thread count, recorded with a result.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The search space, with the CAPEX amounts summing to 1: the OPEX amounts
+# sum to at least _OPEX_FLOOR and none exceeds _OPEX_CAP.
+_OPEX_FLOOR = 1e-3
+_OPEX_CAP = 5.0
+# Pull toward even fractions.  It picks one minimiser where the targets
+# leave the optimum flat, so the result does not hang on rounding.
+_RIDGE = 1e-4
 
 GRID_PRESETS = (
     "MOCN",
@@ -96,6 +124,11 @@ class SavingsTarget:
     def describe(self) -> str:
         return f"{self.area.value}: {self.metric}({self.configuration}) = {self.value}"
 
+    @property
+    def terms(self) -> Tuple[Tuple[float, str], ...]:
+        """(sign, configuration) of each metric the target's value sums."""
+        return ((1.0, self.configuration),)
+
 
 @dataclass(frozen=True)
 class DeltaTarget:
@@ -118,6 +151,11 @@ class DeltaTarget:
             f"{self.area.value}: {self.metric}({self.first}) - "
             f"{self.metric}({self.second}) = {self.value}"
         )
+
+    @property
+    def terms(self) -> Tuple[Tuple[float, str], ...]:
+        """(sign, configuration) of each metric the target's value sums."""
+        return ((1.0, self.first), (-1.0, self.second))
 
 
 Target = Union[SavingsTarget, DeltaTarget]
@@ -154,9 +192,108 @@ class CalibrationResult:
     seed: int
     horizon_years: int
     configurations: Tuple[str, ...]
+    # Per area, the cumulative OPEX share of the total cost that the search settled on.
+    balances: Mapping[AreaKind, float]
 
     def residual_report(self) -> Tuple[Tuple[str, float, float], ...]:
         return tuple((o.target.describe(), o.achieved, o.residual) for o in self.outcomes)
+
+    def record(self, constraints: RepartitionConstraintSet) -> dict:
+        """The calibration record's body, ``reference_calibration.json``.
+
+        ``constraints`` is the whole set the search was given.
+        """
+        targets_doc = []
+        for outcome in self.outcomes:
+            target = outcome.target
+            entry = {
+                "area": target.area.value,
+                "metric": target.metric,
+                "value": target.value,
+                "weight": target.weight,
+                "bound": target.bound,
+            }
+            entry["kind"] = "saving" if isinstance(target, SavingsTarget) else "delta"
+            for name in _TARGET_KINDS[entry["kind"]][1]:
+                entry[name] = getattr(target, name)
+            if target.note:
+                entry["note"] = target.note
+            entry["achieved"] = outcome.achieved
+            entry["residual"] = outcome.residual
+            targets_doc.append(entry)
+
+        constraint_reports = {}
+        envelope_failures = {}
+        unit_costs = {}
+        for kind, table in self.tables.items():
+            report = check_repartition(table, self.constraint_sets[kind])
+            constraint_reports[kind.value] = {
+                "overall": report.overall,
+                "checks": [dict(_check_json(c), satisfied=c.satisfied) for c in report.checks],
+            }
+            envelope_failures[kind.value] = [
+                _check_json(c)
+                for ledger in (Ledger.USE_CASE_CAPEX, Ledger.USE_CASE_OPEX)
+                for c in check_repartition(
+                    table, default_constraints(Market.EMERGING, ledger)
+                ).failures()
+            ]
+            profile = default_profile(kind)
+            unit_costs[kind.value] = {
+                cls.value: {
+                    "capex": entry.capex / element_quantity(cls, profile),
+                    "opex_annual": entry.opex_annual / element_quantity(cls, profile),
+                }
+                for cls, entry in table.entries.items()
+                if entry.capex or entry.opex_annual
+            }
+
+        return {
+            "method": self.method,
+            "seed": self.seed,
+            "horizon_years": self.horizon_years,
+            "configurations": list(self.configurations),
+            "balances": {kind.value: balance for kind, balance in self.balances.items()},
+            "constraints": constraints.to_json_dict(),
+            "targets": targets_doc,
+            "constraint_reports": constraint_reports,
+            "default_envelope_failures": envelope_failures,
+            "unit_costs": unit_costs,
+            "notes": [
+                "The use_case_calibration constraint set widens two lower bounds "
+                "relative to default_constraints(USE_CASE_CAPEX): rnc_share "
+                "urban/suburban 0.32 -> 0.27 and backhaul_share rural 0.32 -> 0.24. "
+                "The default envelope is jointly unsatisfiable with the savings "
+                "targets (its lower bounds alone can exceed a whole ledger); "
+                "default_envelope_failures records exactly which default members "
+                "the committed tables miss.",
+                "Rural passive-site CAPEX mass represents adapting existing "
+                "sites (civil works, energy) for the coverage-driven NodeB grid; "
+                "urban and suburban site CAPEX is negligible because sites are "
+                "reused as-is.",
+                "Site rent and power carry only residual mass in these tables; "
+                "most recurring site cost sits in OAM/staff. None of the grid "
+                "configurations sets couple_site_costs, so the shipped results "
+                "do not exercise that toggle.",
+            ],
+            "provenance": {
+                "engine_version": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                **{name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+            },
+        }
+
+
+def _check_json(check) -> dict:
+    constraint = check.constraint
+    return {
+        "label": constraint.label,
+        "observed": check.observed,
+        "lower": constraint.lower,
+        "upper": constraint.upper,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +375,6 @@ def _normalise_targets(targets: Sequence) -> Tuple[Target, ...]:
     return tuple(out)
 
 
-def _mask(classes) -> np.ndarray:
-    """Indicator vector of ``classes`` in ``ElementClass`` order."""
-    mask = np.zeros(_N)
-    for cls in classes:
-        mask[_INDEX[cls]] = 1.0
-    return mask
-
-
 def _interval_rows(constraints: Sequence[RepartitionConstraint], margin: float = 0.0):
     """``A_ub @ f <= b_ub`` rows keeping each group's fraction ``margin`` inside its bounds.
 
@@ -253,7 +382,7 @@ def _interval_rows(constraints: Sequence[RepartitionConstraint], margin: float =
     """
     a_ub, b_ub = [], []
     for con in constraints:
-        row = _mask(con.classes)
+        row = np.array([float(cls in con.classes) for cls in _CLASSES])
         inset = min(margin, (con.upper - con.lower) / 2)
         a_ub.append(row)  # sum <= upper
         b_ub.append(con.upper - inset)
@@ -315,11 +444,16 @@ def _within_constraints(
 
 
 class _AreaProblem:
-    """Least-squares problem over one area's 26 cost amounts.
+    """Least-squares problem over one area's CAPEX and OPEX fractions.
 
-    Variables: x[:13] CAPEX amounts (normalised to sum 1) and x[13:] annual
-    OPEX amounts (free scale, which sets the CAPEX/OPEX weighting of the
-    total).  All savings metrics are smooth rational functions of x.
+    The CAPEX amounts sum to 1 and ``O`` is the annual OPEX sum, so with
+    ``H`` the horizon the cumulative OPEX share of the total is the balance
+    ``λ = H·O / (1 + H·O)``.  At a fixed ``λ`` every savings metric is
+    linear in ``z = (cap, op / O)``: with ``w`` the share of each class's
+    cost that operator 0 stops carrying, capex is ``100·w@cap``, opex
+    ``100·w@(op / O)`` and total their ``(1 − λ, λ)`` blend.  So each
+    balance is a convex problem, and one scalar search over ``λ`` finds the
+    best of them.
     """
 
     def __init__(
@@ -335,141 +469,99 @@ class _AreaProblem:
         self.horizon = horizon_years
         self.by_ledger = {
             ledger: tuple(c for c in constraints if c.ledger.base() is ledger)
-            for ledger in _LEDGER_PART
+            for ledger in _LEDGERS
         }
         # Share of each class's cost that operator 0 stops carrying, per configuration.
         self.weights = {
             name: 1.0 - np.array(sharing_factors(config))
             for name, config in configurations.items()
         }
-        # Linear constraints G @ x >= h.  With f = x[part] / sum(x[part]), a
-        # fraction row a @ f <= b is the amount row (b * 1 - a) @ x[part] >= 0.
-        # Row 0 keeps the OPEX ledger non-degenerate; S @ x is the ledger sum
-        # of every later row.
-        rows, sums = [], []
-        for ledger, part in _LEDGER_PART.items():
-            a_ub, b_ub = _interval_rows(self.by_ledger[ledger])
-            row = np.zeros((len(b_ub), 2 * _N))
-            row[:, part] = b_ub[:, None] - a_ub
-            total = np.zeros_like(row)
-            total[:, part] = 1.0
-            rows.append(row)
-            sums.append(total)
-        self.G = np.vstack([np.repeat([[0.0, 1.0]], _N, axis=1), *rows])
-        self.h = np.zeros(len(self.G))
-        self.h[0] = 1e-3
-        self.S = np.vstack(sums)
 
-    # -- metric evaluation ------------------------------------------------
-
-    def _metric(self, x: np.ndarray, metric: str, configuration: str) -> float:
-        cap = x[:_N]
-        op = x[_N:]
-        cap_total = cap.sum()
-        op_total = op.sum()
-        weight = self.weights[configuration]
-        scap = 100.0 * float(weight @ cap) / cap_total
-        sop = 100.0 * float(weight @ op) / op_total if op_total > 0 else 0.0
+    def row(self, metric: str, configuration: str, balance: float) -> np.ndarray:
+        """The vector whose product with ``z`` is ``metric`` of ``configuration`` at ``balance``."""
+        w = 100.0 * self.weights[configuration]
         if metric == "capex":
-            return scap
+            return np.concatenate([w, np.zeros(_N)])
         if metric == "opex":
-            return sop
-        opex_cum = self.horizon * op_total
-        grand = cap_total + opex_cum
-        return (cap_total * scap + opex_cum * sop) / grand
+            return np.concatenate([np.zeros(_N), w])
+        return np.concatenate([(1.0 - balance) * w, balance * w])
 
-    def evaluate(self, x: np.ndarray, target: Target) -> float:
-        if isinstance(target, SavingsTarget):
-            return self._metric(x, target.metric, target.configuration)
-        return self._metric(x, target.metric, target.first) - self._metric(
-            x, target.metric, target.second
+    def _opex_sum(self, balance: float) -> float:
+        return balance / (self.horizon * (1.0 - balance))
+
+    def _balance(self, opex_sum: float) -> float:
+        return self.horizon * opex_sum / (1.0 + self.horizon * opex_sum)
+
+    def _solve_at(self, balance: float, constraints, maxiter: int):
+        """SLSQP on the convex problem at ``balance``, from even fractions."""
+        root = np.sqrt([t.weight for t in self.targets])
+        a = root[:, None] * np.array([
+            sum(sign * self.row(t.metric, name, balance) for sign, name in t.terms)
+            for t in self.targets
+        ])
+        b = root * np.array([t.value for t in self.targets])
+        start = np.full(2 * _N, 1.0 / _N)
+
+        def objective(z):
+            residual, pull = a @ z - b, z - start
+            value = residual @ residual + _RIDGE * (pull @ pull)
+            return value, 2.0 * (a.T @ residual + _RIDGE * pull)
+
+        opex_cap = min(1.0, _OPEX_CAP / self._opex_sum(balance))
+        return minimize(
+            objective,
+            start,
+            jac=True,
+            method="SLSQP",
+            bounds=[(0.0, 1.0)] * _N + [(0.0, opex_cap)] * _N,
+            constraints=constraints,
+            options={"maxiter": maxiter, "ftol": 1e-14},
         )
 
-    def objective(self, x: np.ndarray) -> float:
-        total = 0.0
-        for target in self.targets:
-            err = self.evaluate(x, target) - target.value
-            total += target.weight * err * err
-        return total
+    def solve(self, maxiter: int):
+        """(balance, 26 amounts with the CAPEX ones summing to 1), or None.
 
-    # -- constraints for SLSQP ---------------------------------------------
-
-    def slsqp_constraints(self):
-        """The CAPEX equality and all inequality rows, each with its constant Jacobian."""
-        capex_sum, G, h = np.repeat([[1.0, 0.0]], _N, axis=1), self.G, self.h
-        return (
-            {"type": "eq", "fun": lambda x: capex_sum @ x - 1.0, "jac": lambda x: capex_sum},
-            {"type": "ineq", "fun": lambda x: G @ x - h, "jac": lambda x: G},
-        )
-
-    def initial_guesses(self, rng: np.random.Generator, count: int):
-        vertices = []
-        for _ in range(count):
-            cap = _feasible_point(self.by_ledger[Ledger.CAPEX], rng.standard_normal(_N))
-            op = _feasible_point(self.by_ledger[Ledger.OPEX], rng.standard_normal(_N))
-            if cap is not None and op is not None:
-                vertices.append((cap, op))
-        if not vertices:
-            return []
-        # soften LP-vertex starts toward the mean of the vertices drawn: a
-        # convex blend of feasible points stays feasible
-        cap_centre = np.mean([cap for cap, _ in vertices], axis=0)
-        op_centre = np.mean([op for _, op in vertices], axis=0)
-        guesses = []
-        for cap, op in vertices:
-            blend = rng.uniform(0.05, 0.35)
-            cap = (1 - blend) * cap + blend * cap_centre
-            op = (1 - blend) * op + blend * op_centre
-            # annual OPEX scale: start near an even CAPEX/OPEX split of the
-            # cumulative total, then jitter
-            omega = rng.uniform(0.5, 1.5) / self.horizon
-            guesses.append(np.concatenate([cap, op * omega]))
-        return guesses
-
-    def solve(self, rng: np.random.Generator, restarts: int, maxiter: int):
-        best = None
-        cons = self.slsqp_constraints()
-        bounds = [(0.0, 1.0)] * _N + [(0.0, 5.0)] * _N
-        for guess in self.initial_guesses(rng, restarts):
-            res = minimize(
-                self.objective,
-                guess,
-                method="SLSQP",
-                bounds=bounds,
-                constraints=cons,
-                options={"maxiter": maxiter, "ftol": 1e-14},
-            )
-            if not np.all(np.isfinite(res.x)):
-                continue
-            violation = self._max_violation(res.x)
-            score = (violation > FRACTION_TOL, res.fun)
-            if best is None or score < best[0]:
-                best = (score, res.x.copy())
-        if best is None:
-            return None
-        return best[1]
-
-    def _max_violation(self, x: np.ndarray) -> float:
-        """Largest constraint violation at ``x``, on the scale of ``FRACTION_TOL``.
-
-        Repartition rows are amounts; dividing each shortfall by its ledger's
-        sum makes it a fraction, as :func:`check_repartition` measures it.  An
-        empty OPEX ledger already breaks the floor row, so rows of an empty
-        ledger are not divided.
+        The balance runs over what the amounts allow: an OPEX sum of at
+        least ``_OPEX_FLOOR`` and no OPEX amount above ``_OPEX_CAP``.
         """
-        shortfall = np.maximum(self.h - self.G @ x, 0.0)
-        sums = self.S @ x
-        fractions = np.divide(shortfall[1:], sums, out=np.zeros_like(sums), where=sums > 0)
-        return max(abs(x[:_N].sum() - 1.0), shortfall[0], fractions.max(initial=0.0))
+        (a_cap, b_cap), (a_op, b_op) = (
+            _interval_rows(self.by_ledger[ledger]) for ledger in _LEDGERS
+        )
+        rows, bounds = block_diag(a_cap, a_op), np.concatenate([b_cap, b_op])
+        sums = np.kron(np.eye(2), np.ones(_N))  # each ledger's fractions sum to 1
+        constraints = [
+            {"type": "eq", "fun": lambda z: sums @ z - 1.0, "jac": lambda z: sums},
+            {"type": "ineq", "fun": lambda z: bounds - rows @ z, "jac": lambda z: -rows},
+        ]
+        ceiling = _OPEX_CAP / _least_largest_fraction(self.by_ledger[Ledger.OPEX])
+        found = {}
+
+        def profile(balance):
+            found[balance] = self._solve_at(balance, constraints, maxiter)
+            return found[balance].fun
+
+        span = (self._balance(_OPEX_FLOOR), self._balance(ceiling))
+        balance = minimize_scalar(profile, bounds=span, method="bounded").x
+        z = found[balance].x
+        if not np.all(np.isfinite(z)):
+            return None
+        return balance, np.concatenate([z[:_N], z[_N:] * self._opex_sum(balance)])
 
 
-def _pipeline_metric(
-    table: CostTable, config: SharingConfiguration, metric: str, horizon: int
-) -> float:
-    """Metric recomputed through the real cost model (not the search form)."""
-    baseline = cumulative_cost(table, horizon)
-    report = savings_report(baseline, apply_sharing(baseline, config), config)
-    return getattr(report, f"{metric}_saving_pct")
+def _least_largest_fraction(constraints: Sequence[RepartitionConstraint]) -> float:
+    """The least that the largest fraction of a ledger meeting ``constraints`` can be."""
+    a_ub, b_ub = _interval_rows(constraints)
+    # variables: fractions f, then t >= every fraction; minimise t
+    res = linprog(
+        c=np.append(np.zeros(_N), 1.0),
+        A_ub=np.block([[a_ub, np.zeros((len(b_ub), 1))], [np.eye(_N), -np.ones((_N, 1))]]),
+        b_ub=np.concatenate([b_ub, np.zeros(_N)]),
+        A_eq=np.append(np.ones(_N), 0.0)[None, :],
+        b_eq=np.array([1.0]),
+        bounds=[(0.0, 1.0)] * (_N + 1),
+        method="highs",
+    )
+    return res.x[_N]
 
 
 def calibrate_reference(
@@ -486,9 +578,14 @@ def calibrate_reference(
 ) -> CalibrationResult:
     """Fit one cost table per targeted area to constraints and targets.
 
-    The best search candidate of each area is moved back onto that area's
+    The search's solution for each area is moved back onto that area's
     constraints before its amounts are rounded, so every returned table
     passes :func:`check_repartition` with the constraints it was fitted to.
+
+    ``maxiter`` caps each SLSQP solve.  ``seed`` must be a non-negative
+    integer and is recorded in the result, but the search is deterministic
+    and the seed changes no table.  ``restarts`` is accepted and ignored:
+    there is one search, not a set of restarts.
 
     Raises :class:`InfeasibleCalibration` when the constraint set admits no
     fraction vector for some area, when the rounded table of the best
@@ -503,12 +600,7 @@ def calibrate_reference(
         configurations = tuple(preset(name) for name in GRID_PRESETS)
     config_map = {c.name: c for c in configurations}
     for target in targets:
-        names = (
-            (target.configuration,)
-            if isinstance(target, SavingsTarget)
-            else (target.first, target.second)
-        )
-        for name in names:
+        for _, name in target.terms:
             if name not in config_map:
                 raise MalformedScenario(
                     f"target references unknown configuration {name!r}"
@@ -519,8 +611,9 @@ def calibrate_reference(
         if target.area not in areas:
             areas.append(target.area)
 
-    rng = np.random.default_rng(read_integer(seed, "seed", MalformedScenario, 0))
+    seed = read_integer(seed, "seed", MalformedScenario, 0)
     tables = {}
+    balances = {}
     constraint_sets = {}
     outcomes = []
     for area in areas:
@@ -538,12 +631,13 @@ def calibrate_reference(
                     f"{area.value} {ledger.value} constraints admit no fraction vector",
                     violations=[c.label for c in subset],
                 )
-        solution = problem.solve(rng, restarts=restarts, maxiter=maxiter)
+        solution = problem.solve(maxiter)
         if solution is None:
             raise InfeasibleCalibration(
                 f"search found no candidate for {area.value}",
                 violations=[c.label for c in area_constraints],
             )
+        balances[area], solution = solution
         cap = np.clip(solution[:_N], 0.0, None)
         op = np.clip(solution[_N:], 0.0, None)
         # rescale jointly so the CAPEX ledger sums to capex_scale without
@@ -568,17 +662,14 @@ def calibrate_reference(
             )
         tables[area] = table
         constraint_sets[area] = RepartitionConstraintSet(constraints.name, area_constraints)
+        # each target recomputed through the cost model, not the search's form
+        baseline = cumulative_cost(table, horizon_years)
         for target in problem.targets:
-            if isinstance(target, SavingsTarget):
-                achieved = _pipeline_metric(
-                    table, config_map[target.configuration], target.metric, horizon_years
-                )
-            else:
-                achieved = _pipeline_metric(
-                    table, config_map[target.first], target.metric, horizon_years
-                ) - _pipeline_metric(
-                    table, config_map[target.second], target.metric, horizon_years
-                )
+            achieved = 0.0
+            for sign, name in target.terms:
+                config = config_map[name]
+                report = savings_report(baseline, apply_sharing(baseline, config), config)
+                achieved += sign * getattr(report, f"{target.metric}_saving_pct")
             outcomes.append(
                 TargetOutcome(target=target, achieved=achieved, residual=achieved - target.value)
             )
@@ -596,12 +687,14 @@ def calibrate_reference(
         outcomes=tuple(outcomes),
         constraint_sets=constraint_sets,
         method=(
-            f"multistart SLSQP over per-area fraction vectors ({restarts} LP-seeded starts), "
-            "winner L1-projected onto the constraints"
+            "bounded scalar search over each area's CAPEX/OPEX balance, SLSQP with the "
+            "exact gradient at each balance from even fractions, solution L1-projected "
+            "onto the constraints; the seed changes no result"
         ),
         seed=seed,
         horizon_years=horizon_years,
         configurations=tuple(config_map),
+        balances=balances,
     )
 
 

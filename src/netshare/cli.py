@@ -327,7 +327,7 @@ def _cmd_calibrate(args) -> int:
         written.append(path.name)
 
     path = out_dir / "reference_calibration.json"
-    _emit(_document("calibration_record", _sidecar_body(result, constraints)), str(path))
+    _emit(_document("calibration_record", result.record(constraints)), str(path))
     written.append(path.name)
 
     print(f"wrote {', '.join(written)} to {out_dir}", file=sys.stderr)
@@ -337,105 +337,6 @@ def _cmd_calibrate(args) -> int:
     ]
     _emit(_format_table(rows, ("target", "achieved", "residual")), None)
     return 0
-
-
-def _sidecar_body(result, constraints) -> dict:
-    from .inventory import Ledger, Market, default_profile, element_quantity
-    from .repartition import check_repartition, default_constraints
-
-    targets_doc = []
-    for outcome in result.outcomes:
-        target = outcome.target
-        entry = {
-            "area": target.area.value,
-            "metric": target.metric,
-            "value": target.value,
-            "weight": target.weight,
-            "bound": target.bound,
-        }
-        if hasattr(target, "configuration"):
-            entry["kind"] = "saving"
-            entry["configuration"] = target.configuration
-        else:
-            entry["kind"] = "delta"
-            entry["first"] = target.first
-            entry["second"] = target.second
-        if target.note:
-            entry["note"] = target.note
-        entry["achieved"] = outcome.achieved
-        entry["residual"] = outcome.residual
-        targets_doc.append(entry)
-
-    constraint_reports = {}
-    envelope_failures = {}
-    unit_costs = {}
-    for kind, table in result.tables.items():
-        report = check_repartition(table, result.constraint_sets[kind])
-        constraint_reports[kind.value] = {
-            "overall": report.overall,
-            "checks": [
-                {
-                    "label": c.constraint.label,
-                    "observed": c.observed,
-                    "lower": c.constraint.lower,
-                    "upper": c.constraint.upper,
-                    "satisfied": c.satisfied,
-                }
-                for c in report.checks
-            ],
-        }
-        failures = []
-        for ledger in (Ledger.USE_CASE_CAPEX, Ledger.USE_CASE_OPEX):
-            envelope = default_constraints(Market.EMERGING, ledger)
-            env_report = check_repartition(table, envelope)
-            failures.extend(
-                {
-                    "label": c.constraint.label,
-                    "observed": c.observed,
-                    "lower": c.constraint.lower,
-                    "upper": c.constraint.upper,
-                }
-                for c in env_report.failures()
-            )
-        envelope_failures[kind.value] = failures
-        profile = default_profile(kind)
-        unit_costs[kind.value] = {
-            cls.value: {
-                "capex": entry.capex / element_quantity(cls, profile),
-                "opex_annual": entry.opex_annual / element_quantity(cls, profile),
-            }
-            for cls, entry in table.entries.items()
-            if entry.capex or entry.opex_annual
-        }
-
-    return {
-        "method": result.method,
-        "seed": result.seed,
-        "horizon_years": result.horizon_years,
-        "configurations": list(result.configurations),
-        "constraints": constraints.to_json_dict(),
-        "targets": targets_doc,
-        "constraint_reports": constraint_reports,
-        "default_envelope_failures": envelope_failures,
-        "unit_costs": unit_costs,
-        "notes": [
-            "The use_case_calibration constraint set widens two lower bounds "
-            "relative to default_constraints(USE_CASE_CAPEX): rnc_share "
-            "urban/suburban 0.32 -> 0.27 and backhaul_share rural 0.32 -> 0.24. "
-            "The default envelope is jointly unsatisfiable with the savings "
-            "targets (its lower bounds alone can exceed a whole ledger); "
-            "default_envelope_failures records exactly which default members "
-            "the committed tables miss.",
-            "Rural passive-site CAPEX mass represents adapting existing "
-            "sites (civil works, energy) for the coverage-driven NodeB grid; "
-            "urban and suburban site CAPEX is negligible because sites are "
-            "reused as-is.",
-            "Site rent and power carry only residual mass in these tables; "
-            "most recurring site cost sits in OAM/staff. None of the grid "
-            "configurations sets couple_site_costs, so the shipped results "
-            "do not exercise that toggle.",
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -440,25 +440,28 @@ def _check_fraction(parameter: str, value: float) -> None:
         raise InvalidSweepParameter(f"{parameter} values must lie in (0, 1), got {value}")
 
 
+def _copy_config(config: SharingConfiguration, **changes) -> SharingConfiguration:
+    """``config`` with ``changes``, copied without ``__post_init__``, whose checks they keep."""
+    copy = object.__new__(type(config))
+    copy.__dict__.update(config.__dict__, **changes)
+    return copy
+
+
 def _split_configs(
     configs: Sequence[SharingConfiguration], value: float
 ) -> Tuple[SharingConfiguration, ...]:
     """``configs`` with operator 0 paying ``value`` of each shared cost, the rest
     split evenly between the other operators.
 
-    Each configuration is a copy of its source with new ``split_ratios``; it
-    skips ``__post_init__``, whose checks hold by construction: ``value`` lies
-    in (0, 1), so every ratio lies in (0, 1] and they sum to 1 up to
-    rounding, and the source's ``shared`` map is already normalised.
+    ``value`` lies in (0, 1), so every ratio lies in (0, 1] and they sum to 1
+    up to rounding, as ``__post_init__`` requires.
     """
     _check_fraction("split_ratio", value)
     out = []
     for config in configs:
         count = config.operator_count
         rest = (1.0 - value) / (count - 1)
-        copy = object.__new__(type(config))
-        copy.__dict__.update(config.__dict__, split_ratios=(value,) + (rest,) * (count - 1))
-        out.append(copy)
+        out.append(_copy_config(config, split_ratios=(value,) + (rest,) * (count - 1)))
     return tuple(out)
 
 
@@ -469,7 +472,7 @@ def _intl_flag(value: float) -> bool:
 def _intl_configs(
     configs: Sequence[SharingConfiguration], flag: bool
 ) -> Tuple[SharingConfiguration, ...]:
-    return tuple(replace(config, intl_shared=flag) for config in configs)
+    return tuple(_copy_config(config, intl_shared=flag) for config in configs)
 
 
 def _class_share(

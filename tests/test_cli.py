@@ -2,12 +2,14 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import netshare
 from netshare import AreaKind, load_scenario_file, run_scenario
 from netshare.cli import main
 from netshare.scenario import fixture_path
@@ -445,6 +447,56 @@ def test_calibrate_negative_weight_or_bound_prints_one_error_line(tmp_path, caps
     assert err.startswith("error:") and field in err
     assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_calibrate_writes_tables_and_a_record_the_seed_does_not_change(tmp_path, capsys):
+    import numpy
+    import scipy
+
+    doc = {
+        "seed": 0,
+        "constraints": {
+            "name": "loose",
+            "constraints": [
+                {"label": "nodeb_pin", "ledger": "capex", "classes": ["nodeb"],
+                 "lower": 0.2, "upper": 0.6},
+            ],
+        },
+        "targets": [
+            {"area": "suburban", "metric": "capex", "configuration": "MOCN", "value": 28.0,
+             "bound": 1.0},
+        ],
+    }
+    path = tmp_path / "targets.json"
+    path.write_text(json.dumps(doc))
+    written = {}
+    for seed in ("0", "5"):
+        out_dir = tmp_path / f"seed_{seed}"
+        argv = ["calibrate", "--targets", str(path), "--out", str(out_dir), "--seed", seed]
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, err
+        assert err.startswith("wrote ") and out.splitlines()[0].split() == [
+            "target", "achieved", "residual"
+        ]
+        written[seed] = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+        assert set(written[seed]) == {"reference_costs_suburban.json", "reference_calibration.json"}
+        record = json.loads(written[seed]["reference_calibration.json"])
+        assert record["kind"] == "calibration_record"
+        assert record["seed"] == int(seed)
+        assert "SLSQP" in record["method"] and "seed changes no result" in record["method"]
+        assert 0.0 < record["balances"]["suburban"] < 1.0
+        assert record["provenance"] == {
+            "engine_version": netshare.__version__,
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            **{name: os.environ.get(name)
+               for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        }
+        (target,) = record["targets"]
+        assert abs(target["residual"]) <= 1.0
+    table = "reference_costs_suburban.json"
+    assert written["0"][table] == written["5"][table]
 
 
 # ---------------------------------------------------------------------------
