@@ -493,19 +493,25 @@ class _AreaProblem:
         return self.horizon * opex_sum / (1.0 + self.horizon * opex_sum)
 
     def _solve_at(self, balance: float, constraints, maxiter: int):
-        """SLSQP on the convex problem at ``balance``, from even fractions."""
-        root = np.sqrt([t.weight for t in self.targets])
+        """SLSQP on the convex problem at ``balance``, from even fractions.
+
+        The residuals are taken in fractions, not percent.  SLSQP's ``ftol``
+        is absolute, and at percent scale its line search stopped (exit mode
+        8) with fits up to 2e-3 outside the rows.
+        """
+        root = np.sqrt([t.weight for t in self.targets]) / 100.0
         a = root[:, None] * np.array([
             sum(sign * self.row(t.metric, name, balance) for sign, name in t.terms)
             for t in self.targets
         ])
         b = root * np.array([t.value for t in self.targets])
         start = np.full(2 * _N, 1.0 / _N)
+        ridge = _RIDGE / 100.0**2  # the same pull as _RIDGE on percent residuals
 
         def objective(z):
             residual, pull = a @ z - b, z - start
-            value = residual @ residual + _RIDGE * (pull @ pull)
-            return value, 2.0 * (a.T @ residual + _RIDGE * pull)
+            value = residual @ residual + ridge * (pull @ pull)
+            return value, 2.0 * (a.T @ residual + ridge * pull)
 
         opex_cap = min(1.0, _OPEX_CAP / self._opex_sum(balance))
         return minimize(

@@ -37,6 +37,7 @@ from netshare.calibration import (
 )
 from netshare.errors import InfeasibleCalibration, MalformedScenario
 from netshare.repartition import FRACTION_TOL
+from netshare.scenario import fixture_path
 from netshare.sharing import preset
 
 
@@ -122,6 +123,79 @@ def test_search_metric_matches_the_cost_model(seed):
             assert row @ z == pytest.approx(expected, rel=1e-12)
 
 
+def _row_excess(constraints, fractions):
+    """The largest amount by which ``fractions`` overshoot a row of ``constraints``."""
+    a_ub, b_ub = _interval_rows(constraints)
+    return (a_ub @ fractions - b_ub).max(initial=0.0)
+
+
+@pytest.mark.parametrize(
+    "constraints",
+    [
+        RepartitionConstraintSet("pinned", [_capex_pin(ElementClass.STAFF, 0.9, 1.0)]),
+        CALIBRATION_CONSTRAINTS,
+    ],
+    ids=["pinned", "use_case"],
+)
+def test_every_initial_guess_is_feasible(constraints):
+    # Each balance the scalar search tries starts a fit from even fractions,
+    # which may break the rows; the fit it compares must meet them all.
+    targets, _, horizon, _ = load_targets_document(
+        fixture_path("use_case_targets.json").read_text(encoding="utf-8")
+    )
+    configs = {name: preset(name) for name in GRID_PRESETS}
+    n = len(ElementClass)
+    for area in AreaKind:
+        problem = _AreaProblem(
+            area,
+            [t for t in targets if t.area is area],
+            constraints.for_area(area),
+            configs,
+            horizon,
+        )
+        fits = []
+        solve_at = problem._solve_at
+
+        def recording(balance, rows, maxiter):
+            fit = solve_at(balance, rows, maxiter)
+            fits.append(fit.x)
+            return fit
+
+        problem._solve_at = recording
+        balance, amounts = problem.solve(FAST["maxiter"])
+        assert len(fits) > 1
+        assert 0.0 < balance < 1.0
+        for z in fits + [np.concatenate([amounts[:n], amounts[n:] / amounts[n:].sum()])]:
+            assert z.min() >= -FRACTION_TOL
+            for ledger, fractions in zip((Ledger.CAPEX, Ledger.OPEX), np.split(z, 2)):
+                assert fractions.sum() == pytest.approx(1.0, abs=FRACTION_TOL)
+                assert _row_excess(problem.by_ledger[ledger], fractions) <= FRACTION_TOL
+
+
+@pytest.mark.parametrize("opex_total", [0.02, 0.1, 0.3])
+def test_opex_rows_are_judged_as_fractions(opex_total):
+    # an OPEX share 2 * FRACTION_TOL above its bound violates, whatever the ledger's scale,
+    # and projecting the amounts moves it back inside without changing the ledger's total
+    intl = RepartitionConstraint(
+        "intl", Ledger.OPEX, frozenset({ElementClass.INTERNATIONAL_CONNECTIVITY}), 0.5, 0.6
+    )
+    n = len(ElementClass)
+    index = list(ElementClass).index(ElementClass.INTERNATIONAL_CONNECTIVITY)
+    for share, violates in ((0.6, False), (0.6 + 2 * FRACTION_TOL, True)):
+        op = np.full(n, (1.0 - share) / (n - 1))
+        op[index] = share
+        amounts = op * opex_total
+        assert bool(_row_excess([intl], amounts / amounts.sum()) > FRACTION_TOL) is violates
+        table = CostTable(
+            AreaKind.URBAN, {cls: (1.0 / n, amounts[i]) for i, cls in enumerate(ElementClass)}
+        )
+        assert check_repartition(table, [intl]).overall is not violates
+        # the search hands over CAPEX summing to 1 and OPEX at opex_total, scaled jointly
+        projected = _within_constraints(amounts * 100_000.0, [intl])
+        assert projected.sum() == pytest.approx(opex_total * 100_000.0)
+        assert 0.5 <= projected[index] / projected.sum() <= 0.6
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_linear_rows_agree_with_the_verifier(seed):
     # LP vertices sit on their bounds; moved 1e-13 .. 1e-3 of the way toward a
@@ -143,10 +217,10 @@ def test_linear_rows_agree_with_the_verifier(seed):
             x[n:] *= 10 ** rng.uniform(-2, 1) / x[n:].sum()
             table = CostTable(area, {cls: (x[i], x[n + i]) for i, cls in enumerate(ElementClass)})
             rejected = not check_repartition(table, CALIBRATION_CONSTRAINTS).overall
-            excess = 0.0  # the fraction rows' largest excess over their bounds
-            for ledger, part in zip(ledgers, np.split(x, 2)):
-                a_ub, b_ub = _interval_rows(problem.by_ledger[ledger])
-                excess = max(excess, (a_ub @ (part / part.sum()) - b_ub).max(initial=0.0))
+            excess = max(
+                _row_excess(problem.by_ledger[ledger], part / part.sum())
+                for ledger, part in zip(ledgers, np.split(x, 2))
+            )
             assert bool(excess > FRACTION_TOL) is rejected
             outcomes.add(rejected)
     assert outcomes == {True, False}
