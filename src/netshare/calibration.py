@@ -92,6 +92,8 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
 # sum to at least _OPEX_FLOOR and none exceeds _OPEX_CAP.
 _OPEX_FLOOR = 1e-3
 _OPEX_CAP = 5.0
+# The CAPEX ledger total of a calibrated table.
+_CAPEX_SCALE = 100_000.0
 # Pull toward even fractions.  It picks one minimiser where the targets
 # leave the optimum flat, so the result does not hang on rounding.
 _RIDGE = 1e-4
@@ -259,23 +261,6 @@ class CalibrationResult:
             "constraint_reports": constraint_reports,
             "default_envelope_failures": envelope_failures,
             "unit_costs": unit_costs,
-            "notes": [
-                "The use_case_calibration constraint set widens two lower bounds "
-                "relative to default_constraints(USE_CASE_CAPEX): rnc_share "
-                "urban/suburban 0.32 -> 0.27 and backhaul_share rural 0.32 -> 0.24. "
-                "The default envelope is jointly unsatisfiable with the savings "
-                "targets (its lower bounds alone can exceed a whole ledger); "
-                "default_envelope_failures records exactly which default members "
-                "the committed tables miss.",
-                "Rural passive-site CAPEX mass represents adapting existing "
-                "sites (civil works, energy) for the coverage-driven NodeB grid; "
-                "urban and suburban site CAPEX is negligible because sites are "
-                "reused as-is.",
-                "Site rent and power carry only residual mass in these tables; "
-                "most recurring site cost sits in OAM/staff. None of the grid "
-                "configurations sets couple_site_costs, so the shipped results "
-                "do not exercise that toggle.",
-            ],
             "provenance": {
                 "engine_version": __version__,
                 "python": platform.python_version(),
@@ -579,8 +564,6 @@ def calibrate_reference(
     seed: int = 0,
     restarts: int = 8,
     maxiter: int = 400,
-    capex_scale: float = 100_000.0,
-    currency: str = "units",
 ) -> CalibrationResult:
     """Fit one cost table per targeted area to constraints and targets.
 
@@ -646,9 +629,9 @@ def calibrate_reference(
         balances[area], solution = solution
         cap = np.clip(solution[:_N], 0.0, None)
         op = np.clip(solution[_N:], 0.0, None)
-        # rescale jointly so the CAPEX ledger sums to capex_scale without
+        # rescale jointly so the CAPEX ledger sums to _CAPEX_SCALE without
         # moving the CAPEX/OPEX balance
-        scale = capex_scale / cap.sum()
+        scale = _CAPEX_SCALE / cap.sum()
         cap = _within_constraints(cap * scale, problem.by_ledger[Ledger.CAPEX])
         op = _within_constraints(op * scale, problem.by_ledger[Ledger.OPEX])
         entries = {}
@@ -657,7 +640,7 @@ def calibrate_reference(
             opex = round(float(op[_INDEX[cls]]), 4)
             if capex or opex:
                 entries[cls] = CostEntry(capex, opex)
-        table = CostTable(area=area, entries=entries, currency=currency)
+        table = CostTable(area=area, entries=entries)
         report = check_repartition(
             table, RepartitionConstraintSet(constraints.name, area_constraints)
         )

@@ -432,10 +432,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except NetshareError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NetshareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

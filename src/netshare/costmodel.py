@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_HORIZON_YEARS = 5
-_CLASSES = tuple(ElementClass)  # iterating the enum itself is several times slower
-_NODEB = _CLASSES.index(ElementClass.NODEB)
+_NODEB = tuple(ElementClass).index(ElementClass.NODEB)
 
 
 @dataclass(frozen=True)
@@ -106,23 +105,14 @@ def cumulative_cost(table: CostTable, horizon_years: int = DEFAULT_HORIZON_YEARS
 
 
 def sharing_factors(config: SharingConfiguration, operator_index: int = 0) -> Tuple[float, ...]:
-    """Factor on each element class's cost, in ``ElementClass`` order."""
-    return masked_factors(shared_mask(config), config.split_ratios[operator_index])
+    """Factor on each element class's cost, in ``ElementClass`` order.
 
-
-def shared_mask(config: SharingConfiguration) -> Tuple[bool, ...]:
-    """Whether each element class is effectively shared, in ``ElementClass`` order."""
-    shared = config.effective_shared()
-    return tuple(cls in shared for cls in _CLASSES)
-
-
-def masked_factors(mask: Sequence[bool], ratio: float) -> Tuple[float, ...]:
-    """Factor on each class's cost given its :func:`shared_mask` entry and a split ratio.
-
-    A shared class costs the operator its split ratio of the full amount; an
-    unshared class is carried in full (factor 1.0).
+    A class the configuration's :meth:`~SharingConfiguration.shared_mask`
+    shares costs the operator its split ratio of the full amount; an unshared
+    class is carried in full (factor 1.0).
     """
-    return tuple([ratio if flag else 1.0 for flag in mask])
+    ratio = config.split_ratios[operator_index]
+    return tuple([ratio if flag else 1.0 for flag in config.shared_mask()])
 
 
 def apply_sharing(

@@ -32,8 +32,6 @@ from .costmodel import (
     _area_reports,
     check_horizon,
     cumulative_cost,
-    masked_factors,
-    shared_mask,
     sharing_factors,
 )
 from .errors import (
@@ -542,12 +540,9 @@ def _points(scenario: Scenario, spec: SweepSpec):
 
     baselines = _baselines(scenario, horizon)
     if spec.parameter == "split_ratio":
-        # Each point keeps every configuration's shared classes and moves its ratio.
-        masks = [shared_mask(config) for config in configs]
         for value in values:
             swept = _split_configs(configs, value)
-            factors = tuple([masked_factors(m, c.split_ratios[0]) for m, c in zip(masks, swept)])
-            sums = _grid_sums(baselines, factors)
+            sums = _grid_sums(baselines, _factors(swept))
             yield value, _evaluate(scenario, horizon, baselines, swept, sums)
         return
 
@@ -620,8 +615,7 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
     their OPEX ledgers, with the CAPEX sums worked out once per sweep;
     ``class_cost_fraction`` rescales the swept class's slot of each baseline
     and rewrites that one product of each ledger, kept per sweep;
-    ``split_ratio`` copies the configurations with the point's split and
-    takes their factors from shared-class masks worked out once per sweep;
+    ``split_ratio`` copies the configurations with the point's split;
     ``intl_shared`` evaluates each flag's grid once per sweep, and the points
     with that flag share its result.
     """

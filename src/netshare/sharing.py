@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from itertools import compress
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -111,6 +112,13 @@ _CONFIGURATION_KEYS = ("name", "shared", "operators", "split") + _FLAGS
 _MAX_OPERATORS = 1_000
 
 
+# Positions, in ElementClass order, of the flags SharingConfiguration.shared_mask adds.
+_SITE, _RENT, _POWER, _INTL = (
+    tuple(ElementClass).index(ElementClass(label))
+    for label in ("passive_site", "site_rent", "power", "international_connectivity")
+)
+
+
 def _equal_split(n: int) -> Tuple[float, ...]:
     return tuple(1.0 / n for _ in range(n))
 
@@ -120,12 +128,10 @@ def _read_only(self, *args, **kwargs):
 
 
 class _SharedMap(dict):
-    """A read-only shared map that already holds one bool per element class.
+    """A read-only shared map: one bool per element class, in ``ElementClass`` order.
 
-    Only :meth:`SharingConfiguration.__post_init__` builds one, so a
-    configuration made by ``replace`` from another skips re-normalising it.
-    It refuses writes, so a configuration cannot change behind the
-    validation a scenario caches.
+    :meth:`SharingConfiguration.__post_init__` builds it.  It refuses writes,
+    so a configuration cannot change behind the validation a scenario caches.
     """
 
     __setitem__ = __delitem__ = __ior__ = _read_only
@@ -158,23 +164,22 @@ class SharingConfiguration:
 
     def __post_init__(self) -> None:
         read_integer(self.operator_count, "operator_count", InvalidConfiguration, 2, _MAX_OPERATORS)
-        if type(self.shared) is not _SharedMap:
-            if not isinstance(self.shared, Mapping):
+        if not isinstance(self.shared, Mapping):
+            raise InvalidConfiguration(
+                f"shared must map element classes to flags, got {self.shared!r}"
+            )
+        unknown = set(self.shared) - set(ElementClass)
+        if unknown:
+            raise InvalidConfiguration(
+                f"unknown element classes in shared map: {sorted(unknown)!r}"
+            )
+        for cls, flag in self.shared.items():
+            if not (isinstance(flag, int) and flag in (0, 1)):
                 raise InvalidConfiguration(
-                    f"shared must map element classes to flags, got {self.shared!r}"
+                    f"shared[{cls.value!r}] must be true, false, 0 or 1, got {flag!r}"
                 )
-            unknown = set(self.shared) - set(ElementClass)
-            if unknown:
-                raise InvalidConfiguration(
-                    f"unknown element classes in shared map: {sorted(unknown)!r}"
-                )
-            for cls, flag in self.shared.items():
-                if not (isinstance(flag, int) and flag in (0, 1)):
-                    raise InvalidConfiguration(
-                        f"shared[{cls.value!r}] must be true, false, 0 or 1, got {flag!r}"
-                    )
-            full = _SharedMap((cls, bool(self.shared.get(cls, False))) for cls in ElementClass)
-            object.__setattr__(self, "shared", full)
+        full = _SharedMap((cls, bool(self.shared.get(cls, False))) for cls in ElementClass)
+        object.__setattr__(self, "shared", full)
         ratios = self.split_ratios
         if ratios is None:
             ratios = _equal_split(self.operator_count)
@@ -199,15 +204,23 @@ class SharingConfiguration:
     def is_shared(self, cls: ElementClass) -> bool:
         return self.shared[cls]
 
+    def shared_mask(self) -> Tuple[bool, ...]:
+        """Whether each element class is effectively shared, in ``ElementClass`` order.
+
+        This is the one sharing rule: the ``shared`` flags, plus site rent and
+        power when the passive site is shared with ``couple_site_costs``, plus
+        international connectivity when ``intl_shared`` is set.
+        """
+        mask = list(self.shared.values())  # __post_init__ fills it in ElementClass order
+        if self.couple_site_costs and mask[_SITE]:
+            mask[_RENT] = mask[_POWER] = True
+        if self.intl_shared:
+            mask[_INTL] = True
+        return tuple(mask)
+
     def effective_shared(self) -> frozenset:
         """Shared classes after applying the coupling and service flags."""
-        out = {cls for cls, flag in self.shared.items() if flag}
-        if self.couple_site_costs and ElementClass.PASSIVE_SITE in out:
-            out.add(ElementClass.SITE_RENT)
-            out.add(ElementClass.POWER)
-        if self.intl_shared:
-            out.add(ElementClass.INTERNATIONAL_CONNECTIVITY)
-        return frozenset(out)
+        return frozenset(compress(ElementClass, self.shared_mask()))
 
     def with_shared(self, cls: ElementClass, flag: bool) -> "SharingConfiguration":
         shared = dict(self.shared)

@@ -482,6 +482,7 @@ def test_calibrate_writes_tables_and_a_record_the_seed_does_not_change(tmp_path,
         assert set(written[seed]) == {"reference_costs_suburban.json", "reference_calibration.json"}
         record = json.loads(written[seed]["reference_calibration.json"])
         assert record["kind"] == "calibration_record"
+        assert "notes" not in record
         assert record["seed"] == int(seed)
         assert "SLSQP" in record["method"] and "seed changes no result" in record["method"]
         assert 0.0 < record["balances"]["suburban"] < 1.0

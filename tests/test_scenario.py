@@ -1,10 +1,14 @@
 """Scenario loading, grid execution and parameter sweeps."""
 
 import copy
+import importlib.util
 import json
 import pickle
 import random
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -577,6 +581,64 @@ def test_class_sweep_matches_the_pipeline_at_every_slot():
             _assert_pipeline_equal(point.result, _swept_scenario(scenario, spec, point.value))
         # A second sweep starts from fresh products, not from the first's last point.
         assert sweep(scenario, spec) == result
+
+
+# ---------------------------------------------------------------------------
+# run and sweeps against the benchmark's independent oracle
+# ---------------------------------------------------------------------------
+
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench():
+    """``perfbench/oracle.py`` and ``perfbench/inputs.py``, imported by path.
+
+    The oracle recomputes every saving in plain Python from the documents and
+    never imports netshare, so unlike ``_swept_scenario`` it shares no helper
+    with the engine.  ``inputs.py`` imports it under its own name.
+    """
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    oracle = load("oracle")
+    with mock.patch.dict(sys.modules, {"oracle": oracle}):
+        return oracle, load("inputs")
+
+
+def _assert_oracle_grid(result, expected, close) -> None:
+    cells = [(r.area.value, r.configuration) for r in result.reports()]
+    assert cells == list(expected)
+    for report, want in zip(result.reports(), expected.values()):
+        got = (report.capex_saving_pct, report.opex_saving_pct, report.total_saving_pct)
+        assert all(map(close, got, want)), (report.area.value, report.configuration, got, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_run_and_every_sweep_kind_match_the_independent_oracle(seed):
+    oracle, inputs = _perfbench()
+    rng = inputs.rng_for(seed, "tier1")
+    base = {a: reference_cost_table(AreaKind(a)).to_json_dict() for a in inputs.AREAS}
+    doc = inputs.scenario_document(rng, f"oracle-{seed}", base, oracle.PRESETS, 5)
+    swept_class = inputs.swept_class(rng, doc["cost_tables"])
+    configs = [
+        oracle.preset_config(c) if isinstance(c, str) else oracle.config_from_doc(c)
+        for c in doc["configurations"]
+    ]
+    args = (doc["areas"], doc["cost_tables"], configs, doc["horizon_years"])
+    _assert_oracle_grid(run_scenario(load_scenario(doc)), oracle.grid(*args), oracle.close)
+    for parameter in ("split_ratio", "horizon_years", "intl_shared", "class_cost_fraction"):
+        spec = inputs.sweep_spec(parameter, 12, swept_class)
+        points = sweep(load_scenario(dict(doc, sweep=spec))).points
+        expected = oracle.sweep(*args, spec)
+        assert len(points) == len(expected)
+        for point, (value, horizon, grid) in zip(points, expected):
+            assert oracle.close(point.value, value)
+            assert point.result.horizon_years == horizon
+            _assert_oracle_grid(point.result, grid, oracle.close)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from netshare import (
     sharing_level,
     validate_configuration,
 )
+from netshare.costmodel import sharing_factors
 from netshare.errors import InvalidConfiguration, UnknownPreset
 from netshare.sharing import preset_names
 
@@ -182,6 +183,53 @@ def test_effective_shared_applies_couple_and_intl_flags():
         name="uncoupled", shared={ElementClass.NODEB: True}, couple_site_costs=True
     )
     assert ElementClass.SITE_RENT not in bare.effective_shared()
+
+
+# Columns in ElementClass order: passive_site, antenna, nodeb, rnc, backhaul,
+# core_sgsn, core_ggsn, oam, spectrum_license, international_connectivity,
+# site_rent, power, staff.  Every configuration below also shares the NodeB.
+_MASKS = [
+    # site shared, couple_site_costs, intl_shared, effective mask
+    (True, False, False, "1010000000000"),
+    (True, True, False, "1010000000110"),
+    (True, False, True, "1010000001000"),
+    (True, True, True, "1010000001110"),
+    (False, False, False, "0010000000000"),
+    (False, True, False, "0010000000000"),
+    (False, False, True, "0010000001000"),
+    (False, True, True, "0010000001000"),
+]
+
+
+@pytest.mark.parametrize("site, couple, intl, mask", _MASKS)
+def test_shared_mask_adds_coupled_site_costs_and_intl(site, couple, intl, mask):
+    assert [cls.value for cls in ElementClass] == [
+        "passive_site", "antenna", "nodeb", "rnc", "backhaul", "core_sgsn", "core_ggsn",
+        "oam", "spectrum_license", "international_connectivity", "site_rent", "power", "staff",
+    ]
+    config = SharingConfiguration(
+        name="masked",
+        shared={ElementClass.PASSIVE_SITE: site, ElementClass.NODEB: True},
+        couple_site_costs=couple,
+        intl_shared=intl,
+    )
+    assert config.shared_mask() == tuple(flag == "1" for flag in mask)
+    assert all(type(flag) is bool for flag in config.shared_mask())
+
+
+def test_shared_mask_of_every_class_and_its_factors_on_an_unequal_split():
+    everything = SharingConfiguration(name="all", shared={cls: True for cls in ElementClass})
+    assert everything.shared_mask() == (True,) * 13
+    config = SharingConfiguration(
+        name="three",
+        shared={ElementClass.PASSIVE_SITE: True, ElementClass.RNC: True},
+        operator_count=3,
+        split_ratios=(0.5, 0.3, 0.2),
+        couple_site_costs=True,
+    )
+    assert sharing_factors(config, 1) == (
+        0.3, 1.0, 1.0, 0.3, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.3, 0.3, 1.0
+    )
 
 
 def test_configuration_json_round_trip():
