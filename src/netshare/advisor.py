@@ -11,11 +11,10 @@ the engineering questions to settle before signing a sharing agreement.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Optional, Tuple
 
-from .errors import InvalidAmount, read_flag, read_object, read_text
+from .errors import FrozenValue, InvalidAmount, _setattr, read_flag, read_object, read_text
 from .inventory import AreaKind, NetworkState, Technology
 
 __all__ = [
@@ -40,12 +39,16 @@ class Verdict(Enum):
     NOT_RECOMMENDED = "NotRecommended"
 
 
-@dataclass(frozen=True)
-class Recommendation:
-    area: AreaKind
-    technology: Technology
-    verdict: Verdict
-    notes: Tuple[str, ...]
+class Recommendation(FrozenValue):
+    __slots__ = ("area", "technology", "verdict", "notes")
+
+    def __init__(
+        self, area: AreaKind, technology: Technology, verdict: Verdict, notes: Tuple[str, ...]
+    ) -> None:
+        _setattr(self, "area", area)
+        _setattr(self, "technology", technology)
+        _setattr(self, "verdict", verdict)
+        _setattr(self, "notes", notes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -106,33 +109,54 @@ def recommend(area: AreaKind, technology: Technology) -> Recommendation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LteContext:
+class LteContext(FrozenValue):
     """Operator needs that decide between pooled-core and RAN-only sharing.
 
     ``cost_priority_weight`` scales how much the cost advantage of a shared
     mobility manager counts, from 0 (ignore cost) to 1 (full weight).
     """
 
-    needs_inter_rat_mobility: bool = False
-    needs_cs_fallback: bool = False
-    voice_via_ims: bool = False
-    needs_roaming: bool = False
-    cost_priority_weight: float = 0.5
+    __slots__ = (
+        "needs_inter_rat_mobility",
+        "needs_cs_fallback",
+        "voice_via_ims",
+        "needs_roaming",
+        "cost_priority_weight",
+    )
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.cost_priority_weight <= 1.0):
+    def __init__(
+        self,
+        needs_inter_rat_mobility: bool = False,
+        needs_cs_fallback: bool = False,
+        voice_via_ims: bool = False,
+        needs_roaming: bool = False,
+        cost_priority_weight: float = 0.5,
+    ) -> None:
+        if not (0.0 <= cost_priority_weight <= 1.0):
             raise InvalidAmount(
-                f"cost_priority_weight must be in [0, 1], got {self.cost_priority_weight!r}"
+                f"cost_priority_weight must be in [0, 1], got {cost_priority_weight!r}"
             )
+        _setattr(self, "needs_inter_rat_mobility", needs_inter_rat_mobility)
+        _setattr(self, "needs_cs_fallback", needs_cs_fallback)
+        _setattr(self, "voice_via_ims", voice_via_ims)
+        _setattr(self, "needs_roaming", needs_roaming)
+        _setattr(self, "cost_priority_weight", cost_priority_weight)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    criterion: str
-    mocn: str  # "+", "-" or "="
-    gwcn: str
-    remark: str
+class ComparisonRow(FrozenValue):
+    __slots__ = ("criterion", "mocn", "gwcn", "remark")
+
+    def __init__(
+        self,
+        criterion: str,
+        mocn: str,  # "+", "-" or "="
+        gwcn: str,
+        remark: str,
+    ) -> None:
+        _setattr(self, "criterion", criterion)
+        _setattr(self, "mocn", mocn)
+        _setattr(self, "gwcn", gwcn)
+        _setattr(self, "remark", remark)
 
 
 # Criterion matrix: "+" favours the approach, "-" counts against it, "="
@@ -179,12 +203,20 @@ _LTE_MATRIX: Tuple[ComparisonRow, ...] = (
 _SCORE = {"+": 1.0, "-": -1.0, "=": 0.0}
 
 
-@dataclass(frozen=True)
-class LteComparisonReport:
-    rows: Tuple[ComparisonRow, ...]
-    mocn_score: float
-    gwcn_score: float
-    preferred: str  # "MOCN", "GWCN" or "Tie"
+class LteComparisonReport(FrozenValue):
+    __slots__ = ("rows", "mocn_score", "gwcn_score", "preferred")
+
+    def __init__(
+        self,
+        rows: Tuple[ComparisonRow, ...],
+        mocn_score: float,
+        gwcn_score: float,
+        preferred: str,  # "MOCN", "GWCN" or "Tie"
+    ) -> None:
+        _setattr(self, "rows", rows)
+        _setattr(self, "mocn_score", mocn_score)
+        _setattr(self, "gwcn_score", gwcn_score)
+        _setattr(self, "preferred", preferred)
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,20 +275,29 @@ def compare_lte(ctx: LteContext) -> LteComparisonReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChecklistItem:
-    domain: str  # site, energy, ran or backhaul
-    text: str
-    answered: Optional[bool] = None
+class ChecklistItem(FrozenValue):
+    __slots__ = ("domain", "text", "answered")
+
+    def __init__(
+        self,
+        domain: str,  # site, energy, ran or backhaul
+        text: str,
+        answered: Optional[bool] = None,
+    ) -> None:
+        _setattr(self, "domain", domain)
+        _setattr(self, "text", text)
+        _setattr(self, "answered", answered)
 
 
 _ITEM_KEYS = ("domain", "text", "answered")
 
 
-@dataclass(frozen=True)
-class ConstraintChecklist:
-    network_state: NetworkState
-    items: Tuple[ChecklistItem, ...]
+class ConstraintChecklist(FrozenValue):
+    __slots__ = ("network_state", "items")
+
+    def __init__(self, network_state: NetworkState, items: Tuple[ChecklistItem, ...]) -> None:
+        _setattr(self, "network_state", network_state)
+        _setattr(self, "items", items)
 
     def unanswered(self) -> Tuple[ChecklistItem, ...]:
         return tuple(i for i in self.items if i.answered is None)
@@ -265,7 +306,8 @@ class ConstraintChecklist:
         if not (0 <= index < len(self.items)):
             raise InvalidAmount(f"checklist has no item {index}")
         items = list(self.items)
-        items[index] = replace(items[index], answered=bool(value))
+        item = items[index]
+        items[index] = ChecklistItem(item.domain, item.text, bool(value))
         return ConstraintChecklist(network_state=self.network_state, items=tuple(items))
 
     def to_json_dict(self) -> dict:

@@ -25,16 +25,17 @@ from __future__ import annotations
 import math
 import os
 import platform
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .costmodel import apply_sharing, cumulative_cost, savings_report, sharing_factors
 from .errors import (
+    FrozenValue,
     InfeasibleCalibration,
     MalformedScenario,
     MissingDependency,
     NetshareError,
+    _setattr,
     read_integer,
     read_number,
     read_object,
@@ -108,19 +109,28 @@ GRID_PRESETS = (
 )
 
 
-@dataclass(frozen=True)
-class SavingsTarget:
+class SavingsTarget(FrozenValue):
     """One headline savings figure: metric of one configuration in one area."""
 
-    area: AreaKind
-    metric: str  # "capex", "opex" or "total"
-    configuration: str
-    value: float  # percent
-    weight: float = 1.0
-    bound: float = 2.0  # max acceptable |residual|, percentage points
-    note: str = ""
+    __slots__ = ("area", "metric", "configuration", "value", "weight", "bound", "note")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        area: AreaKind,
+        metric: str,  # "capex", "opex" or "total"
+        configuration: str,
+        value: float,  # percent
+        weight: float = 1.0,
+        bound: float = 2.0,  # max acceptable |residual|, percentage points
+        note: str = "",
+    ) -> None:
+        _setattr(self, "area", area)
+        _setattr(self, "metric", metric)
+        _setattr(self, "configuration", configuration)
+        _setattr(self, "value", value)
+        _setattr(self, "weight", weight)
+        _setattr(self, "bound", bound)
+        _setattr(self, "note", note)
         _check_target(self)
 
     def describe(self) -> str:
@@ -132,20 +142,30 @@ class SavingsTarget:
         return ((1.0, self.configuration),)
 
 
-@dataclass(frozen=True)
-class DeltaTarget:
+class DeltaTarget(FrozenValue):
     """Difference of one metric between two configurations in one area."""
 
-    area: AreaKind
-    metric: str
-    first: str
-    second: str
-    value: float  # percentage points
-    weight: float = 1.0
-    bound: float = 2.0
-    note: str = ""
+    __slots__ = ("area", "metric", "first", "second", "value", "weight", "bound", "note")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        area: AreaKind,
+        metric: str,
+        first: str,
+        second: str,
+        value: float,  # percentage points
+        weight: float = 1.0,
+        bound: float = 2.0,
+        note: str = "",
+    ) -> None:
+        _setattr(self, "area", area)
+        _setattr(self, "metric", metric)
+        _setattr(self, "first", first)
+        _setattr(self, "second", second)
+        _setattr(self, "value", value)
+        _setattr(self, "weight", weight)
+        _setattr(self, "bound", bound)
+        _setattr(self, "note", note)
         _check_target(self)
 
     def describe(self) -> str:
@@ -174,28 +194,56 @@ def _check_target(target: Target) -> None:
             raise MalformedScenario(f"target {name!r} must not be negative, got {number!r}")
 
 
-@dataclass(frozen=True)
-class TargetOutcome:
-    target: Target
-    achieved: float
-    residual: float  # achieved - target.value
+class TargetOutcome(FrozenValue):
+    __slots__ = ("target", "achieved", "residual")
+
+    def __init__(
+        self,
+        target: Target,
+        achieved: float,
+        residual: float,  # achieved - target.value
+    ) -> None:
+        _setattr(self, "target", target)
+        _setattr(self, "achieved", achieved)
+        _setattr(self, "residual", residual)
 
     @property
     def within_bound(self) -> bool:
         return abs(self.residual) <= self.target.bound
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    tables: Mapping[AreaKind, CostTable]
-    outcomes: Tuple[TargetOutcome, ...]
-    constraint_sets: Mapping[AreaKind, RepartitionConstraintSet]
-    method: str
-    seed: int
-    horizon_years: int
-    configurations: Tuple[str, ...]
-    # Per area, the cumulative OPEX share of the total cost that the search settled on.
-    balances: Mapping[AreaKind, float]
+class CalibrationResult(FrozenValue):
+    __slots__ = (
+        "tables",
+        "outcomes",
+        "constraint_sets",
+        "method",
+        "seed",
+        "horizon_years",
+        "configurations",
+        "balances",
+    )
+
+    def __init__(
+        self,
+        tables: Mapping[AreaKind, CostTable],
+        outcomes: Tuple[TargetOutcome, ...],
+        constraint_sets: Mapping[AreaKind, RepartitionConstraintSet],
+        method: str,
+        seed: int,
+        horizon_years: int,
+        configurations: Tuple[str, ...],
+        # Per area, the cumulative OPEX share of the total cost that the search settled on.
+        balances: Mapping[AreaKind, float],
+    ) -> None:
+        _setattr(self, "tables", tables)
+        _setattr(self, "outcomes", outcomes)
+        _setattr(self, "constraint_sets", constraint_sets)
+        _setattr(self, "method", method)
+        _setattr(self, "seed", seed)
+        _setattr(self, "horizon_years", horizon_years)
+        _setattr(self, "configurations", configurations)
+        _setattr(self, "balances", balances)
 
     def residual_report(self) -> Tuple[Tuple[str, float, float], ...]:
         return tuple((o.target.describe(), o.achieved, o.residual) for o in self.outcomes)

@@ -19,13 +19,15 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     AreaMismatch,
+    FrozenValue,
     HorizonMismatch,
     InvalidAmount,
     InvalidHorizon,
     InvalidOperatorIndex,
     ZeroBaseline,
+    _setattr,
 )
-from .inventory import AreaKind, CostTable, ElementClass
+from .inventory import AreaKind, CostTable, ElementClass, _ledger_sum
 from .sharing import SharingConfiguration
 
 __all__ = [
@@ -43,30 +45,40 @@ DEFAULT_HORIZON_YEARS = 5
 _NODEB = tuple(ElementClass).index(ElementClass.NODEB)
 
 
-@dataclass(frozen=True)
-class ClassCost:
+class ClassCost(FrozenValue):
     """Cumulative cost of one element class over the horizon."""
 
-    capex: float
-    opex_cumulative: float
+    __slots__ = ("capex", "opex_cumulative")
+
+    def __init__(self, capex: float, opex_cumulative: float) -> None:
+        _setattr(self, "capex", capex)
+        _setattr(self, "opex_cumulative", opex_cumulative)
 
     @property
     def total(self) -> float:
         return self.capex + self.opex_cumulative
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(FrozenValue):
     """Cumulative costs for one operator over one horizon.
 
     ``capex`` and ``opex`` hold each element class's CAPEX and cumulative
     OPEX amount in ``ElementClass`` order.
     """
 
-    area: AreaKind
-    horizon_years: int
-    capex: Tuple[float, ...]
-    opex: Tuple[float, ...]
+    __slots__ = ("area", "horizon_years", "capex", "opex")
+
+    def __init__(
+        self,
+        area: AreaKind,
+        horizon_years: int,
+        capex: Tuple[float, ...],
+        opex: Tuple[float, ...],
+    ) -> None:
+        _setattr(self, "area", area)
+        _setattr(self, "horizon_years", horizon_years)
+        _setattr(self, "capex", capex)
+        _setattr(self, "opex", opex)
 
     @property
     def per_class(self) -> Mapping[ElementClass, ClassCost]:
@@ -75,10 +87,10 @@ class CostBreakdown:
         )
 
     def capex_total(self) -> float:
-        return sum(self.capex)
+        return _ledger_sum(self.capex)
 
     def opex_cumulative_total(self) -> float:
-        return sum(self.opex)
+        return _ledger_sum(self.opex)
 
     def grand_total(self) -> float:
         return self.capex_total() + self.opex_cumulative_total()
@@ -230,7 +242,8 @@ def savings_report(
             f"baseline area {baseline.area.value}, shared area {shared.area.value}, "
             f"report area {area.value}"
         )
-    (report,) = _area_reports(baseline, (config,), (sum(shared.capex),), (sum(shared.opex),))
+    capex, opex = _ledger_sum(shared.capex), _ledger_sum(shared.opex)
+    (report,) = _area_reports(baseline, (config,), (capex,), (opex,))
     # The caller's breakdown may come from another operator or carrier factor.
     object.__setattr__(report, "shared", shared)
     return report
@@ -266,16 +279,28 @@ def _area_reports(
     ]
 
 
-@dataclass(frozen=True)
-class ConfigDelta:
+class ConfigDelta(FrozenValue):
     """Point difference between two savings reports on the same grid cell."""
 
-    first: str
-    second: str
-    area: AreaKind
-    capex_delta_pp: float
-    opex_delta_pp: float
-    total_delta_pp: float
+    __slots__ = (
+        "first", "second", "area", "capex_delta_pp", "opex_delta_pp", "total_delta_pp"
+    )
+
+    def __init__(
+        self,
+        first: str,
+        second: str,
+        area: AreaKind,
+        capex_delta_pp: float,
+        opex_delta_pp: float,
+        total_delta_pp: float,
+    ) -> None:
+        _setattr(self, "first", first)
+        _setattr(self, "second", second)
+        _setattr(self, "area", area)
+        _setattr(self, "capex_delta_pp", capex_delta_pp)
+        _setattr(self, "opex_delta_pp", opex_delta_pp)
+        _setattr(self, "total_delta_pp", total_delta_pp)
 
 
 def config_delta(first: SavingsReport, second: SavingsReport) -> ConfigDelta:

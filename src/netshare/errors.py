@@ -2,8 +2,9 @@
 
 Every domain failure raises a subclass of :class:`NetshareError`, so callers
 (including the command line front end) can distinguish model errors from
-programming errors with a single except clause.  The ``read_*`` functions at
-the end check the fields of every input document.
+programming errors with a single except clause.  The ``read_*`` functions
+check the fields of every input document, and :class:`FrozenValue` at the
+end is the base of the package's immutable value types.
 """
 
 from collections.abc import Mapping
@@ -161,3 +162,52 @@ def _shown(value) -> str:
     if isinstance(value, int) and not -10**20 < value < 10**20:
         return f"an integer of about {int(abs(value).bit_length() * 0.30103) + 1} digits"
     return repr(value)
+
+
+# ---------------------------------------------------------------------------
+# Immutable values
+# ---------------------------------------------------------------------------
+
+
+# A FrozenValue refuses assignment, so each __init__ stores its fields
+# through this, one call a field, as a frozen dataclass's __init__ does.
+_setattr = object.__setattr__
+
+
+class FrozenValue:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    its ``__init__`` checks them and stores each with ``_setattr``.  An
+    instance equals another of the same class with equal fields, hashes by
+    its fields, prints as ``Name(field=value, ...)``, copies and pickles by
+    calling its class with its fields, and refuses assignment and deletion
+    with :class:`AttributeError`.  This is what a frozen dataclass gives,
+    without the methods a dataclass compiles when its class is defined.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

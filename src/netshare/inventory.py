@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
+    FrozenValue,
     InvalidAmount,
     MissingCostEntry,
     ZeroTotalLedger,
+    _setattr,
     read_integer,
     read_number,
     read_object,
@@ -143,20 +146,36 @@ class Ledger(Enum):
         return Ledger.OPEX
 
 
-@dataclass(frozen=True)
-class CostEntry:
+# Every float sum that reaches an output goes through _ledger_sum.  From
+# Python 3.12 on, the built-in sum() of floats is compensated, so its last
+# digits can differ from the left-to-right sum the golden outputs pin.
+if sys.version_info >= (3, 12):
+
+    def _ledger_sum(values) -> float:
+        """Sum ``values`` left to right, as ``sum`` did before Python 3.12."""
+        total = 0
+        for value in values:
+            total += value
+        return total
+
+else:
+    _ledger_sum = sum
+
+
+class CostEntry(FrozenValue):
     """One-off CAPEX and annual OPEX for a single element class."""
 
-    capex: float = 0.0
-    opex_annual: float = 0.0
+    __slots__ = ("capex", "opex_annual")
 
-    def __post_init__(self) -> None:
-        for name in _AMOUNTS:
-            value = read_number(getattr(self, name), name, InvalidAmount)
+    def __init__(self, capex: float = 0.0, opex_annual: float = 0.0) -> None:
+        for name, amount in zip(_AMOUNTS, (capex, opex_annual)):
+            value = read_number(amount, name, InvalidAmount)
             if not math.isfinite(value):
                 raise InvalidAmount(f"{name} must be finite, got {value!r}")
             if value < 0:
                 raise InvalidAmount(f"{name} must be >= 0, got {value!r}")
+        _setattr(self, "capex", capex)
+        _setattr(self, "opex_annual", opex_annual)
 
 
 def _normalise_entry(value: Union["CostEntry", Tuple[float, float]]) -> CostEntry:
@@ -167,8 +186,7 @@ def _normalise_entry(value: Union["CostEntry", Tuple[float, float]]) -> CostEntr
     raise InvalidAmount(f"cost entry must be CostEntry or (capex, opex) pair, got {value!r}")
 
 
-@dataclass(frozen=True)
-class CostTable:
+class CostTable(FrozenValue):
     """Per-class cost amounts for one operator deploying alone in one area.
 
     Missing classes are filled with zero-cost entries so that every table
@@ -177,26 +195,31 @@ class CostTable:
     the table matters.
     """
 
-    area: AreaKind
-    entries: Mapping[ElementClass, CostEntry] = field(default_factory=dict)
-    currency: str = "units"
+    __slots__ = ("area", "entries", "currency")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        area: AreaKind,
+        entries: Mapping[ElementClass, CostEntry] = MappingProxyType({}),
+        currency: str = "units",
+    ) -> None:
         filled = {}
         for cls in ElementClass:
-            filled[cls] = _normalise_entry(self.entries.get(cls, CostEntry()))
-        unknown = set(self.entries) - set(ElementClass)
+            filled[cls] = _normalise_entry(entries.get(cls, CostEntry()))
+        unknown = set(entries) - set(ElementClass)
         if unknown:
             raise InvalidAmount(f"unknown element classes in cost table: {sorted(unknown)!r}")
-        object.__setattr__(self, "entries", filled)
+        _setattr(self, "area", area)
+        _setattr(self, "entries", filled)
+        _setattr(self, "currency", currency)
 
     # -- totals ---------------------------------------------------------
 
     def capex_total(self) -> float:
-        return sum(e.capex for e in self.entries.values())
+        return _ledger_sum(e.capex for e in self.entries.values())
 
     def opex_annual_total(self) -> float:
-        return sum(e.opex_annual for e in self.entries.values())
+        return _ledger_sum(e.opex_annual for e in self.entries.values())
 
     def is_usable(self) -> bool:
         """A table with no cost at all cannot support savings figures."""
@@ -272,8 +295,7 @@ class CostTable:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=False)
 
 
-@dataclass(frozen=True)
-class AreaProfile:
+class AreaProfile(FrozenValue):
     """Deployment footprint of one operator in one area type.
 
     Default counts follow a reference national deployment in which every
@@ -282,17 +304,28 @@ class AreaProfile:
     coverage-limited cells) while core elements stay at one per area.
     """
 
-    kind: AreaKind
-    nodeb_count: int = 1
-    subscriber_count: int = 17700
-    rnc_count: int = 1
-    sgsn_count: int = 1
-    ggsn_count: int = 1
+    __slots__ = (
+        "kind", "nodeb_count", "subscriber_count", "rnc_count", "sgsn_count", "ggsn_count"
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        kind: AreaKind,
+        nodeb_count: int = 1,
+        subscriber_count: int = 17700,
+        rnc_count: int = 1,
+        sgsn_count: int = 1,
+        ggsn_count: int = 1,
+    ) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "nodeb_count", nodeb_count)
+        _setattr(self, "subscriber_count", subscriber_count)
+        _setattr(self, "rnc_count", rnc_count)
+        _setattr(self, "sgsn_count", sgsn_count)
+        _setattr(self, "ggsn_count", ggsn_count)
         for name in ("nodeb_count", "rnc_count", "sgsn_count", "ggsn_count"):
             read_integer(getattr(self, name), name, InvalidAmount, 1)
-        read_integer(self.subscriber_count, "subscriber_count", InvalidAmount, 0)
+        read_integer(subscriber_count, "subscriber_count", InvalidAmount, 0)
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,10 +12,9 @@ structure, so running a scenario does not import this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import InvalidAmount, read_number, read_object, read_text
+from .errors import FrozenValue, InvalidAmount, _setattr, read_number, read_object, read_text
 from .inventory import AreaKind, CostTable, ElementClass, Ledger, Market
 
 __all__ = [
@@ -29,23 +28,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RepartitionConstraint:
+class RepartitionConstraint(FrozenValue):
     """Closed interval on the ledger fraction carried by a class group.
 
     ``area`` narrows the constraint to one area kind; ``None`` applies to
     every area.  Bounds are fractions in [0, 1] with ``lower <= upper``.
     """
 
-    label: str
-    ledger: Ledger
-    classes: frozenset
-    lower: float
-    upper: float
-    area: Optional[AreaKind] = None
+    __slots__ = ("label", "ledger", "classes", "lower", "upper", "area")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", frozenset(self.classes))
+    def __init__(
+        self,
+        label: str,
+        ledger: Ledger,
+        classes: Iterable[ElementClass],
+        lower: float,
+        upper: float,
+        area: Optional[AreaKind] = None,
+    ) -> None:
+        _setattr(self, "label", label)
+        _setattr(self, "ledger", ledger)
+        _setattr(self, "classes", frozenset(classes))
+        _setattr(self, "lower", lower)
+        _setattr(self, "upper", upper)
+        _setattr(self, "area", area)
         if not self.classes:
             raise InvalidAmount(f"constraint {self.label!r} must name at least one class")
         if not (0.0 <= self.lower <= self.upper <= 1.0):
@@ -90,15 +96,14 @@ class RepartitionConstraint:
             raise InvalidAmount(f"constraint {doc['label']!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RepartitionConstraintSet:
+class RepartitionConstraintSet(FrozenValue):
     """Named, ordered collection of repartition constraints."""
 
-    name: str
-    constraints: Tuple[RepartitionConstraint, ...]
+    __slots__ = ("name", "constraints")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+    def __init__(self, name: str, constraints: Iterable[RepartitionConstraint]) -> None:
+        _setattr(self, "name", name)
+        _setattr(self, "constraints", tuple(constraints))
 
     def for_area(self, area: AreaKind) -> Tuple[RepartitionConstraint, ...]:
         return tuple(c for c in self.constraints if c.applies_to(area))
@@ -128,17 +133,26 @@ class RepartitionConstraintSet:
         )
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
-    constraint: RepartitionConstraint
-    observed: float  # rounded to 4 decimals for reporting
-    satisfied: bool
+class ConstraintCheck(FrozenValue):
+    __slots__ = ("constraint", "observed", "satisfied")
+
+    def __init__(
+        self,
+        constraint: RepartitionConstraint,
+        observed: float,  # rounded to 4 decimals for reporting
+        satisfied: bool,
+    ) -> None:
+        _setattr(self, "constraint", constraint)
+        _setattr(self, "observed", observed)
+        _setattr(self, "satisfied", satisfied)
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    checks: Tuple[ConstraintCheck, ...]
-    overall: bool
+class ConstraintReport(FrozenValue):
+    __slots__ = ("checks", "overall")
+
+    def __init__(self, checks: Tuple[ConstraintCheck, ...], overall: bool) -> None:
+        _setattr(self, "checks", checks)
+        _setattr(self, "overall", overall)
 
     def failures(self) -> Tuple[ConstraintCheck, ...]:
         return tuple(c for c in self.checks if not c.satisfied)

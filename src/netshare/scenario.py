@@ -35,17 +35,27 @@ from .costmodel import (
     sharing_factors,
 )
 from .errors import (
+    FrozenValue,
     InvalidScenario,
     InvalidSweepParameter,
     MalformedScenario,
     NetshareError,
+    _setattr,
     read_flag,
     read_integer,
     read_number,
     read_object,
     read_text,
 )
-from .inventory import AreaKind, AreaProfile, CostEntry, CostTable, ElementClass, default_profile
+from .inventory import (
+    AreaKind,
+    AreaProfile,
+    CostEntry,
+    CostTable,
+    ElementClass,
+    _ledger_sum,
+    default_profile,
+)
 from .sharing import (
     RegulatoryPolicy,
     SharingConfiguration,
@@ -148,21 +158,28 @@ def _read_json(path: Path):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(FrozenValue):
     """Single-parameter range to re-run the grid over.
 
     ``parameter`` is one of :data:`SWEEP_PARAMETERS`; ``class_name`` is
     required (as an element-class label) only for ``class_cost_fraction``.
     """
 
-    parameter: str
-    start: float
-    stop: float
-    steps: int
-    class_name: Optional[str] = None
+    __slots__ = ("parameter", "start", "stop", "steps", "class_name")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        parameter: str,
+        start: float,
+        stop: float,
+        steps: int,
+        class_name: Optional[str] = None,
+    ) -> None:
+        _setattr(self, "parameter", parameter)
+        _setattr(self, "start", start)
+        _setattr(self, "stop", stop)
+        _setattr(self, "steps", steps)
+        _setattr(self, "class_name", class_name)
         read_text(self.parameter, "sweep parameter", InvalidSweepParameter)
         if self.parameter not in SWEEP_PARAMETERS:
             raise InvalidSweepParameter(
@@ -355,15 +372,15 @@ def _factors(configs: Sequence[SharingConfiguration]) -> Tuple[Tuple[float, ...]
 
 
 def _ledger_sums(ledger: Sequence[float], factors: Sequence[Tuple[float, ...]]) -> List[float]:
-    """Each configuration's share of one ledger: one ``sum`` of its per-class products.
+    """Each configuration's share of one ledger: one ``_ledger_sum`` of its per-class products.
 
-    The products are the ones :func:`apply_sharing` forms, summed in
-    ``ElementClass`` order, so each cell equals
+    The products are the ones :func:`apply_sharing` forms, summed left to
+    right in ``ElementClass`` order, so each cell equals
     ``savings_report(baseline, apply_sharing(baseline, config), config)`` bit
-    for bit.  A sweep point that moves one product sums the whole ledger
-    again: from Python 3.12 on, a sum resumed from a partial sum can differ.
+    for bit on every Python.  A sweep point that moves one product sums the
+    whole ledger again, in the same order.
     """
-    return [sum(map(mul, ledger, factor)) for factor in factors]
+    return [_ledger_sum(map(mul, ledger, factor)) for factor in factors]
 
 
 def _evaluate(
@@ -419,18 +436,28 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    value: float
-    result: ScenarioResult
+class SweepPoint(FrozenValue):
+    __slots__ = ("value", "result")
+
+    def __init__(self, value: float, result: ScenarioResult) -> None:
+        _setattr(self, "value", value)
+        _setattr(self, "result", result)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    scenario_name: str
-    parameter: str
-    class_name: Optional[str]
-    points: Tuple[SweepPoint, ...]
+class SweepResult(FrozenValue):
+    __slots__ = ("scenario_name", "parameter", "class_name", "points")
+
+    def __init__(
+        self,
+        scenario_name: str,
+        parameter: str,
+        class_name: Optional[str],
+        points: Tuple[SweepPoint, ...],
+    ) -> None:
+        _setattr(self, "scenario_name", scenario_name)
+        _setattr(self, "parameter", parameter)
+        _setattr(self, "class_name", class_name)
+        _setattr(self, "points", points)
 
 
 def _check_fraction(parameter: str, value: float) -> None:
@@ -512,7 +539,7 @@ def _slot_sums(
     sums = []
     for ledger, factor in zip(products, factors):
         ledger[slot] = amount * factor[slot]
-        sums.append(sum(ledger))
+        sums.append(_ledger_sum(ledger))
     return sums
 
 

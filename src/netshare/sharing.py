@@ -20,8 +20,10 @@ from itertools import compress
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import (
+    FrozenValue,
     InvalidConfiguration,
     UnknownPreset,
+    _setattr,
     read_flag,
     read_integer,
     read_number,
@@ -65,8 +67,7 @@ _LEVEL_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class LevelAssessment:
+class LevelAssessment(FrozenValue):
     """Resolved ladder position: highest shared rung plus a gap flag.
 
     ``level`` is ``None`` when nothing ladder-relevant is shared (the
@@ -74,31 +75,39 @@ class LevelAssessment:
     below the highest shared one is not itself shared.
     """
 
-    level: Optional[SharingLevel]
-    non_contiguous: bool = False
+    __slots__ = ("level", "non_contiguous")
+
+    def __init__(self, level: Optional[SharingLevel], non_contiguous: bool = False) -> None:
+        _setattr(self, "level", level)
+        _setattr(self, "non_contiguous", non_contiguous)
 
 
 NO_SHARING = LevelAssessment(level=None, non_contiguous=False)
 
 
-@dataclass(frozen=True)
-class RegulatoryPolicy:
+class RegulatoryPolicy(FrozenValue):
     """Regulatory side conditions a configuration must respect.
 
     ``min_own_coverage_fraction`` is the population share each operator must
     reach with its own infrastructure before relying on a partner's network.
     """
 
-    min_own_coverage_fraction: float = 0.0
-    spectrum_pooling_allowed: bool = True
-    max_level: Optional[SharingLevel] = None
+    __slots__ = ("min_own_coverage_fraction", "spectrum_pooling_allowed", "max_level")
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.min_own_coverage_fraction <= 1.0):
+    def __init__(
+        self,
+        min_own_coverage_fraction: float = 0.0,
+        spectrum_pooling_allowed: bool = True,
+        max_level: Optional[SharingLevel] = None,
+    ) -> None:
+        if not (0.0 <= min_own_coverage_fraction <= 1.0):
             raise InvalidConfiguration(
                 f"min_own_coverage_fraction must be in [0, 1], "
-                f"got {self.min_own_coverage_fraction!r}"
+                f"got {min_own_coverage_fraction!r}"
             )
+        _setattr(self, "min_own_coverage_fraction", min_own_coverage_fraction)
+        _setattr(self, "spectrum_pooling_allowed", spectrum_pooling_allowed)
+        _setattr(self, "max_level", max_level)
 
 
 # The flags and keys of a configuration document.
@@ -365,16 +374,22 @@ def sharing_level(config: SharingConfiguration) -> LevelAssessment:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    code: str
-    message: str
+class ValidationIssue(FrozenValue):
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: str, message: str) -> None:
+        _setattr(self, "code", code)
+        _setattr(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: Tuple[ValidationIssue, ...]
-    warnings: Tuple[ValidationIssue, ...]
+class ValidationReport(FrozenValue):
+    __slots__ = ("errors", "warnings")
+
+    def __init__(
+        self, errors: Tuple[ValidationIssue, ...], warnings: Tuple[ValidationIssue, ...]
+    ) -> None:
+        _setattr(self, "errors", errors)
+        _setattr(self, "warnings", warnings)
 
     @property
     def valid(self) -> bool:

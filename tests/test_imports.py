@@ -108,6 +108,33 @@ def test_cli_commands_load_only_the_modules_they_run(argv, sweep_scenario):
     assert loaded.isdisjoint(_NOT_LOADED[argv[0]]), sorted(loaded)
 
 
+_ADVICE = [argv for argv in CLI_COMMANDS if argv[0] in ("recommend", "compare-lte", "checklist")]
+_STDLIB = "import sys; print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+
+
+@pytest.mark.parametrize("argv", _ADVICE, ids=lambda argv: argv[0])
+def test_advice_commands_load_neither_dataclasses_nor_inspect(argv, sweep_scenario):
+    """Their types are plain frozen values, so no dataclass is built at startup."""
+    assert _run_command(argv, sweep_scenario, _STDLIB) == []
+
+
+def test_only_four_public_types_are_dataclasses():
+    """The types tests reach through ``dataclasses``; every other value type is a FrozenValue."""
+    code = (
+        "import dataclasses, json, netshare\n"
+        "names = [n for n in netshare.__all__ if dataclasses.is_dataclass(getattr(netshare, n))]\n"
+        "print(json.dumps(sorted(names)))\n"
+    )
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "SavingsReport",
+        "Scenario",
+        "ScenarioResult",
+        "SharingConfiguration",
+    ]
+
+
 def test_calibration_names_resolve_to_the_calibration_module():
     import netshare.calibration
 

@@ -1,0 +1,174 @@
+"""The frozen value types: immutable, compared and hashed by field, copied and pickled whole."""
+
+import copy
+import importlib
+import pickle
+
+import pytest
+
+from netshare.advisor import (
+    ChecklistItem,
+    ComparisonRow,
+    ConstraintChecklist,
+    LteComparisonReport,
+    LteContext,
+    Recommendation,
+    Verdict,
+)
+from netshare.calibration import CalibrationResult, DeltaTarget, SavingsTarget, TargetOutcome
+from netshare.costmodel import ClassCost, ConfigDelta, CostBreakdown
+from netshare.errors import FrozenValue
+from netshare.inventory import (
+    AreaKind,
+    AreaProfile,
+    CostEntry,
+    CostTable,
+    ElementClass,
+    Ledger,
+    NetworkState,
+    Technology,
+)
+from netshare.repartition import (
+    ConstraintCheck,
+    ConstraintReport,
+    RepartitionConstraint,
+    RepartitionConstraintSet,
+)
+from netshare.scenario import ScenarioResult, SweepPoint, SweepResult, SweepSpec
+from netshare.sharing import (
+    LevelAssessment,
+    RegulatoryPolicy,
+    SharingLevel,
+    ValidationIssue,
+    ValidationReport,
+)
+
+_URBAN = AreaKind.URBAN
+_TABLE = CostTable(_URBAN, {ElementClass.NODEB: CostEntry(1.0, 2.0)})
+_ISSUE = ValidationIssue("GwcnWithoutRan", "a shared core gateway requires a shared RNC")
+_ROW = ComparisonRow("cost", "-", "+", "pooling splits one more cost block")
+_ITEM = ChecklistItem("site", "Choice of site.", True)
+_CONSTRAINT = RepartitionConstraint(
+    "nodeb", Ledger.CAPEX, frozenset({ElementClass.NODEB}), 0.1, 0.5, _URBAN
+)
+_CONSTRAINTS = RepartitionConstraintSet("set", (_CONSTRAINT,))
+_CHECK = ConstraintCheck(_CONSTRAINT, 0.25, True)
+_TARGET = SavingsTarget(_URBAN, "capex", "MOCN", 40.0, 1.0, 2.0, "headline")
+_OUTCOME = TargetOutcome(_TARGET, 39.5, -0.5)
+_POINT = SweepPoint(0.5, ScenarioResult("s", 5, (), (), ()))
+
+# Each value type with the arguments of one small valid instance, in field order.
+# The instances above, which others hold, give their own fields.
+VALUES = {
+    CostEntry: (1.0, 2.0),
+    CostTable: _TABLE._values(),
+    AreaProfile: (AreaKind.RURAL, 3, 100, 1, 1, 1),
+    ClassCost: (1.0, 2.0),
+    CostBreakdown: (_URBAN, 5, (1.0, 2.0), (3.0, 4.0)),
+    ConfigDelta: ("MOCN", "GWCN", _URBAN, 1.0, 2.0, 3.0),
+    LevelAssessment: (SharingLevel.L3_NODEB, True),
+    RegulatoryPolicy: (0.5, False, SharingLevel.L4_RNC),
+    ValidationIssue: _ISSUE._values(),
+    ValidationReport: ((_ISSUE,), ()),
+    SweepSpec: ("split_ratio", 0.2, 0.8, 3, None),
+    SweepPoint: _POINT._values(),
+    SweepResult: ("s", "split_ratio", None, (_POINT,)),
+    Recommendation: (AreaKind.RURAL, Technology.G3, Verdict.CASE_BY_CASE, ("note",)),
+    LteContext: (True, False, True, False, 0.25),
+    ComparisonRow: _ROW._values(),
+    LteComparisonReport: ((_ROW,), 1.0, -1.0, "MOCN"),
+    ChecklistItem: _ITEM._values(),
+    ConstraintChecklist: (NetworkState.NEW, (_ITEM,)),
+    RepartitionConstraint: _CONSTRAINT._values(),
+    RepartitionConstraintSet: _CONSTRAINTS._values(),
+    ConstraintCheck: _CHECK._values(),
+    ConstraintReport: ((_CHECK,), True),
+    SavingsTarget: _TARGET._values(),
+    DeltaTarget: (_URBAN, "total", "GWCN", "MOCN", 1.5, 1.0, 2.0, ""),
+    TargetOutcome: _OUTCOME._values(),
+    CalibrationResult: (
+        {_URBAN: _TABLE},
+        (_OUTCOME,),
+        {_URBAN: _CONSTRAINTS},
+        "method",
+        0,
+        5,
+        ("MOCN",),
+        {_URBAN: 0.5},
+    ),
+}
+UNHASHABLE = {CostTable, CalibrationResult}  # they hold dicts
+
+_MODULES = (
+    "advisor", "calibration", "costmodel", "inventory", "repartition", "scenario", "sharing"
+)
+
+
+def _with_fields(cls, values):
+    """An instance of ``cls`` holding ``values``, bypassing its checks."""
+    value = object.__new__(cls)
+    for name, field in zip(cls.__slots__, values):
+        object.__setattr__(value, name, field)
+    return value
+
+
+def test_every_value_type_is_covered():
+    found = {
+        obj
+        for name in _MODULES
+        for obj in vars(importlib.import_module(f"netshare.{name}")).values()
+        if isinstance(obj, type) and issubclass(obj, FrozenValue) and obj is not FrozenValue
+    }
+    assert found == set(VALUES)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_value_type_behaves_as_a_frozen_value(cls):
+    args = VALUES[cls]
+    value = cls(*args)
+    fields = cls.__slots__
+    assert len(fields) == len(args)
+
+    # Immutable: no field can be assigned or deleted, and no attribute added.
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in fields) == value._values()
+
+    # Equal by field, within one class only.
+    twin = cls(*args)
+    assert twin is not value and twin == value and not twin != value
+    for i in range(len(fields)):
+        changed = list(value._values())
+        changed[i] = object()
+        assert value != _with_fields(cls, changed), fields[i]
+    impostor = type(cls.__name__, (FrozenValue,), {"__slots__": fields})
+    assert value != _with_fields(impostor, value._values())
+    assert _with_fields(impostor, value._values()) != value
+
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        assert hash(twin) == hash(value)
+
+    # Copies and pickles rebuild it through its constructor.
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is cls and copied == value
+
+    assert cls(**dict(zip(fields, args))) == value
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={getattr(value, name)!r}" for name in fields
+    ) + ")"
+
+
+def test_value_reprs_read_like_their_constructor_calls():
+    assert repr(CostEntry(1.0, 2.0)) == "CostEntry(capex=1.0, opex_annual=2.0)"
+    assert repr(SweepSpec("split_ratio", 0.2, 0.8, 3)) == (
+        "SweepSpec(parameter='split_ratio', start=0.2, stop=0.8, steps=3, class_name=None)"
+    )
+    assert repr(LevelAssessment(SharingLevel.L3_NODEB)) == (
+        "LevelAssessment(level=<SharingLevel.L3_NODEB: 3>, non_contiguous=False)"
+    )
