@@ -146,9 +146,12 @@ class Ledger(Enum):
         return Ledger.OPEX
 
 
-# Every float sum that reaches an output goes through _ledger_sum.  From
-# Python 3.12 on, the built-in sum() of floats is compensated, so its last
-# digits can differ from the left-to-right sum the golden outputs pin.
+# The ledger sums that the golden run/sweep outputs pin go through
+# _ledger_sum, which adds left to right on every Python.  From 3.12 on the
+# built-in sum() of floats is compensated, so its last digits can differ.
+# Before 3.12 sum() already adds left to right and runs the grid kernel's
+# ledger sums faster than the loop: on 3.11.7 (2-core Xeon) the loop cost
+# grid_sweep 9.8 % of its work_per_s, lower in 10 of 10 alternating pairs.
 if sys.version_info >= (3, 12):
 
     def _ledger_sum(values) -> float:
