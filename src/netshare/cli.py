@@ -15,6 +15,7 @@ run and sweep json carries a timestamp and is suppressed by
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -355,6 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netshare",
         description="Techno-economic model of mobile network infrastructure sharing.",
+        # An explicit help column: from 3.13 on, argparse would widen it to fit
+        # the subcommand list, and the help would differ from earlier Pythons.
+        formatter_class=functools.partial(argparse.HelpFormatter, max_help_position=15),
     )
     parser.add_argument("--version", action="version", version=f"netshare {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -435,7 +439,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NetshareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

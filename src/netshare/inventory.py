@@ -189,6 +189,11 @@ def _normalise_entry(value: Union["CostEntry", Tuple[float, float]]) -> CostEntr
     raise InvalidAmount(f"cost entry must be CostEntry or (capex, opex) pair, got {value!r}")
 
 
+# The entry a table gives each class it is not given; entries are immutable,
+# so every table shares this one.
+_ZERO_ENTRY = CostEntry()
+
+
 class CostTable(FrozenValue):
     """Per-class cost amounts for one operator deploying alone in one area.
 
@@ -208,7 +213,7 @@ class CostTable(FrozenValue):
     ) -> None:
         filled = {}
         for cls in ElementClass:
-            filled[cls] = _normalise_entry(entries.get(cls, CostEntry()))
+            filled[cls] = _normalise_entry(entries.get(cls, _ZERO_ENTRY))
         unknown = set(entries) - set(ElementClass)
         if unknown:
             raise InvalidAmount(f"unknown element classes in cost table: {sorted(unknown)!r}")
@@ -414,7 +419,7 @@ def build_inventory(
                 f"(quantity {qty} in {profile.kind.value})"
             )
         else:
-            unit = CostEntry()
+            unit = _ZERO_ENTRY
         entries[cls] = CostEntry(unit.capex * qty, unit.opex_annual * qty)
     unknown = set(unit_costs) - set(ElementClass)
     if unknown:

@@ -14,7 +14,6 @@ overridden through the ``NETSHARE_FIXTURES`` environment variable).
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import math
 import os
@@ -94,7 +93,7 @@ def fixture_dir() -> Path:
     override = os.environ.get("NETSHARE_FIXTURES")
     if override:
         return Path(override)
-    return Path(str(importlib.resources.files("netshare").joinpath("fixtures")))
+    return Path(__file__).parent / "fixtures"
 
 
 def fixture_path(name: str, base_dir: Optional[Path] = None) -> Path:

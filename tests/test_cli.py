@@ -1,8 +1,10 @@
 """Command line behavior: formats, exit codes, files and determinism."""
 
+import gc
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -566,3 +568,90 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "netshare" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# process exit: both entry points, in a child process
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(netshare.__file__).resolve().parents[1])
+
+
+def _script_call():
+    """What the installed ``netshare`` script runs: the function pyproject.toml names."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, function = re.search(r'^netshare = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return f"import sys\nfrom {module} import {function}\nsys.exit({function}())\n"
+
+
+SCRIPT_CALL = _script_call()
+# What a child runs before the command's own arguments.
+LAUNCHERS = {"module": ["-m", "netshare"], "script": ["-c", SCRIPT_CALL]}
+
+
+def _child(launch, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *launch, *argv], capture_output=True, env=env)
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+def test_child_run_prints_the_golden_csv(launcher):
+    proc = _child(LAUNCHERS[launcher], "run", USE_CASE, "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / "run_paper_use_case.csv").read_bytes()
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+def test_child_run_out_writes_the_golden_csv(launcher, tmp_path):
+    target = tmp_path / "grid.csv"
+    proc = _child(LAUNCHERS[launcher], "run", USE_CASE, "--format", "csv", "--out", str(target))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b""
+    assert target.read_bytes() == (GOLDEN / "run_paper_use_case.csv").read_bytes()
+
+
+@pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+def test_child_missing_scenario_exits_one_with_one_error_line(launcher):
+    proc = _child(LAUNCHERS[launcher], "run", "no_such_scenario.json")
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+# An atexit hook, registered before the command runs, reports the freeze count.
+_FREEZE_PROBE = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('freeze count', gc.get_freeze_count(), file=sys.stderr))\n"
+)
+_PROBED = {
+    "module": _FREEZE_PROBE
+    + "import runpy\nrunpy.run_module('netshare', run_name='__main__', alter_sys=True)\n",
+    "script": _FREEZE_PROBE + SCRIPT_CALL,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["presets"], 0), (["run", "no_such_scenario.json"], 1), (["--help"], 0), (["frobnicate"], 2)],
+    ids=["returns", "domain-error", "help-exit", "usage-exit"],
+)
+@pytest.mark.parametrize("launcher", sorted(_PROBED))
+def test_entry_freezes_the_collector_before_shutdown(launcher, argv, code):
+    """Shutdown's collections skip what the command loaded, whether main returns or exits."""
+    proc = _child(["-c", _PROBED[launcher]], *argv)
+    assert proc.returncode == code, proc.stderr
+    label, count = proc.stderr.decode().splitlines()[-1].rsplit(" ", 1)
+    assert label == "freeze count"
+    assert int(count) > 0
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(capsys):
+    before = gc.get_freeze_count()
+    assert main(["presets"]) == 0
+    assert main(["run", "no_such_scenario.json"]) == 1
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert gc.get_freeze_count() == before

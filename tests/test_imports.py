@@ -13,12 +13,15 @@ import netshare
 SRC = str(Path(netshare.__file__).resolve().parents[1])
 
 
-def _python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this checkout's netshare."""
+def _python(code: str, *args: str, flags=()) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's netshare.
+
+    ``flags`` go to the interpreter before ``-c``.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+        [sys.executable, *flags, "-c", code, *args], capture_output=True, text=True, env=env
     )
 
 
@@ -67,7 +70,7 @@ CLI_COMMANDS = [
 ]
 
 
-def _run_command(argv, sweep_scenario, report):
+def _run_command(argv, sweep_scenario, report, flags=()):
     """Run one command in a fresh interpreter; return what ``report`` prints after it."""
     argv = [sweep_scenario if a == "SWEEP" else a for a in argv]
     code = (
@@ -77,7 +80,7 @@ def _run_command(argv, sweep_scenario, report):
         "    assert main(sys.argv[1:]) == 0\n"
         f"{report}\n"
     )
-    proc = _python(code, *argv)
+    proc = _python(code, *argv, flags=flags)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -116,6 +119,19 @@ _STDLIB = "import sys; print(json.dumps(sorted({'dataclasses', 'inspect'} & set(
 def test_advice_commands_load_neither_dataclasses_nor_inspect(argv, sweep_scenario):
     """Their types are plain frozen values, so no dataclass is built at startup."""
     assert _run_command(argv, sweep_scenario, _STDLIB) == []
+
+
+_FIXTURE_COMMANDS = [argv for argv in CLI_COMMANDS if argv[0] in ("run", "sweep", "validate")]
+_RESOURCES = "import sys; print(json.dumps('importlib.resources' in sys.modules))"
+
+
+@pytest.mark.parametrize("argv", _FIXTURE_COMMANDS, ids=lambda argv: argv[0])
+def test_fixture_lookup_does_not_load_importlib_resources(argv, sweep_scenario):
+    """The fixture directory sits beside the package's own file.
+
+    ``-S`` keeps site hooks, which may load the module themselves, out of the child.
+    """
+    assert _run_command(argv, sweep_scenario, _RESOURCES, flags=("-S",)) is False
 
 
 def test_only_four_public_types_are_dataclasses():
