@@ -32,11 +32,13 @@ SCHEMA_VERSION = 1
 
 
 def _provenance(scenario_name: str) -> dict:
+    import platform
     from datetime import datetime, timezone
 
     return {
         "scenario": scenario_name,
         "engine_version": __version__,
+        "python": platform.python_version(),
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
 

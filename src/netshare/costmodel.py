@@ -11,8 +11,6 @@ that class's cost, which caps the achievable saving at 50 percent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -25,6 +23,7 @@ from .errors import (
     InvalidHorizon,
     InvalidOperatorIndex,
     ZeroBaseline,
+    _keep,
     _setattr,
 )
 from .inventory import AreaKind, CostTable, ElementClass, _ledger_sum
@@ -158,8 +157,7 @@ def apply_sharing(
     )
 
 
-@dataclass(frozen=True, init=False)
-class SavingsReport:
+class SavingsReport(FrozenValue):
     """Per-operator savings of a sharing configuration against build-alone.
 
     A report stores its three percentages, ``baseline`` and ``sharing``;
@@ -168,11 +166,7 @@ class SavingsReport:
     from ``baseline`` on first access unless :func:`savings_report` was given it.
     """
 
-    capex_saving_pct: float
-    opex_saving_pct: float
-    total_saving_pct: float
-    baseline: CostBreakdown
-    sharing: SharingConfiguration
+    __slots__ = ("capex_saving_pct", "opex_saving_pct", "total_saving_pct", "baseline", "sharing")
 
     def __init__(
         self,
@@ -182,14 +176,12 @@ class SavingsReport:
         baseline: CostBreakdown,
         sharing: SharingConfiguration,
     ) -> None:
-        # Five stores into the instance dict, which shares its keys, in place
-        # of the generated __init__'s five frozen setattr calls.
-        values = self.__dict__
-        values["capex_saving_pct"] = capex_saving_pct
-        values["opex_saving_pct"] = opex_saving_pct
-        values["total_saving_pct"] = total_saving_pct
-        values["baseline"] = baseline
-        values["sharing"] = sharing
+        # One report a grid cell: the slots' own stores skip _setattr's name lookup.
+        _set_capex(self, capex_saving_pct)
+        _set_opex(self, opex_saving_pct)
+        _set_total(self, total_saving_pct)
+        _set_baseline(self, baseline)
+        _set_sharing(self, sharing)
 
     @property
     def configuration(self) -> str:
@@ -203,9 +195,13 @@ class SavingsReport:
     def horizon_years(self) -> int:
         return self.baseline.horizon_years
 
-    @cached_property
+    @property
     def shared(self) -> CostBreakdown:
-        return apply_sharing(self.baseline, self.sharing)
+        try:
+            return self._kept
+        except AttributeError:
+            _keep(self, apply_sharing(self.baseline, self.sharing))
+            return self._kept
 
     def per_class_savings(self) -> Mapping[ElementClass, float]:
         """Absolute cumulative amount saved per element class."""
@@ -221,6 +217,11 @@ class SavingsReport:
             "total_saving_pct": self.total_saving_pct,
             "horizon_years": self.horizon_years,
         }
+
+
+_set_capex, _set_opex, _set_total, _set_baseline, _set_sharing = [
+    vars(SavingsReport)[name].__set__ for name in SavingsReport.__slots__
+]
 
 
 def savings_report(
@@ -245,7 +246,7 @@ def savings_report(
     capex, opex = _ledger_sum(shared.capex), _ledger_sum(shared.opex)
     (report,) = _area_reports(baseline, (config,), (capex,), (opex,))
     # The caller's breakdown may come from another operator or carrier factor.
-    object.__setattr__(report, "shared", shared)
+    _keep(report, shared)
     return report
 
 

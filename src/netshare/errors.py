@@ -114,7 +114,7 @@ def read_object(doc, what: str, error: type, keys, required=()) -> None:
         raise error(f"{what} must be an object, got {type(doc).__name__}")
     unknown = set(doc) - set(keys)
     if unknown:
-        raise error(f"unknown {what} keys: {sorted(unknown)!r}")
+        raise error(f"unknown {what} keys: {listed(unknown)}")
     missing = [key for key in required if key not in doc]
     if missing:
         raise error(f"{what} needs keys: {missing!r}")
@@ -157,6 +157,11 @@ def read_flag(value, what: str, error: type) -> bool:
     return value
 
 
+def listed(keys) -> str:
+    """``keys`` as a list for an error message, sorted by ``repr`` so any key types compare."""
+    return f"[{', '.join(sorted(map(repr, keys)))}]"
+
+
 def _shown(value) -> str:
     """``repr(value)``, or the length of an integer too long for one error line."""
     if isinstance(value, int) and not -10**20 < value < 10**20:
@@ -183,13 +188,20 @@ class FrozenValue:
     its fields, prints as ``Name(field=value, ...)``, copies and pickles by
     calling its class with its fields, and refuses assignment and deletion
     with :class:`AttributeError`.  This is what a frozen dataclass gives,
-    without the methods a dataclass compiles when its class is defined.
+    :meth:`replace` included, without the methods a dataclass compiles when
+    its class is defined.  The ``_kept`` slot is no field: a subclass stores
+    in it, with ``_keep``, a value it works out on first use, which copies
+    and pickles keep and which equality, hashing and ``repr`` never read.
     """
 
-    __slots__ = ()
+    __slots__ = ("_kept",)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to its fields, built and checked by its constructor."""
+        return type(self)(**{**dict(zip(self.__slots__, self._values())), **changes})
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -203,11 +215,17 @@ class FrozenValue:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self):
-        return type(self), self._values()
+    def __reduce__(self):  # a state of None, as when nothing is kept, restores nothing
+        return type(self), self._values(), getattr(self, "_kept", None)
+
+    def __setstate__(self, kept) -> None:
+        _keep(self, kept)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+_keep = FrozenValue._kept.__set__

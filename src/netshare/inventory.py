@@ -26,6 +26,7 @@ from .errors import (
     MissingCostEntry,
     ZeroTotalLedger,
     _setattr,
+    listed,
     read_integer,
     read_number,
     read_object,
@@ -216,7 +217,7 @@ class CostTable(FrozenValue):
             filled[cls] = _normalise_entry(entries.get(cls, _ZERO_ENTRY))
         unknown = set(entries) - set(ElementClass)
         if unknown:
-            raise InvalidAmount(f"unknown element classes in cost table: {sorted(unknown)!r}")
+            raise InvalidAmount(f"unknown element classes in cost table: {listed(unknown)}")
         _setattr(self, "area", area)
         _setattr(self, "entries", filled)
         _setattr(self, "currency", currency)
@@ -423,7 +424,7 @@ def build_inventory(
         entries[cls] = CostEntry(unit.capex * qty, unit.opex_annual * qty)
     unknown = set(unit_costs) - set(ElementClass)
     if unknown:
-        raise InvalidAmount(f"unknown element classes in unit costs: {sorted(unknown)!r}")
+        raise InvalidAmount(f"unknown element classes in unit costs: {listed(unknown)}")
     return CostTable(area=profile.kind, entries=entries, currency=currency)
 
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
-from functools import cached_property
 from operator import mul
 from pathlib import Path
 from types import MappingProxyType
@@ -39,6 +37,7 @@ from .errors import (
     InvalidSweepParameter,
     MalformedScenario,
     NetshareError,
+    _keep,
     _setattr,
     read_flag,
     read_integer,
@@ -248,22 +247,30 @@ class SweepSpec(FrozenValue):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(FrozenValue):
     """Immutable bundle of everything one model run needs."""
 
-    name: str
-    areas: Tuple[AreaProfile, ...]
-    cost_tables: Mapping[AreaKind, CostTable]
-    configurations: Tuple[SharingConfiguration, ...]
-    horizon_years: int = DEFAULT_HORIZON_YEARS
-    policy: Optional[RegulatoryPolicy] = None
-    sweep: Optional[SweepSpec] = None
+    __slots__ = (
+        "name", "areas", "cost_tables", "configurations", "horizon_years", "policy", "sweep"
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "areas", tuple(self.areas))
-        object.__setattr__(self, "configurations", tuple(self.configurations))
-        object.__setattr__(self, "cost_tables", dict(self.cost_tables))
+    def __init__(
+        self,
+        name: str,
+        areas: Sequence[AreaProfile],
+        cost_tables: Mapping[AreaKind, CostTable],
+        configurations: Sequence[SharingConfiguration],
+        horizon_years: int = DEFAULT_HORIZON_YEARS,
+        policy: Optional[RegulatoryPolicy] = None,
+        sweep: Optional[SweepSpec] = None,
+    ) -> None:
+        _setattr(self, "name", name)
+        _setattr(self, "areas", tuple(areas))
+        _setattr(self, "configurations", tuple(configurations))
+        _setattr(self, "cost_tables", dict(cost_tables))
+        _setattr(self, "horizon_years", horizon_years)
+        _setattr(self, "policy", policy)
+        _setattr(self, "sweep", sweep)
         if not self.areas:
             raise InvalidScenario(f"scenario {self.name!r} lists no areas")
         if not self.configurations:
@@ -293,29 +300,41 @@ class Scenario:
             for config in self.configurations
         }
 
-    @cached_property
     def _failed_reports(self) -> Mapping[str, ValidationReport]:
         """Report of each configuration that fails validation, worked out on first use.
 
         Validity reads only ``configurations`` and ``policy``, which never
         change, so a scenario is validated once however often it is run.
         """
-        return {name: rep for name, rep in self.validation_reports().items() if not rep.valid}
+        try:
+            return self._kept
+        except AttributeError:
+            _keep(self, {n: r for n, r in self.validation_reports().items() if not r.valid})
+            return self._kept
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(FrozenValue):
     """Savings reports for every (area, configuration) grid cell.
 
     ``cells`` holds the reports row-major: one row per area in
     ``area_order``, one report per configuration in ``configuration_order``.
     """
 
-    scenario_name: str
-    horizon_years: int
-    area_order: Tuple[AreaKind, ...]
-    configuration_order: Tuple[str, ...]
-    cells: Tuple[SavingsReport, ...]
+    __slots__ = ("scenario_name", "horizon_years", "area_order", "configuration_order", "cells")
+
+    def __init__(
+        self,
+        scenario_name: str,
+        horizon_years: int,
+        area_order: Tuple[AreaKind, ...],
+        configuration_order: Tuple[str, ...],
+        cells: Tuple[SavingsReport, ...],
+    ) -> None:
+        _setattr(self, "scenario_name", scenario_name)
+        _setattr(self, "horizon_years", horizon_years)
+        _setattr(self, "area_order", area_order)
+        _setattr(self, "configuration_order", configuration_order)
+        _setattr(self, "cells", cells)
 
     @property
     def grid(self) -> Mapping[Tuple[AreaKind, str], SavingsReport]:
@@ -350,7 +369,7 @@ class ScenarioResult:
 
 def _require_valid(scenario: Scenario) -> None:
     """Raise :class:`InvalidScenario` if any configuration fails validation."""
-    failed = scenario._failed_reports
+    failed = scenario._failed_reports()
     if failed:
         detail = "; ".join(
             f"{name}: {', '.join(i.code for i in rep.errors)}" for name, rep in failed.items()
@@ -464,11 +483,26 @@ def _check_fraction(parameter: str, value: float) -> None:
         raise InvalidSweepParameter(f"{parameter} values must lie in (0, 1), got {value}")
 
 
-def _copy_config(config: SharingConfiguration, **changes) -> SharingConfiguration:
-    """``config`` with ``changes``, copied without ``__post_init__``, whose checks they keep."""
-    copy = object.__new__(type(config))
-    copy.__dict__.update(config.__dict__, **changes)
+def _copy_config(
+    config: SharingConfiguration, split_ratios: Tuple[float, ...], intl_shared: bool
+) -> SharingConfiguration:
+    """``config`` with ``split_ratios`` and ``intl_shared``, stored slot by slot without
+    the constructor, whose checks the callers' values keep."""
+    copy = SharingConfiguration.__new__(SharingConfiguration)
+    _set_name(copy, config.name)
+    _set_shared(copy, config.shared)
+    _set_count(copy, config.operator_count)
+    _set_split(copy, split_ratios)
+    _set_intl(copy, intl_shared)
+    _set_couple(copy, config.couple_site_costs)
+    _set_single(copy, config.single_spectrum)
+    _set_policy(copy, config.policy)
     return copy
+
+
+(
+    _set_name, _set_shared, _set_count, _set_split, _set_intl, _set_couple, _set_single, _set_policy
+) = [vars(SharingConfiguration)[name].__set__ for name in SharingConfiguration.__slots__]
 
 
 def _split_configs(
@@ -478,14 +512,14 @@ def _split_configs(
     split evenly between the other operators.
 
     ``value`` lies in (0, 1), so every ratio lies in (0, 1] and they sum to 1
-    up to rounding, as ``__post_init__`` requires.
+    up to rounding, as the constructor requires.
     """
     _check_fraction("split_ratio", value)
     out = []
     for config in configs:
         count = config.operator_count
         rest = (1.0 - value) / (count - 1)
-        out.append(_copy_config(config, split_ratios=(value,) + (rest,) * (count - 1)))
+        out.append(_copy_config(config, (value,) + (rest,) * (count - 1), config.intl_shared))
     return tuple(out)
 
 
@@ -496,7 +530,7 @@ def _intl_flag(value: float) -> bool:
 def _intl_configs(
     configs: Sequence[SharingConfiguration], flag: bool
 ) -> Tuple[SharingConfiguration, ...]:
-    return tuple(_copy_config(config, intl_shared=flag) for config in configs)
+    return tuple(_copy_config(config, config.split_ratios, flag) for config in configs)
 
 
 def _class_share(
@@ -709,7 +743,7 @@ def _parse_configuration(doc: Union[str, Mapping], couple_site_costs: bool) -> S
     if isinstance(doc, Mapping):
         config = SharingConfiguration.from_json_dict(doc)
         if couple_site_costs and not config.couple_site_costs:
-            config = replace(config, couple_site_costs=True)
+            config = config.replace(couple_site_costs=True)
         return config
     raise MalformedScenario(f"configuration must be a preset name or an object, got {doc!r}")
 

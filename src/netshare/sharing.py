@@ -14,7 +14,6 @@ arrangement.  MORAN (common RAN, dedicated carriers) is exposed as an alias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from itertools import compress
 from typing import Mapping, Optional, Sequence, Tuple
@@ -24,6 +23,7 @@ from .errors import (
     InvalidConfiguration,
     UnknownPreset,
     _setattr,
+    listed,
     read_flag,
     read_integer,
     read_number,
@@ -133,14 +133,14 @@ def _equal_split(n: int) -> Tuple[float, ...]:
 
 
 def _read_only(self, *args, **kwargs):
-    raise TypeError("a configuration's shared map is read-only; use with_shared or replace")
+    raise TypeError("a configuration's shared map is read-only; use with_shared or config.replace")
 
 
 class _SharedMap(dict):
     """A read-only shared map: one bool per element class, in ``ElementClass`` order.
 
-    :meth:`SharingConfiguration.__post_init__` builds it.  It refuses writes,
-    so a configuration cannot change behind the validation a scenario caches.
+    The :class:`SharingConfiguration` constructor builds it.  It refuses writes,
+    so a configuration cannot change behind the validation a scenario keeps.
     """
 
     __setitem__ = __delitem__ = __ior__ = _read_only
@@ -150,8 +150,7 @@ class _SharedMap(dict):
         return _SharedMap, (dict(self),)
 
 
-@dataclass(frozen=True)
-class SharingConfiguration:
+class SharingConfiguration(FrozenValue):
     """Which element classes are shared and how their cost is split.
 
     ``split_ratios`` gives each operator's share of every shared cost; the
@@ -162,51 +161,58 @@ class SharingConfiguration:
     that run on one operator's carriers instead of pooled spectrum.
     """
 
-    name: str
-    shared: Mapping[ElementClass, bool] = field(default_factory=dict)
-    operator_count: int = 2
-    split_ratios: Optional[Tuple[float, ...]] = None
-    intl_shared: bool = False
-    couple_site_costs: bool = False
-    single_spectrum: bool = False
-    policy: Optional[RegulatoryPolicy] = None
+    __slots__ = (
+        "name", "shared", "operator_count", "split_ratios",
+        "intl_shared", "couple_site_costs", "single_spectrum", "policy",
+    )
 
-    def __post_init__(self) -> None:
-        read_integer(self.operator_count, "operator_count", InvalidConfiguration, 2, _MAX_OPERATORS)
-        if not isinstance(self.shared, Mapping):
+    def __init__(
+        self,
+        name: str,
+        shared: Mapping[ElementClass, bool] = _SharedMap(),
+        operator_count: int = 2,
+        split_ratios: Optional[Tuple[float, ...]] = None,
+        intl_shared: bool = False,
+        couple_site_costs: bool = False,
+        single_spectrum: bool = False,
+        policy: Optional[RegulatoryPolicy] = None,
+    ) -> None:
+        read_integer(operator_count, "operator_count", InvalidConfiguration, 2, _MAX_OPERATORS)
+        if not isinstance(shared, Mapping):
             raise InvalidConfiguration(
-                f"shared must map element classes to flags, got {self.shared!r}"
+                f"shared must map element classes to flags, got {shared!r}"
             )
-        unknown = set(self.shared) - set(ElementClass)
+        unknown = set(shared) - set(ElementClass)
         if unknown:
-            raise InvalidConfiguration(
-                f"unknown element classes in shared map: {sorted(unknown)!r}"
-            )
-        for cls, flag in self.shared.items():
+            raise InvalidConfiguration(f"unknown element classes in shared map: {listed(unknown)}")
+        for cls, flag in shared.items():
             if not (isinstance(flag, int) and flag in (0, 1)):
                 raise InvalidConfiguration(
                     f"shared[{cls.value!r}] must be true, false, 0 or 1, got {flag!r}"
                 )
-        full = _SharedMap((cls, bool(self.shared.get(cls, False))) for cls in ElementClass)
-        object.__setattr__(self, "shared", full)
-        ratios = self.split_ratios
+        ratios = split_ratios
         if ratios is None:
-            ratios = _equal_split(self.operator_count)
+            ratios = _equal_split(operator_count)
         try:
             ratios = tuple(map(float, ratios))
         except OverflowError as exc:  # an integer too large for a float
             raise InvalidConfiguration("split ratios must each fit in a float") from exc
         except (TypeError, ValueError) as exc:
             raise InvalidConfiguration(f"split ratios must be numbers, got {ratios!r}") from exc
-        if len(ratios) != self.operator_count:
-            raise InvalidConfiguration(
-                f"{len(ratios)} split ratios for {self.operator_count} operators"
-            )
+        if len(ratios) != operator_count:
+            raise InvalidConfiguration(f"{len(ratios)} split ratios for {operator_count} operators")
         if not all(0.0 < r <= 1.0 for r in ratios):  # also rejects NaN
             raise InvalidConfiguration(f"split ratios must lie in (0, 1], got {ratios!r}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise InvalidConfiguration(f"split ratios must sum to 1, got {sum(ratios)!r}")
-        object.__setattr__(self, "split_ratios", ratios)
+        _setattr(self, "name", name)
+        _setattr(self, "shared", _SharedMap((c, bool(shared.get(c, False))) for c in ElementClass))
+        _setattr(self, "operator_count", operator_count)
+        _setattr(self, "split_ratios", ratios)
+        _setattr(self, "intl_shared", intl_shared)
+        _setattr(self, "couple_site_costs", couple_site_costs)
+        _setattr(self, "single_spectrum", single_spectrum)
+        _setattr(self, "policy", policy)
 
     # -- shared-set helpers ----------------------------------------------
 
@@ -220,7 +226,7 @@ class SharingConfiguration:
         power when the passive site is shared with ``couple_site_costs``, plus
         international connectivity when ``intl_shared`` is set.
         """
-        mask = list(self.shared.values())  # __post_init__ fills it in ElementClass order
+        mask = list(self.shared.values())  # the constructor fills it in ElementClass order
         if self.couple_site_costs and mask[_SITE]:
             mask[_RENT] = mask[_POWER] = True
         if self.intl_shared:
@@ -232,9 +238,7 @@ class SharingConfiguration:
         return frozenset(compress(ElementClass, self.shared_mask()))
 
     def with_shared(self, cls: ElementClass, flag: bool) -> "SharingConfiguration":
-        shared = dict(self.shared)
-        shared[cls] = flag
-        return replace(self, shared=shared)
+        return self.replace(shared={**self.shared, cls: flag})
 
     # -- serialisation ----------------------------------------------------
 

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +95,9 @@ def test_unreachable_target_fails_on_the_residual_bound_at_every_seed(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_search_metric_matches_the_cost_model(seed):
     configs = [preset(name) for name in GRID_PRESETS] + [
-        replace(preset("GWCN", operator_count=3, split_ratios=(0.2, 0.3, 0.5)), name="3-way"),
-        replace(preset("MOCN + Backhaul", intl_shared=True), name="intl"),
-        replace(preset("GWCN - Spectrum", couple_site_costs=True), name="coupled"),
+        preset("GWCN", operator_count=3, split_ratios=(0.2, 0.3, 0.5)).replace(name="3-way"),
+        preset("MOCN + Backhaul", intl_shared=True).replace(name="intl"),
+        preset("GWCN - Spectrum", couple_site_costs=True).replace(name="coupled"),
     ]
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, 2 * len(ElementClass)) * (rng.random(2 * len(ElementClass)) > 0.2)

@@ -120,6 +120,7 @@ def test_run_json_provenance_names_scenario_and_engine(capsys):
     assert doc["provenance"]["scenario"] == "paper_use_case"
     assert "generated_at" in doc["provenance"]
     assert "engine_version" in doc["provenance"]
+    assert doc["provenance"]["python"] == platform.python_version()
 
 
 def test_run_csv_is_deterministic(capsys):
@@ -258,6 +259,16 @@ def test_sweep_json_structure(sweep_file, capsys):
     assert doc["parameter"] == "horizon_years"
     assert [p["value"] for p in doc["points"]] == [1, 2, 3, 4, 5, 6]
     assert doc["points"][0]["horizon_years"] == 1
+
+
+def test_sweep_json_provenance_names_scenario_engine_and_python(sweep_file, capsys):
+    code, out, _ = _run(capsys, "sweep", sweep_file, "--format", "json")
+    assert code == 0
+    provenance = json.loads(out)["provenance"]
+    assert sorted(provenance) == ["engine_version", "generated_at", "python", "scenario"]
+    assert provenance["scenario"] == "sweep_unit"
+    assert provenance["engine_version"] == netshare.__version__
+    assert provenance["python"] == platform.python_version()
 
 
 def test_sweep_without_spec_exits_one(capsys):

@@ -29,6 +29,7 @@ from netshare.errors import (
 )
 from netshare.inventory import (
     CORE_CLASSES,
+    CostEntry,
     OVERHEAD_CLASSES,
     RAN_CLASSES,
     TRANSPORT_CLASSES,
@@ -166,6 +167,12 @@ def test_cost_table_document_rejects_unknown_keys():
         CostTable.from_json_dict(
             {"area": "urban", "entries": {"enodeb": {"capex": 1, "opex_annual": 0}}}
         )
+
+
+def test_cost_table_names_unknown_keys_of_types_that_do_not_compare():
+    entry = CostEntry(1.0, 2.0)
+    with pytest.raises(InvalidAmount, match=r"in cost table: \['nodeb', 3\]$"):
+        CostTable(AreaKind.URBAN, {"nodeb": entry, 3: entry})
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import json
 import pickle
 import random
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -296,13 +295,13 @@ def test_cell_errors_carry_grid_coordinates():
 def _swept_scenario(scenario: Scenario, spec: SweepSpec, value: float) -> Scenario:
     """The whole scenario rebuilt at one sweep point: the reference for :func:`sweep`."""
     if spec.parameter == "horizon_years":
-        return replace(scenario, horizon_years=int(value), sweep=None)
+        return scenario.replace(horizon_years=int(value), sweep=None)
     if spec.parameter == "split_ratio":
         configs = _split_configs(scenario.configurations, value)
-        return replace(scenario, configurations=configs, sweep=None)
+        return scenario.replace(configurations=configs, sweep=None)
     if spec.parameter == "intl_shared":
         configs = _intl_configs(scenario.configurations, _intl_flag(value))
-        return replace(scenario, configurations=configs, sweep=None)
+        return scenario.replace(configurations=configs, sweep=None)
 
     # class_cost_fraction: rescale one class so it takes the requested
     # fraction of each area's cumulative grand total.
@@ -314,7 +313,7 @@ def _swept_scenario(scenario: Scenario, spec: SweepSpec, value: float) -> Scenar
         entries = dict(table.entries)
         entries[cls] = _rescaled_entry(entries[cls], value, share)
         tables[kind] = CostTable(area=table.area, entries=entries, currency=table.currency)
-    return replace(scenario, cost_tables=tables, sweep=None)
+    return scenario.replace(cost_tables=tables, sweep=None)
 
 
 def _sweep_scenario(sweep_doc, **extra):
@@ -731,9 +730,9 @@ def test_split_point_configurations_keep_every_field(value):
     configs = _split_point_configs()
     for config, got in zip(configs, _split_configs(configs, value)):
         rest = (1.0 - value) / (config.operator_count - 1)
-        expected = replace(config, split_ratios=(value,) + (rest,) * (config.operator_count - 1))
-        for field in fields(SharingConfiguration):
-            assert getattr(got, field.name) == getattr(expected, field.name), field.name
+        expected = config.replace(split_ratios=(value,) + (rest,) * (config.operator_count - 1))
+        for name in SharingConfiguration.__slots__:
+            assert getattr(got, name) == getattr(expected, name), name
         assert got == expected
 
 
@@ -769,8 +768,7 @@ def test_sweep_equals_the_rebuilt_scenario_field_for_field(seed):
     for spec in specs:
         for point in sweep(scenario, spec).points:
             expected = run_scenario(_swept_scenario(scenario, spec, point.value))
-            for field in fields(expected):
-                name = field.name
+            for name in type(expected).__slots__:
                 assert getattr(point.result, name) == getattr(expected, name), (spec, name)
 
 

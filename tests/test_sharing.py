@@ -1,7 +1,6 @@
 """Sharing configurations, presets, level ladder and validation rules."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -119,10 +118,10 @@ def test_shared_map_defaults_every_class_to_false():
 
 def test_configuration_replaced_from_a_normalised_one_equals_a_fresh_one():
     base = preset("GWCN + Backhaul", operator_count=3)
-    assert replace(base, split_ratios=(0.2, 0.3, 0.5)) == preset(
+    assert base.replace(split_ratios=(0.2, 0.3, 0.5)) == preset(
         "GWCN + Backhaul", operator_count=3, split_ratios=(0.2, 0.3, 0.5)
     )
-    assert replace(base, intl_shared=True) == preset(
+    assert base.replace(intl_shared=True) == preset(
         "GWCN + Backhaul", operator_count=3, intl_shared=True
     )
 
@@ -130,9 +129,23 @@ def test_configuration_replaced_from_a_normalised_one_equals_a_fresh_one():
 def test_fresh_shared_map_with_an_unknown_key_is_rejected():
     base = preset("MOCN")
     with pytest.raises(InvalidConfiguration, match="unknown element classes"):
-        replace(base, shared={**base.shared, "nodeb": True})
+        base.replace(shared={**base.shared, "nodeb": True})
     with pytest.raises(InvalidConfiguration, match="unknown element classes"):
         SharingConfiguration(name="labels", shared={"nodeb": True})
+
+
+def test_shared_map_names_unknown_keys_of_types_that_do_not_compare():
+    with pytest.raises(InvalidConfiguration, match=r"in shared map: \['nodeb', 3\]$"):
+        SharingConfiguration("x", shared={"nodeb": True, 3: True})
+
+
+def test_replace_builds_the_copy_through_the_constructor():
+    base = preset("MOCN")
+    with pytest.raises(InvalidConfiguration, match="sum to 1"):
+        base.replace(split_ratios=(0.7, 0.7))
+    with pytest.raises(TypeError, match="splits"):
+        base.replace(splits=(0.5, 0.5))
+    assert base.replace() == base and base.replace() is not base
 
 
 def test_with_shared_normalises_the_map():

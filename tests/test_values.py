@@ -16,7 +16,15 @@ from netshare.advisor import (
     Verdict,
 )
 from netshare.calibration import CalibrationResult, DeltaTarget, SavingsTarget, TargetOutcome
-from netshare.costmodel import ClassCost, ConfigDelta, CostBreakdown
+from netshare.costmodel import (
+    ClassCost,
+    ConfigDelta,
+    CostBreakdown,
+    SavingsReport,
+    apply_sharing,
+    cumulative_cost,
+    savings_report,
+)
 from netshare.errors import FrozenValue
 from netshare.inventory import (
     AreaKind,
@@ -34,10 +42,19 @@ from netshare.repartition import (
     RepartitionConstraint,
     RepartitionConstraintSet,
 )
-from netshare.scenario import ScenarioResult, SweepPoint, SweepResult, SweepSpec
+from netshare.scenario import (
+    Scenario,
+    ScenarioResult,
+    SweepPoint,
+    SweepResult,
+    SweepSpec,
+    load_scenario_file,
+    run_scenario,
+)
 from netshare.sharing import (
     LevelAssessment,
     RegulatoryPolicy,
+    SharingConfiguration,
     SharingLevel,
     ValidationIssue,
     ValidationReport,
@@ -56,6 +73,14 @@ _CHECK = ConstraintCheck(_CONSTRAINT, 0.25, True)
 _TARGET = SavingsTarget(_URBAN, "capex", "MOCN", 40.0, 1.0, 2.0, "headline")
 _OUTCOME = TargetOutcome(_TARGET, 39.5, -0.5)
 _POINT = SweepPoint(0.5, ScenarioResult("s", 5, (), (), ()))
+_POLICY = RegulatoryPolicy(0.5, False, SharingLevel.L4_RNC)
+_CONFIG = SharingConfiguration(
+    "three", {ElementClass.NODEB: True}, 3, (0.2, 0.3, 0.5), True, True, True, _POLICY
+)
+_BASELINE = cumulative_cost(_TABLE, 5)
+# Operator 2's cost, which a report would not work out for itself.
+_REPORT = savings_report(_BASELINE, apply_sharing(_BASELINE, _CONFIG, operator_index=2), _CONFIG)
+_SPEC = SweepSpec("split_ratio", 0.2, 0.8, 3, None)
 
 # Each value type with the arguments of one small valid instance, in field order.
 # The instances above, which others hold, give their own fields.
@@ -67,10 +92,10 @@ VALUES = {
     CostBreakdown: (_URBAN, 5, (1.0, 2.0), (3.0, 4.0)),
     ConfigDelta: ("MOCN", "GWCN", _URBAN, 1.0, 2.0, 3.0),
     LevelAssessment: (SharingLevel.L3_NODEB, True),
-    RegulatoryPolicy: (0.5, False, SharingLevel.L4_RNC),
+    RegulatoryPolicy: _POLICY._values(),
     ValidationIssue: _ISSUE._values(),
     ValidationReport: ((_ISSUE,), ()),
-    SweepSpec: ("split_ratio", 0.2, 0.8, 3, None),
+    SweepSpec: _SPEC._values(),
     SweepPoint: _POINT._values(),
     SweepResult: ("s", "split_ratio", None, (_POINT,)),
     Recommendation: (AreaKind.RURAL, Technology.G3, Verdict.CASE_BY_CASE, ("note",)),
@@ -96,8 +121,17 @@ VALUES = {
         ("MOCN",),
         {_URBAN: 0.5},
     ),
+    SharingConfiguration: _CONFIG._values(),
+    SavingsReport: _REPORT._values(),
+    Scenario: (
+        "s", (AreaProfile(_URBAN, 3, 100, 1, 1, 1),), {_URBAN: _TABLE}, (_CONFIG,), 5, _POLICY, _SPEC
+    ),
+    ScenarioResult: ("s", 5, (_URBAN,), ("three",), (_REPORT,)),
 }
-UNHASHABLE = {CostTable, CalibrationResult}  # they hold dicts
+# They hold dicts, or values that hold dicts (a configuration's shared map).
+UNHASHABLE = {
+    CostTable, CalibrationResult, SharingConfiguration, SavingsReport, Scenario, ScenarioResult
+}
 
 _MODULES = (
     "advisor", "calibration", "costmodel", "inventory", "repartition", "scenario", "sharing"
@@ -172,3 +206,54 @@ def test_value_reprs_read_like_their_constructor_calls():
     assert repr(LevelAssessment(SharingLevel.L3_NODEB)) == (
         "LevelAssessment(level=<SharingLevel.L3_NODEB: 3>, non_contiguous=False)"
     )
+
+
+def _copies(value):
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
+def test_report_keeps_the_shared_cost_it_was_given_through_copies_and_pickles():
+    given = _REPORT.shared
+    assert given == apply_sharing(_BASELINE, _CONFIG, operator_index=2)
+    assert given != apply_sharing(_BASELINE, _CONFIG)  # what the report would work out
+    for copied in _copies(_REPORT):
+        assert copied == _REPORT and copied.shared == given
+    assert copy.copy(_REPORT).shared is given
+    # A replaced report is a new value: it works out its own shared cost.
+    assert _REPORT.replace().shared == apply_sharing(_BASELINE, _CONFIG)
+
+
+def test_scenario_keeps_its_validation_verdict_through_copies_and_pickles(monkeypatch):
+    scenario = load_scenario_file("paper_use_case.json")  # loading validates it
+    expected = run_scenario(scenario)
+
+    def unexpected(self):
+        raise AssertionError("validated again")
+
+    monkeypatch.setattr(Scenario, "validation_reports", unexpected)
+    for copied in _copies(scenario):
+        assert copied == scenario and run_scenario(copied) == expected
+    with pytest.raises(AssertionError, match="validated again"):
+        run_scenario(scenario.replace())
+
+
+def _hashed(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
+def test_first_use_values_change_no_equality_repr_or_hash():
+    fresh = SavingsReport(*_REPORT._values())
+    worked_out = SavingsReport(*_REPORT._values())
+    worked_out.shared
+    scenario = Scenario(*VALUES[Scenario])
+    validated = Scenario(*VALUES[Scenario])
+    run_scenario(validated)
+    for before, after in ((fresh, worked_out), (fresh, _REPORT), (scenario, validated)):
+        assert before == after and after == before
+        assert repr(before) == repr(after)
+        assert _hashed(before) == _hashed(after)
+    hashable = _POLICY.replace()
+    assert hash(hashable) == hash(_POLICY) == hash(RegulatoryPolicy(*_POLICY._values()))
