@@ -14,7 +14,7 @@ import json
 from enum import Enum
 from typing import Mapping, Optional, Tuple
 
-from .errors import FrozenValue, InvalidAmount, _setattr, read_flag, read_object, read_text
+from .errors import FrozenValue, InvalidAmount, read_flag, read_object, read_text
 from .inventory import AreaKind, NetworkState, Technology
 
 __all__ = [
@@ -41,14 +41,6 @@ class Verdict(Enum):
 
 class Recommendation(FrozenValue):
     __slots__ = ("area", "technology", "verdict", "notes")
-
-    def __init__(
-        self, area: AreaKind, technology: Technology, verdict: Verdict, notes: Tuple[str, ...]
-    ) -> None:
-        _setattr(self, "area", area)
-        _setattr(self, "technology", technology)
-        _setattr(self, "verdict", verdict)
-        _setattr(self, "notes", notes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,27 +128,22 @@ class LteContext(FrozenValue):
             raise InvalidAmount(
                 f"cost_priority_weight must be in [0, 1], got {cost_priority_weight!r}"
             )
-        _setattr(self, "needs_inter_rat_mobility", needs_inter_rat_mobility)
-        _setattr(self, "needs_cs_fallback", needs_cs_fallback)
-        _setattr(self, "voice_via_ims", voice_via_ims)
-        _setattr(self, "needs_roaming", needs_roaming)
-        _setattr(self, "cost_priority_weight", cost_priority_weight)
+        super().__init__(
+            needs_inter_rat_mobility,
+            needs_cs_fallback,
+            voice_via_ims,
+            needs_roaming,
+            cost_priority_weight,
+        )
 
 
 class ComparisonRow(FrozenValue):
-    __slots__ = ("criterion", "mocn", "gwcn", "remark")
-
-    def __init__(
-        self,
-        criterion: str,
-        mocn: str,  # "+", "-" or "="
-        gwcn: str,
-        remark: str,
-    ) -> None:
-        _setattr(self, "criterion", criterion)
-        _setattr(self, "mocn", mocn)
-        _setattr(self, "gwcn", gwcn)
-        _setattr(self, "remark", remark)
+    __slots__ = (
+        "criterion",
+        "mocn",  # "+", "-" or "="
+        "gwcn",
+        "remark",
+    )
 
 
 # Criterion matrix: "+" favours the approach, "-" counts against it, "="
@@ -204,19 +191,12 @@ _SCORE = {"+": 1.0, "-": -1.0, "=": 0.0}
 
 
 class LteComparisonReport(FrozenValue):
-    __slots__ = ("rows", "mocn_score", "gwcn_score", "preferred")
-
-    def __init__(
-        self,
-        rows: Tuple[ComparisonRow, ...],
-        mocn_score: float,
-        gwcn_score: float,
-        preferred: str,  # "MOCN", "GWCN" or "Tie"
-    ) -> None:
-        _setattr(self, "rows", rows)
-        _setattr(self, "mocn_score", mocn_score)
-        _setattr(self, "gwcn_score", gwcn_score)
-        _setattr(self, "preferred", preferred)
+    __slots__ = (
+        "rows",
+        "mocn_score",
+        "gwcn_score",
+        "preferred",  # "MOCN", "GWCN" or "Tie"
+    )
 
     def to_json_dict(self) -> dict:
         return {
@@ -284,9 +264,7 @@ class ChecklistItem(FrozenValue):
         text: str,
         answered: Optional[bool] = None,
     ) -> None:
-        _setattr(self, "domain", domain)
-        _setattr(self, "text", text)
-        _setattr(self, "answered", answered)
+        super().__init__(domain, text, answered)
 
 
 _ITEM_KEYS = ("domain", "text", "answered")
@@ -294,10 +272,6 @@ _ITEM_KEYS = ("domain", "text", "answered")
 
 class ConstraintChecklist(FrozenValue):
     __slots__ = ("network_state", "items")
-
-    def __init__(self, network_state: NetworkState, items: Tuple[ChecklistItem, ...]) -> None:
-        _setattr(self, "network_state", network_state)
-        _setattr(self, "items", items)
 
     def unanswered(self) -> Tuple[ChecklistItem, ...]:
         return tuple(i for i in self.items if i.answered is None)

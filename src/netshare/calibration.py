@@ -35,7 +35,6 @@ from .errors import (
     MalformedScenario,
     MissingDependency,
     NetshareError,
-    _setattr,
     read_integer,
     read_number,
     read_object,
@@ -124,13 +123,7 @@ class SavingsTarget(FrozenValue):
         bound: float = 2.0,  # max acceptable |residual|, percentage points
         note: str = "",
     ) -> None:
-        _setattr(self, "area", area)
-        _setattr(self, "metric", metric)
-        _setattr(self, "configuration", configuration)
-        _setattr(self, "value", value)
-        _setattr(self, "weight", weight)
-        _setattr(self, "bound", bound)
-        _setattr(self, "note", note)
+        super().__init__(area, metric, configuration, value, weight, bound, note)
         _check_target(self)
 
     def describe(self) -> str:
@@ -158,14 +151,7 @@ class DeltaTarget(FrozenValue):
         bound: float = 2.0,
         note: str = "",
     ) -> None:
-        _setattr(self, "area", area)
-        _setattr(self, "metric", metric)
-        _setattr(self, "first", first)
-        _setattr(self, "second", second)
-        _setattr(self, "value", value)
-        _setattr(self, "weight", weight)
-        _setattr(self, "bound", bound)
-        _setattr(self, "note", note)
+        super().__init__(area, metric, first, second, value, weight, bound, note)
         _check_target(self)
 
     def describe(self) -> str:
@@ -195,17 +181,11 @@ def _check_target(target: Target) -> None:
 
 
 class TargetOutcome(FrozenValue):
-    __slots__ = ("target", "achieved", "residual")
-
-    def __init__(
-        self,
-        target: Target,
-        achieved: float,
-        residual: float,  # achieved - target.value
-    ) -> None:
-        _setattr(self, "target", target)
-        _setattr(self, "achieved", achieved)
-        _setattr(self, "residual", residual)
+    __slots__ = (
+        "target",
+        "achieved",
+        "residual",  # achieved - target.value
+    )
 
     @property
     def within_bound(self) -> bool:
@@ -221,29 +201,9 @@ class CalibrationResult(FrozenValue):
         "seed",
         "horizon_years",
         "configurations",
+        # Per area, the cumulative OPEX share of the total cost that the search settled on.
         "balances",
     )
-
-    def __init__(
-        self,
-        tables: Mapping[AreaKind, CostTable],
-        outcomes: Tuple[TargetOutcome, ...],
-        constraint_sets: Mapping[AreaKind, RepartitionConstraintSet],
-        method: str,
-        seed: int,
-        horizon_years: int,
-        configurations: Tuple[str, ...],
-        # Per area, the cumulative OPEX share of the total cost that the search settled on.
-        balances: Mapping[AreaKind, float],
-    ) -> None:
-        _setattr(self, "tables", tables)
-        _setattr(self, "outcomes", outcomes)
-        _setattr(self, "constraint_sets", constraint_sets)
-        _setattr(self, "method", method)
-        _setattr(self, "seed", seed)
-        _setattr(self, "horizon_years", horizon_years)
-        _setattr(self, "configurations", configurations)
-        _setattr(self, "balances", balances)
 
     def residual_report(self) -> Tuple[Tuple[str, float, float], ...]:
         return tuple((o.target.describe(), o.achieved, o.residual) for o in self.outcomes)

@@ -236,14 +236,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_presets(args) -> int:
-    from .sharing import PRESET_NAMES, preset_names
+    from .sharing import ALIAS_NAMES, PRESET_NAMES
 
-    aliases = [name for name in preset_names(include_aliases=True) if name not in PRESET_NAMES]
     if args.format == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "presets": list(PRESET_NAMES), "aliases": aliases}
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "presets": list(PRESET_NAMES),
+            "aliases": list(ALIAS_NAMES),
+        }
         _emit(json.dumps(doc, indent=2), args.out)
     else:
-        _emit("\n".join(PRESET_NAMES) + f"\naliases: {', '.join(aliases)}\n", args.out)
+        _emit("\n".join(PRESET_NAMES) + f"\naliases: {', '.join(ALIAS_NAMES)}\n", args.out)
     return 0
 
 

@@ -174,7 +174,7 @@ def _shown(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-# A FrozenValue refuses assignment, so each __init__ stores its fields
+# A FrozenValue refuses assignment, so a constructor stores each field
 # through this, one call a field, as a frozen dataclass's __init__ does.
 _setattr = object.__setattr__
 
@@ -182,19 +182,37 @@ _setattr = object.__setattr__
 class FrozenValue:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__``, in constructor order, and
-    its ``__init__`` checks them and stores each with ``_setattr``.  An
-    instance equals another of the same class with equal fields, hashes by
-    its fields, prints as ``Name(field=value, ...)``, copies and pickles by
-    calling its class with its fields, and refuses assignment and deletion
-    with :class:`AttributeError`.  This is what a frozen dataclass gives,
-    :meth:`replace` included, without the methods a dataclass compiles when
-    its class is defined.  The ``_kept`` slot is no field: a subclass stores
-    in it, with ``_keep``, a value it works out on first use, which copies
-    and pickles keep and which equality, hashing and ``repr`` never read.
+    A subclass names its fields in ``__slots__``, in constructor order.  The
+    base constructor stores one value a field, by position or by name, and
+    refuses a value too many, an unknown name, a field given twice or a
+    missing one with a :class:`TypeError` that names the class and the
+    field.  A subclass writes its own ``__init__`` only to check, convert or
+    default its arguments, and then stores them with one
+    ``super().__init__(...)`` call; or, when it is built once a grid cell or
+    sweep point, to store them by hand with ``_setattr``, which skips the
+    base constructor's loop.  An instance equals another of the same class
+    with equal fields, hashes by its fields, prints as ``Name(field=value,
+    ...)``, copies and pickles by calling its class with its fields, and
+    refuses assignment and deletion with :class:`AttributeError`.  This is
+    what a frozen dataclass gives, :meth:`replace` included, without the
+    methods a dataclass compiles when its class is defined.
     """
 
-    __slots__ = ("_kept",)
+    __slots__ = ()
+
+    def __init__(self, *values, **named) -> None:
+        fields, name = self.__slots__, type(self).__qualname__
+        if len(values) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(values)}")
+        for field, value in zip(fields, values):
+            _setattr(self, field, value)
+        for field in fields[len(values) :]:
+            if field not in named:
+                raise TypeError(f"{name}() is missing field {field!r}")
+            _setattr(self, field, named.pop(field))
+        for field in named:  # a name left over was given by position too, or is no field
+            problem = "got field {!r} twice" if field in fields else "has no field {!r}"
+            raise TypeError(f"{name}() {problem.format(field)}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -215,17 +233,11 @@ class FrozenValue:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
         return f"{type(self).__qualname__}({fields})"
 
-    def __reduce__(self):  # a state of None, as when nothing is kept, restores nothing
-        return type(self), self._values(), getattr(self, "_kept", None)
-
-    def __setstate__(self, kept) -> None:
-        _keep(self, kept)
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-_keep = FrozenValue._kept.__set__

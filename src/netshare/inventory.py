@@ -178,6 +178,7 @@ class CostEntry(FrozenValue):
                 raise InvalidAmount(f"{name} must be finite, got {value!r}")
             if value < 0:
                 raise InvalidAmount(f"{name} must be >= 0, got {value!r}")
+        # Built for every rescaled class at each class_cost_fraction sweep point.
         _setattr(self, "capex", capex)
         _setattr(self, "opex_annual", opex_annual)
 
@@ -186,7 +187,7 @@ def _normalise_entry(value: Union["CostEntry", Tuple[float, float]]) -> CostEntr
     if isinstance(value, CostEntry):
         return value
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        return CostEntry(float(value[0]), float(value[1]))
+        return CostEntry(*(read_number(v, k, InvalidAmount) for k, v in zip(_AMOUNTS, value)))
     raise InvalidAmount(f"cost entry must be CostEntry or (capex, opex) pair, got {value!r}")
 
 
@@ -218,9 +219,7 @@ class CostTable(FrozenValue):
         unknown = set(entries) - set(ElementClass)
         if unknown:
             raise InvalidAmount(f"unknown element classes in cost table: {listed(unknown)}")
-        _setattr(self, "area", area)
-        _setattr(self, "entries", filled)
-        _setattr(self, "currency", currency)
+        super().__init__(area, filled, currency)
 
     # -- totals ---------------------------------------------------------
 
@@ -326,12 +325,7 @@ class AreaProfile(FrozenValue):
         sgsn_count: int = 1,
         ggsn_count: int = 1,
     ) -> None:
-        _setattr(self, "kind", kind)
-        _setattr(self, "nodeb_count", nodeb_count)
-        _setattr(self, "subscriber_count", subscriber_count)
-        _setattr(self, "rnc_count", rnc_count)
-        _setattr(self, "sgsn_count", sgsn_count)
-        _setattr(self, "ggsn_count", ggsn_count)
+        super().__init__(kind, nodeb_count, subscriber_count, rnc_count, sgsn_count, ggsn_count)
         for name in ("nodeb_count", "rnc_count", "sgsn_count", "ggsn_count"):
             read_integer(getattr(self, name), name, InvalidAmount, 1)
         read_integer(subscriber_count, "subscriber_count", InvalidAmount, 0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import FrozenValue, InvalidAmount, _setattr, read_number, read_object, read_text
+from .errors import FrozenValue, InvalidAmount, read_number, read_object, read_text
 from .inventory import AreaKind, CostTable, ElementClass, Ledger, Market
 
 __all__ = [
@@ -46,12 +46,7 @@ class RepartitionConstraint(FrozenValue):
         upper: float,
         area: Optional[AreaKind] = None,
     ) -> None:
-        _setattr(self, "label", label)
-        _setattr(self, "ledger", ledger)
-        _setattr(self, "classes", frozenset(classes))
-        _setattr(self, "lower", lower)
-        _setattr(self, "upper", upper)
-        _setattr(self, "area", area)
+        super().__init__(label, ledger, frozenset(classes), lower, upper, area)
         if not self.classes:
             raise InvalidAmount(f"constraint {self.label!r} must name at least one class")
         if not (0.0 <= self.lower <= self.upper <= 1.0):
@@ -102,8 +97,7 @@ class RepartitionConstraintSet(FrozenValue):
     __slots__ = ("name", "constraints")
 
     def __init__(self, name: str, constraints: Iterable[RepartitionConstraint]) -> None:
-        _setattr(self, "name", name)
-        _setattr(self, "constraints", tuple(constraints))
+        super().__init__(name, tuple(constraints))
 
     def for_area(self, area: AreaKind) -> Tuple[RepartitionConstraint, ...]:
         return tuple(c for c in self.constraints if c.applies_to(area))
@@ -134,25 +128,15 @@ class RepartitionConstraintSet(FrozenValue):
 
 
 class ConstraintCheck(FrozenValue):
-    __slots__ = ("constraint", "observed", "satisfied")
-
-    def __init__(
-        self,
-        constraint: RepartitionConstraint,
-        observed: float,  # rounded to 4 decimals for reporting
-        satisfied: bool,
-    ) -> None:
-        _setattr(self, "constraint", constraint)
-        _setattr(self, "observed", observed)
-        _setattr(self, "satisfied", satisfied)
+    __slots__ = (
+        "constraint",
+        "observed",  # rounded to 4 decimals for reporting
+        "satisfied",
+    )
 
 
 class ConstraintReport(FrozenValue):
     __slots__ = ("checks", "overall")
-
-    def __init__(self, checks: Tuple[ConstraintCheck, ...], overall: bool) -> None:
-        _setattr(self, "checks", checks)
-        _setattr(self, "overall", overall)
 
     def failures(self) -> Tuple[ConstraintCheck, ...]:
         return tuple(c for c in self.checks if not c.satisfied)

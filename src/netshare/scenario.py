@@ -37,7 +37,6 @@ from .errors import (
     InvalidSweepParameter,
     MalformedScenario,
     NetshareError,
-    _keep,
     _setattr,
     read_flag,
     read_integer,
@@ -173,11 +172,7 @@ class SweepSpec(FrozenValue):
         steps: int,
         class_name: Optional[str] = None,
     ) -> None:
-        _setattr(self, "parameter", parameter)
-        _setattr(self, "start", start)
-        _setattr(self, "stop", stop)
-        _setattr(self, "steps", steps)
-        _setattr(self, "class_name", class_name)
+        super().__init__(parameter, start, stop, steps, class_name)
         read_text(self.parameter, "sweep parameter", InvalidSweepParameter)
         if self.parameter not in SWEEP_PARAMETERS:
             raise InvalidSweepParameter(
@@ -248,7 +243,13 @@ class SweepSpec(FrozenValue):
 
 
 class Scenario(FrozenValue):
-    """Immutable bundle of everything one model run needs."""
+    """Immutable bundle of everything one model run needs.
+
+    The constructor refuses a scenario that cannot run: one without areas or
+    configurations, with a bad horizon, a repeated area kind or
+    configuration name, a missing or mislabelled cost table, or a
+    configuration that fails validation under the scenario policy.
+    """
 
     __slots__ = (
         "name", "areas", "cost_tables", "configurations", "horizon_years", "policy", "sweep"
@@ -264,13 +265,8 @@ class Scenario(FrozenValue):
         policy: Optional[RegulatoryPolicy] = None,
         sweep: Optional[SweepSpec] = None,
     ) -> None:
-        _setattr(self, "name", name)
-        _setattr(self, "areas", tuple(areas))
-        _setattr(self, "configurations", tuple(configurations))
-        _setattr(self, "cost_tables", dict(cost_tables))
-        _setattr(self, "horizon_years", horizon_years)
-        _setattr(self, "policy", policy)
-        _setattr(self, "sweep", sweep)
+        areas, tables, configs = tuple(areas), dict(cost_tables), tuple(configurations)
+        super().__init__(name, areas, tables, configs, horizon_years, policy, sweep)
         if not self.areas:
             raise InvalidScenario(f"scenario {self.name!r} lists no areas")
         if not self.configurations:
@@ -292,6 +288,15 @@ class Scenario(FrozenValue):
                 raise InvalidScenario(
                     f"cost table for {profile.kind.value} is labelled {table.area.value}"
                 )
+        failed = {n: r for n, r in self.validation_reports().items() if not r.valid}
+        if failed:
+            detail = "; ".join(
+                f"{n}: {', '.join(i.code for i in r.errors)}" for n, r in failed.items()
+            )
+            raise InvalidScenario(
+                f"scenario {self.name!r} has invalid configurations ({detail})",
+                reports=list(failed.values()),
+            )
 
     def validation_reports(self) -> Mapping[str, ValidationReport]:
         """Validation report per configuration under the scenario policy."""
@@ -299,18 +304,6 @@ class Scenario(FrozenValue):
             config.name: validate_configuration(config, policy=self.policy)
             for config in self.configurations
         }
-
-    def _failed_reports(self) -> Mapping[str, ValidationReport]:
-        """Report of each configuration that fails validation, worked out on first use.
-
-        Validity reads only ``configurations`` and ``policy``, which never
-        change, so a scenario is validated once however often it is run.
-        """
-        try:
-            return self._kept
-        except AttributeError:
-            _keep(self, {n: r for n, r in self.validation_reports().items() if not r.valid})
-            return self._kept
 
 
 class ScenarioResult(FrozenValue):
@@ -330,6 +323,7 @@ class ScenarioResult(FrozenValue):
         configuration_order: Tuple[str, ...],
         cells: Tuple[SavingsReport, ...],
     ) -> None:
+        # Built once a grid or sweep point, so it stores by hand (see FrozenValue).
         _setattr(self, "scenario_name", scenario_name)
         _setattr(self, "horizon_years", horizon_years)
         _setattr(self, "area_order", area_order)
@@ -367,19 +361,6 @@ class ScenarioResult(FrozenValue):
         return best
 
 
-def _require_valid(scenario: Scenario) -> None:
-    """Raise :class:`InvalidScenario` if any configuration fails validation."""
-    failed = scenario._failed_reports()
-    if failed:
-        detail = "; ".join(
-            f"{name}: {', '.join(i.code for i in rep.errors)}" for name, rep in failed.items()
-        )
-        raise InvalidScenario(
-            f"scenario {scenario.name!r} has invalid configurations ({detail})",
-            reports=list(failed.values()),
-        )
-
-
 def _baselines(scenario: Scenario, horizon: int) -> Tuple[CostBreakdown, ...]:
     tables = scenario.cost_tables
     return tuple([cumulative_cost(tables[profile.kind], horizon) for profile in scenario.areas])
@@ -408,9 +389,8 @@ def _evaluate(
     configs: Sequence[SharingConfiguration],
     sums: Sequence[Tuple[Sequence[float], Sequence[float]]],
 ) -> ScenarioResult:
-    """Grid of an already validated scenario's areas from their baselines over
-    ``horizon`` and, per area, the shared CAPEX and OPEX :func:`_ledger_sums`
-    of ``configs``."""
+    """Grid of the scenario's areas from their baselines over ``horizon`` and,
+    per area, the shared CAPEX and OPEX :func:`_ledger_sums` of ``configs``."""
     cells = []
     for profile, baseline, (capex, opex) in zip(scenario.areas, baselines, sums):
         try:
@@ -439,10 +419,9 @@ def _grid_sums(
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Evaluate every grid cell of the scenario.
 
-    Configuration validation errors abort the run; cost-model errors are
-    re-raised annotated with the grid cell that produced them.
+    Cost-model errors are re-raised annotated with the grid cell that
+    produced them.
     """
-    _require_valid(scenario)
     horizon, configs = scenario.horizon_years, scenario.configurations
     baselines = _baselines(scenario, horizon)
     sums = _grid_sums(baselines, _factors(configs))
@@ -458,24 +437,13 @@ class SweepPoint(FrozenValue):
     __slots__ = ("value", "result")
 
     def __init__(self, value: float, result: ScenarioResult) -> None:
+        # Built once a sweep point, so it stores by hand (see FrozenValue).
         _setattr(self, "value", value)
         _setattr(self, "result", result)
 
 
 class SweepResult(FrozenValue):
     __slots__ = ("scenario_name", "parameter", "class_name", "points")
-
-    def __init__(
-        self,
-        scenario_name: str,
-        parameter: str,
-        class_name: Optional[str],
-        points: Tuple[SweepPoint, ...],
-    ) -> None:
-        _setattr(self, "scenario_name", scenario_name)
-        _setattr(self, "parameter", parameter)
-        _setattr(self, "class_name", class_name)
-        _setattr(self, "points", points)
 
 
 def _check_fraction(parameter: str, value: float) -> None:
@@ -668,10 +636,10 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
 
     Points come back strictly ordered by parameter value with no
     duplicates.  Validation reads neither the swept parameter nor the costs,
-    so it runs once per scenario; each point checks the value it uses, and a
-    bad value anywhere in the range fails the whole sweep.  A point works
-    out only the shared-ledger products its parameter changes, and sums each
-    ledger whole: ``horizon_years`` rebuilds the area baselines and sums
+    so the scenario's constructor has done it; each point checks the value
+    it uses, and a bad value anywhere in the range fails the whole sweep.  A
+    point works out only the shared-ledger products its parameter changes,
+    and sums each ledger whole: ``horizon_years`` rebuilds the area baselines and sums
     their OPEX ledgers, with the CAPEX sums worked out once per sweep;
     ``class_cost_fraction`` rescales the swept class's slot of each baseline
     and rewrites that one product of each ledger, kept per sweep;
@@ -682,7 +650,6 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
     spec = spec if spec is not None else scenario.sweep
     if spec is None:
         raise InvalidSweepParameter(f"scenario {scenario.name!r} has no sweep specification")
-    _require_valid(scenario)
     points = tuple([SweepPoint(value, result) for value, result in _points(scenario, spec)])
     values = [p.value for p in points]
     assert values == sorted(set(values)), "sweep values must be strictly increasing"
@@ -791,7 +758,7 @@ def load_scenario(document: Union[str, Mapping], base_dir: Optional[Path] = None
         SweepSpec.from_json_dict(doc["sweep"]) if doc.get("sweep") is not None else None
     )
 
-    scenario = Scenario(
+    return Scenario(
         name=read_text(doc["name"], "'name'", MalformedScenario),
         areas=areas,
         cost_tables=tables,
@@ -802,8 +769,6 @@ def load_scenario(document: Union[str, Mapping], base_dir: Optional[Path] = None
         policy=policy,
         sweep=sweep_spec,
     )
-    _require_valid(scenario)
-    return scenario
 
 
 def load_scenario_file(path: Union[str, Path]) -> Scenario:

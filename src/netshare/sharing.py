@@ -22,7 +22,6 @@ from .errors import (
     FrozenValue,
     InvalidConfiguration,
     UnknownPreset,
-    _setattr,
     listed,
     read_flag,
     read_integer,
@@ -78,8 +77,7 @@ class LevelAssessment(FrozenValue):
     __slots__ = ("level", "non_contiguous")
 
     def __init__(self, level: Optional[SharingLevel], non_contiguous: bool = False) -> None:
-        _setattr(self, "level", level)
-        _setattr(self, "non_contiguous", non_contiguous)
+        super().__init__(level, non_contiguous)
 
 
 NO_SHARING = LevelAssessment(level=None, non_contiguous=False)
@@ -105,9 +103,7 @@ class RegulatoryPolicy(FrozenValue):
                 f"min_own_coverage_fraction must be in [0, 1], "
                 f"got {min_own_coverage_fraction!r}"
             )
-        _setattr(self, "min_own_coverage_fraction", min_own_coverage_fraction)
-        _setattr(self, "spectrum_pooling_allowed", spectrum_pooling_allowed)
-        _setattr(self, "max_level", max_level)
+        super().__init__(min_own_coverage_fraction, spectrum_pooling_allowed, max_level)
 
 
 # The flags and keys of a configuration document.
@@ -140,7 +136,7 @@ class _SharedMap(dict):
     """A read-only shared map: one bool per element class, in ``ElementClass`` order.
 
     The :class:`SharingConfiguration` constructor builds it.  It refuses writes,
-    so a configuration cannot change behind the validation a scenario keeps.
+    so a configuration cannot change after the scenario that holds it was checked.
     """
 
     __setitem__ = __delitem__ = __ior__ = _read_only
@@ -205,14 +201,9 @@ class SharingConfiguration(FrozenValue):
             raise InvalidConfiguration(f"split ratios must lie in (0, 1], got {ratios!r}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise InvalidConfiguration(f"split ratios must sum to 1, got {sum(ratios)!r}")
-        _setattr(self, "name", name)
-        _setattr(self, "shared", _SharedMap((c, bool(shared.get(c, False))) for c in ElementClass))
-        _setattr(self, "operator_count", operator_count)
-        _setattr(self, "split_ratios", ratios)
-        _setattr(self, "intl_shared", intl_shared)
-        _setattr(self, "couple_site_costs", couple_site_costs)
-        _setattr(self, "single_spectrum", single_spectrum)
-        _setattr(self, "policy", policy)
+        shared = _SharedMap((c, bool(shared.get(c, False))) for c in ElementClass)
+        flags = (intl_shared, couple_site_costs, single_spectrum)
+        super().__init__(name, shared, operator_count, ratios, *flags, policy)
 
     # -- shared-set helpers ----------------------------------------------
 
@@ -307,6 +298,8 @@ PRESET_NAMES: Tuple[str, ...] = tuple(_PRESET_MATRIX)
 # or shared backhaul.
 _ALIASES = {"MORAN": _RAN_SHARED}
 
+ALIAS_NAMES: Tuple[str, ...] = tuple(_ALIASES)
+
 
 def preset(
     name: str,
@@ -326,7 +319,7 @@ def preset(
         classes = _ALIASES[name]
     else:
         raise UnknownPreset(
-            f"unknown preset {name!r}; expected one of {list(PRESET_NAMES) + list(_ALIASES)}"
+            f"unknown preset {name!r}; expected one of {list(PRESET_NAMES + ALIAS_NAMES)}"
         )
     return SharingConfiguration(
         name=name,
@@ -337,12 +330,6 @@ def preset(
         couple_site_costs=couple_site_costs,
         single_spectrum=(name == "GatewayRoaming"),
     )
-
-
-def preset_names(include_aliases: bool = False) -> Tuple[str, ...]:
-    if include_aliases:
-        return PRESET_NAMES + tuple(_ALIASES)
-    return PRESET_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +368,9 @@ def sharing_level(config: SharingConfiguration) -> LevelAssessment:
 class ValidationIssue(FrozenValue):
     __slots__ = ("code", "message")
 
-    def __init__(self, code: str, message: str) -> None:
-        _setattr(self, "code", code)
-        _setattr(self, "message", message)
-
 
 class ValidationReport(FrozenValue):
     __slots__ = ("errors", "warnings")
-
-    def __init__(
-        self, errors: Tuple[ValidationIssue, ...], warnings: Tuple[ValidationIssue, ...]
-    ) -> None:
-        _setattr(self, "errors", errors)
-        _setattr(self, "warnings", warnings)
 
     @property
     def valid(self) -> bool:

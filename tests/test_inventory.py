@@ -254,6 +254,27 @@ def test_build_inventory_errors():
         build_inventory(profile, _units(nodeb=(-2.0, 0.0)))
 
 
+# Cost pairs that are not two usable numbers, with the amount each names.
+_BAD_PAIRS = {
+    "text": (("x", 1.0), "capex"),
+    "too-large-for-a-float": ((10**400, 1.0), "capex"),
+    "none": ((None, 1.0), "capex"),
+    "text-opex": ((1.0, "x"), "opex_annual"),
+}
+
+
+@pytest.mark.parametrize("pair, amount", _BAD_PAIRS.values(), ids=_BAD_PAIRS)
+def test_cost_table_refuses_a_pair_that_is_not_two_numbers(pair, amount):
+    with pytest.raises(InvalidAmount, match=f"^{amount} must"):
+        CostTable(AreaKind.URBAN, {ElementClass.NODEB: pair})
+
+
+@pytest.mark.parametrize("pair, amount", _BAD_PAIRS.values(), ids=_BAD_PAIRS)
+def test_build_inventory_refuses_a_pair_that_is_not_two_numbers(pair, amount):
+    with pytest.raises(InvalidAmount, match=f"^{amount} must"):
+        build_inventory(default_profile(AreaKind.URBAN), _units(nodeb=pair))
+
+
 def test_build_inventory_is_homogeneous_in_unit_costs():
     profile = default_profile(AreaKind.URBAN)
     units = _units(nodeb=(5.0, 1.0), rnc=(50.0, 5.0), backhaul=(2.0, 2.0))

@@ -651,13 +651,10 @@ def test_swept_report_builds_shared_cost_from_its_point_configuration(spec):
     swept = _swept_scenario(scenario, spec, point.value)
     for config in swept.configurations:
         report = point.result.report(AreaKind.SUBURBAN, config.name)
-        expected = apply_sharing(report.baseline, config)
         assert report.sharing == config
-        assert report.shared == expected
-        assert report.per_class_savings() == {
-            cls: report.baseline.per_class[cls].total - expected.per_class[cls].total
-            for cls in ElementClass
-        }
+        assert report == savings_report(
+            report.baseline, apply_sharing(report.baseline, config), config
+        )
 
 
 def _assert_lookups_agree(result) -> None:
@@ -742,15 +739,6 @@ def test_split_point_configurations_refuse_invalid_splits(value):
         _split_configs(_split_point_configs(), value)
 
 
-def test_savings_report_keeps_the_shared_cost_it_is_given():
-    baseline = cumulative_cost(reference_cost_table(AreaKind.URBAN), 5)
-    config = preset("MOCN", operator_count=3, split_ratios=(0.2, 0.3, 0.5))
-    other = apply_sharing(baseline, config, operator_index=2)
-    report = savings_report(baseline, other, config)
-    assert report.shared is other
-    assert report.shared != apply_sharing(baseline, config)
-
-
 # ---------------------------------------------------------------------------
 # settled work: one grid per intl_shared flag, one validation per scenario
 # ---------------------------------------------------------------------------
@@ -821,7 +809,7 @@ def test_a_loaded_scenario_is_validated_once(monkeypatch):
 
 def test_an_invalid_scenario_fails_on_every_call():
     core_without_rnc = SharingConfiguration(name="core", shared={ElementClass.CORE_SGSN: True})
-    scenario = Scenario(
+    fields = dict(
         name="direct",
         areas=(default_profile(AreaKind.URBAN),),
         cost_tables={AreaKind.URBAN: reference_cost_table(AreaKind.URBAN)},
@@ -829,11 +817,12 @@ def test_an_invalid_scenario_fails_on_every_call():
     )
     for _ in range(2):
         with pytest.raises(InvalidScenario, match="core: GwcnWithoutRan") as caught:
-            run_scenario(scenario)
+            Scenario(**fields)
         assert [report.codes()[0] for report in caught.value.reports] == ["GwcnWithoutRan"]
-    with pytest.raises(InvalidScenario, match="core: GwcnWithoutRan"):
-        sweep(scenario, SweepSpec("horizon_years", 1, 5, 3))
-    assert not scenario.validation_reports()["core"].valid
+    valid = Scenario(**dict(fields, configurations=(preset("MOCN"),)))
+    with pytest.raises(InvalidScenario, match="core: GwcnWithoutRan") as caught:
+        valid.replace(configurations=fields["configurations"])
+    assert [report.codes()[0] for report in caught.value.reports] == ["GwcnWithoutRan"]
 
 
 def test_a_loaded_configuration_refuses_writes_to_its_shared_map():
