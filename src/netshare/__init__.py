@@ -60,6 +60,7 @@ _EXPORTS = {
     "repartition": (
         "RepartitionConstraint",
         "RepartitionConstraintSet",
+        "USE_CASE_CONSTRAINTS",
         "check_repartition",
         "default_constraints",
     ),

@@ -46,16 +46,15 @@ from .inventory import (
     CostTable,
     ElementClass,
     Ledger,
-    Market,
     default_profile,
     element_quantity,
 )
 from .repartition import (
+    USE_CASE_CONSTRAINTS,
     RepartitionConstraint,
     RepartitionConstraintSet,
     _c,
     check_repartition,
-    default_constraints,
 )
 from .scenario import _parse_json
 from .sharing import SharingConfiguration, preset
@@ -242,11 +241,7 @@ class CalibrationResult(FrozenValue):
                 "checks": [dict(_check_json(c), satisfied=c.satisfied) for c in report.checks],
             }
             envelope_failures[kind.value] = [
-                _check_json(c)
-                for ledger in (Ledger.USE_CASE_CAPEX, Ledger.USE_CASE_OPEX)
-                for c in check_repartition(
-                    table, default_constraints(Market.EMERGING, ledger)
-                ).failures()
+                _check_json(c) for c in check_repartition(table, USE_CASE_CONSTRAINTS).failures()
             ]
             profile = default_profile(kind)
             unit_costs[kind.value] = {
@@ -296,7 +291,7 @@ def _check_json(check) -> dict:
 _E = ElementClass
 
 
-# Feasible variant of the use-case envelope from default_constraints().
+# Feasible variant of the use-case envelope, repartition.USE_CASE_CONSTRAINTS.
 # Two lower bounds are widened, because the published point estimates are
 # jointly unsatisfiable once the savings targets enter:
 #   - rnc_share for urban/suburban drops 0.32 -> 0.27 (nodeb + rnc floors
@@ -304,7 +299,7 @@ _E = ElementClass
 #     minimum-savings target);
 #   - backhaul_share for rural drops 0.32 -> 0.24 (the rural CAPEX floor
 #     plus backhaul/core/oam floors would exceed the whole ledger).
-# The regression suite records exactly which default-envelope members the
+# The regression suite records exactly which use-case envelope members the
 # committed tables miss, so the deviation stays visible.
 CALIBRATION_CONSTRAINTS = RepartitionConstraintSet(
     name="use_case_calibration",
@@ -461,7 +456,7 @@ class _AreaProblem:
         self.targets = tuple(targets)
         self.horizon = horizon_years
         self.by_ledger = {
-            ledger: tuple(c for c in constraints if c.ledger.base() is ledger)
+            ledger: tuple(c for c in constraints if c.ledger is ledger)
             for ledger in _LEDGERS
         }
         # Share of each class's cost that operator 0 stops carrying, per configuration.

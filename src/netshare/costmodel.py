@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from types import MappingProxyType
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import (
     AreaMismatch,
@@ -29,7 +28,6 @@ from .inventory import AreaKind, CostTable, ElementClass, _ledger_sum
 from .sharing import SharingConfiguration
 
 __all__ = [
-    "ClassCost",
     "ConfigDelta",
     "CostBreakdown",
     "SavingsReport",
@@ -41,16 +39,6 @@ __all__ = [
 
 DEFAULT_HORIZON_YEARS = 5
 _NODEB = tuple(ElementClass).index(ElementClass.NODEB)
-
-
-class ClassCost(FrozenValue):
-    """Cumulative cost of one element class over the horizon."""
-
-    __slots__ = ("capex", "opex_cumulative")
-
-    @property
-    def total(self) -> float:
-        return self.capex + self.opex_cumulative
 
 
 class CostBreakdown(FrozenValue):
@@ -74,12 +62,6 @@ class CostBreakdown(FrozenValue):
         _setattr(self, "horizon_years", horizon_years)
         _setattr(self, "capex", capex)
         _setattr(self, "opex", opex)
-
-    @property
-    def per_class(self) -> Mapping[ElementClass, ClassCost]:
-        return MappingProxyType(
-            {cls: ClassCost(c, o) for cls, c, o in zip(ElementClass, self.capex, self.opex)}
-        )
 
     def capex_total(self) -> float:
         return _ledger_sum(self.capex)
@@ -212,7 +194,6 @@ def savings_report(
     baseline: CostBreakdown,
     shared: CostBreakdown,
     config: SharingConfiguration,
-    area: Optional[AreaKind] = None,
 ) -> SavingsReport:
     """Compare an operator's shared cost against its build-alone baseline."""
     if baseline.horizon_years != shared.horizon_years:
@@ -220,13 +201,8 @@ def savings_report(
             f"baseline covers {baseline.horizon_years} years, "
             f"shared covers {shared.horizon_years}"
         )
-    if area is None:
-        area = baseline.area
-    if baseline.area is not shared.area or baseline.area is not area:
-        raise AreaMismatch(
-            f"baseline area {baseline.area.value}, shared area {shared.area.value}, "
-            f"report area {area.value}"
-        )
+    if baseline.area is not shared.area:
+        raise AreaMismatch(f"baseline area {baseline.area.value}, shared area {shared.area.value}")
     capex, opex = _ledger_sum(shared.capex), _ledger_sum(shared.opex)
     (report,) = _area_reports(baseline, (config,), (capex,), (opex,))
     return report

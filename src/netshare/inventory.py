@@ -7,7 +7,8 @@ class a one-off CAPEX amount and an annual OPEX amount for one operator
 deploying alone in one area.  Everything downstream (sharing arithmetic,
 scenario grids, calibration) consumes these tables.
 
-The cost-structure envelopes a table must fit live in
+A :class:`Ledger` names one side of those books, CAPEX or OPEX.  The
+cost-structure envelopes a table must fit on each ledger live in
 :mod:`netshare.repartition`.
 """
 
@@ -129,22 +130,10 @@ class Market(Enum):
 
 
 class Ledger(Enum):
-    """Which side of the books a constraint or figure refers to.
-
-    The two USE_CASE members select the tighter constraint profiles observed
-    in the bundled three-area deployment study; they still resolve to plain
-    CAPEX/OPEX fractions when evaluated.
-    """
+    """Which side of the books a constraint or figure refers to."""
 
     CAPEX = "capex"
     OPEX = "opex"
-    USE_CASE_CAPEX = "use_case_capex"
-    USE_CASE_OPEX = "use_case_opex"
-
-    def base(self) -> "Ledger":
-        if self in (Ledger.CAPEX, Ledger.USE_CASE_CAPEX):
-            return Ledger.CAPEX
-        return Ledger.OPEX
 
 
 # The ledger sums that the golden run/sweep outputs pin go through
@@ -178,16 +167,15 @@ class CostEntry(FrozenValue):
                 raise InvalidAmount(f"{name} must be finite, got {value!r}")
             if value < 0:
                 raise InvalidAmount(f"{name} must be >= 0, got {value!r}")
-        # Built for every rescaled class at each class_cost_fraction sweep point.
-        _setattr(self, "capex", capex)
-        _setattr(self, "opex_annual", opex_annual)
+            # Built for every rescaled class at each class_cost_fraction sweep point.
+            _setattr(self, name, value)
 
 
 def _normalise_entry(value: Union["CostEntry", Tuple[float, float]]) -> CostEntry:
     if isinstance(value, CostEntry):
         return value
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        return CostEntry(*(read_number(v, k, InvalidAmount) for k, v in zip(_AMOUNTS, value)))
+        return CostEntry(*value)
     raise InvalidAmount(f"cost entry must be CostEntry or (capex, opex) pair, got {value!r}")
 
 
@@ -236,21 +224,19 @@ class CostTable(FrozenValue):
     # -- fractions ------------------------------------------------------
 
     def ledger_total(self, ledger: Ledger) -> float:
-        if ledger.base() is Ledger.CAPEX:
+        if ledger is Ledger.CAPEX:
             return self.capex_total()
         return self.opex_annual_total()
 
     def ledger_amount(self, cls: ElementClass, ledger: Ledger) -> float:
         entry = self.entries[cls]
-        return entry.capex if ledger.base() is Ledger.CAPEX else entry.opex_annual
+        return entry.capex if ledger is Ledger.CAPEX else entry.opex_annual
 
     def fraction(self, classes: Iterable[ElementClass], ledger: Ledger) -> float:
         """Fraction of the ledger total carried by ``classes`` together."""
         total = self.ledger_total(ledger)
         if total == 0:
-            raise ZeroTotalLedger(
-                f"{ledger.base().value} total is zero for area {self.area.value}"
-            )
+            raise ZeroTotalLedger(f"{ledger.value} total is zero for area {self.area.value}")
         return sum(self.ledger_amount(c, ledger) for c in classes) / total
 
     def fractions(self, ledger: Ledger) -> Mapping[ElementClass, float]:

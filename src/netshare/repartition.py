@@ -2,8 +2,9 @@
 
 Cost structures are validated against :class:`RepartitionConstraint` sets:
 closed intervals on the fraction each class (or group of classes) takes of a
-ledger total.  Default constraint sets describe typical CAPEX/OPEX structures
-of emerging and developed markets and the tighter structure used by the
+ledger total.  :func:`default_constraints` gives the typical CAPEX or OPEX
+structure of an emerging or developed market, and
+:data:`USE_CASE_CONSTRAINTS` the tighter structure, on both ledgers, of the
 bundled three-area use case.
 
 Only calibration and its record need these: the engine never checks a cost
@@ -23,6 +24,7 @@ __all__ = [
     "FRACTION_TOL",
     "RepartitionConstraint",
     "RepartitionConstraintSet",
+    "USE_CASE_CONSTRAINTS",
     "check_repartition",
     "default_constraints",
 ]
@@ -61,7 +63,7 @@ class RepartitionConstraint(FrozenValue):
     def to_json_dict(self) -> dict:
         return {
             "label": self.label,
-            "ledger": self.ledger.base().value,
+            "ledger": self.ledger.value,
             "classes": sorted(c.value for c in self.classes),
             "lower": self.lower,
             "upper": self.upper,
@@ -206,29 +208,24 @@ _DEVELOPED_OPEX = (
 
 # Tighter structure of the bundled three-area use case.  RNC weight drops in
 # the rural area, where a coverage-driven NodeB grid dominates radio CAPEX.
-_USE_CASE_CAPEX = (
-    _c("core_share", Ledger.CAPEX, {_E.CORE_SGSN, _E.CORE_GGSN}, 0.08, 0.17),
-    _c("oam_share", Ledger.CAPEX, {_E.OAM}, 0.08, 0.17),
-    _c("backhaul_share", Ledger.CAPEX, {_E.BACKHAUL}, 0.32, 0.41),
-    _c("nodeb_share", Ledger.CAPEX, {_E.NODEB}, 0.23, 0.29),
-    _c("rnc_share_urban", Ledger.CAPEX, {_E.RNC}, 0.32, 0.41, AreaKind.URBAN),
-    _c("rnc_share_suburban", Ledger.CAPEX, {_E.RNC}, 0.32, 0.41, AreaKind.SUBURBAN),
-    _c("rnc_share_rural", Ledger.CAPEX, {_E.RNC}, 0.09, 0.13, AreaKind.RURAL),
-)
-_USE_CASE_OPEX = (
-    _c(
-        "international_share",
-        Ledger.OPEX,
-        {_E.INTERNATIONAL_CONNECTIVITY},
-        0.50,
-        0.60,
-    ),
-    _c(
-        "licence_core_share",
-        Ledger.OPEX,
-        {_E.SPECTRUM_LICENSE, _E.CORE_SGSN, _E.CORE_GGSN},
-        0.08,
-        0.12,
+USE_CASE_CONSTRAINTS = RepartitionConstraintSet(
+    name="use_case",
+    constraints=(
+        _c("core_share", Ledger.CAPEX, {_E.CORE_SGSN, _E.CORE_GGSN}, 0.08, 0.17),
+        _c("oam_share", Ledger.CAPEX, {_E.OAM}, 0.08, 0.17),
+        _c("backhaul_share", Ledger.CAPEX, {_E.BACKHAUL}, 0.32, 0.41),
+        _c("nodeb_share", Ledger.CAPEX, {_E.NODEB}, 0.23, 0.29),
+        _c("rnc_share_urban", Ledger.CAPEX, {_E.RNC}, 0.32, 0.41, AreaKind.URBAN),
+        _c("rnc_share_suburban", Ledger.CAPEX, {_E.RNC}, 0.32, 0.41, AreaKind.SUBURBAN),
+        _c("rnc_share_rural", Ledger.CAPEX, {_E.RNC}, 0.09, 0.13, AreaKind.RURAL),
+        _c("international_share", Ledger.OPEX, {_E.INTERNATIONAL_CONNECTIVITY}, 0.50, 0.60),
+        _c(
+            "licence_core_share",
+            Ledger.OPEX,
+            {_E.SPECTRUM_LICENSE, _E.CORE_SGSN, _E.CORE_GGSN},
+            0.08,
+            0.12,
+        ),
     ),
 )
 
@@ -241,15 +238,7 @@ _CATALOGUE = {
 
 
 def default_constraints(market: Market, ledger: Ledger) -> RepartitionConstraintSet:
-    """Published cost-structure envelope for a market profile and ledger.
-
-    ``Ledger.USE_CASE_CAPEX``/``USE_CASE_OPEX`` return the tighter intervals
-    of the bundled three-area use case regardless of market.
-    """
-    if ledger is Ledger.USE_CASE_CAPEX:
-        return RepartitionConstraintSet("use_case_capex", _USE_CASE_CAPEX)
-    if ledger is Ledger.USE_CASE_OPEX:
-        return RepartitionConstraintSet("use_case_opex", _USE_CASE_OPEX)
+    """Published cost-structure envelope for a market profile and ledger."""
     name, constraints = _CATALOGUE[(market, ledger)]
     return RepartitionConstraintSet(name, constraints)
 

@@ -172,22 +172,26 @@ class SweepSpec(FrozenValue):
         steps: int,
         class_name: Optional[str] = None,
     ) -> None:
-        super().__init__(parameter, start, stop, steps, class_name)
-        read_text(self.parameter, "sweep parameter", InvalidSweepParameter)
-        if self.parameter not in SWEEP_PARAMETERS:
+        read_text(parameter, "sweep parameter", InvalidSweepParameter)
+        if parameter not in SWEEP_PARAMETERS:
             raise InvalidSweepParameter(
-                f"unknown sweep parameter {self.parameter!r}; "
+                f"unknown sweep parameter {parameter!r}; "
                 f"expected one of {list(SWEEP_PARAMETERS)}"
             )
-        read_integer(self.steps, "steps", InvalidSweepParameter, 2, 10_000)
-        start = read_number(self.start, "sweep 'from'", InvalidSweepParameter)
-        stop = read_number(self.stop, "sweep 'to'", InvalidSweepParameter)
-        if not (start < stop):
+        read_integer(steps, "steps", InvalidSweepParameter, 2, 10_000)
+        super().__init__(
+            parameter,
+            read_number(start, "sweep 'from'", InvalidSweepParameter),
+            read_number(stop, "sweep 'to'", InvalidSweepParameter),
+            steps,
+            class_name,
+        )
+        if not (self.start < self.stop):
             raise InvalidSweepParameter(
                 f"sweep range must satisfy from < to, got [{self.start}, {self.stop}]"
             )
         # values() forms span * i for i up to steps - 1; each product must stay finite.
-        if not math.isfinite((stop - start) * (self.steps - 1)):
+        if not math.isfinite((self.stop - self.start) * (self.steps - 1)):
             raise InvalidSweepParameter(
                 f"sweep range must be finite, got [{self.start}, {self.stop}]"
             )

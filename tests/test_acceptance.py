@@ -16,18 +16,17 @@ from netshare import (
     AreaKind,
     CALIBRATION_CONSTRAINTS,
     ElementClass,
-    Ledger,
     LteContext,
     Market,
     SharingConfiguration,
     Technology,
+    USE_CASE_CONSTRAINTS,
     Verdict,
     apply_sharing,
     check_repartition,
     compare_lte,
     config_delta,
     cumulative_cost,
-    default_constraints,
     default_market_costs,
     load_scenario_file,
     preset,
@@ -339,14 +338,11 @@ def test_criterion_14_committed_tables_reverify_their_record():
         assert achieved == pytest.approx(target["achieved"], abs=1e-6)
         assert achieved - target["value"] == pytest.approx(target["residual"], abs=1e-6)
 
-    # the recorded misses against the published default envelope still hold
+    # the recorded misses against the use-case envelope still hold
     for kind, table in tables.items():
-        observed_failures = set()
-        for ledger in (Ledger.USE_CASE_CAPEX, Ledger.USE_CASE_OPEX):
-            envelope = default_constraints(Market.EMERGING, ledger)
-            observed_failures.update(
-                check.constraint.label
-                for check in check_repartition(table, envelope).failures()
-            )
+        observed_failures = {
+            check.constraint.label
+            for check in check_repartition(table, USE_CASE_CONSTRAINTS).failures()
+        }
         recorded = {entry["label"] for entry in record["default_envelope_failures"][kind.value]}
         assert observed_failures == recorded, (kind, observed_failures, recorded)

@@ -228,9 +228,7 @@ def test_linear_rows_agree_with_the_verifier(seed):
 @pytest.mark.parametrize("ledger", [Ledger.CAPEX, Ledger.OPEX])
 def test_projected_amounts_pass_the_verifier_after_rounding(ledger):
     for area in AreaKind:
-        constraints = [
-            c for c in CALIBRATION_CONSTRAINTS.for_area(area) if c.ledger.base() is ledger
-        ]
+        constraints = [c for c in CALIBRATION_CONSTRAINTS.for_area(area) if c.ledger is ledger]
         for seed in range(20):
             rng = np.random.default_rng(seed)
             amounts = rng.random(len(ElementClass))

@@ -33,6 +33,11 @@ def _single_class_table(capex=100.0, opex=0.0, cls=ElementClass.NODEB):
     return CostTable(area=AreaKind.URBAN, entries={cls: (capex, opex)})
 
 
+def _at(amounts, cls):
+    """The amount of ``cls`` in a breakdown's ``capex`` or ``opex`` tuple."""
+    return amounts[list(ElementClass).index(cls)]
+
+
 def _full_report(table, config, horizon=5, index=0):
     baseline = cumulative_cost(table, horizon)
     mine = apply_sharing(baseline, config, index)
@@ -47,7 +52,7 @@ def _full_report(table, config, horizon=5, index=0):
 def test_opex_accumulates_over_the_horizon():
     table = _single_class_table(capex=0.0, opex=7.0)
     breakdown = cumulative_cost(table, 5)
-    assert breakdown.per_class[ElementClass.NODEB].opex_cumulative == pytest.approx(35.0)
+    assert _at(breakdown.opex, ElementClass.NODEB) == pytest.approx(35.0)
     assert breakdown.opex_cumulative_total() == pytest.approx(35.0)
 
 
@@ -99,7 +104,7 @@ def test_two_operators_at_half_pay_half():
     table = _single_class_table(capex=100.0)
     baseline = cumulative_cost(table, 5)
     mine = apply_sharing(baseline, preset("MOCN"))  # NodeB shared
-    assert mine.per_class[ElementClass.NODEB].capex == pytest.approx(50.0)
+    assert _at(mine.capex, ElementClass.NODEB) == pytest.approx(50.0)
 
 
 def test_nothing_shared_is_the_identity():
@@ -109,7 +114,8 @@ def test_nothing_shared_is_the_identity():
     config = SharingConfiguration(name="solo", shared={})
     mine = apply_sharing(baseline, config)
     for cls in ElementClass:
-        assert mine.per_class[cls] == baseline.per_class[cls]
+        assert _at(mine.capex, cls) == _at(baseline.capex, cls)
+        assert _at(mine.opex, cls) == _at(baseline.opex, cls)
 
 
 def test_three_way_split_leaves_a_third_each():
@@ -118,7 +124,7 @@ def test_three_way_split_leaves_a_third_each():
     config = preset("MOCN", operator_count=3)
     for index in range(3):
         mine = apply_sharing(baseline, config, index)
-        assert mine.per_class[ElementClass.NODEB].capex == pytest.approx(30.0)
+        assert _at(mine.capex, ElementClass.NODEB) == pytest.approx(30.0)
     report = savings_report(baseline, apply_sharing(baseline, config, 0), config)
     assert report.capex_saving_pct == pytest.approx(100.0 * 2.0 / 3.0)
 
@@ -143,12 +149,12 @@ def test_carrier_factor_only_bites_with_pooled_spectrum():
     pooled = preset("MOCN")
     dedicated = preset("MOCN - Spectrum")
     # default factor changes nothing
-    assert apply_sharing(baseline, pooled).per_class[ElementClass.NODEB].capex == 50.0
+    assert _at(apply_sharing(baseline, pooled).capex, ElementClass.NODEB) == 50.0
     trimmed = apply_sharing(baseline, pooled, carrier_capex_factor=0.8)
-    assert trimmed.per_class[ElementClass.NODEB].capex == pytest.approx(40.0)
+    assert _at(trimmed.capex, ElementClass.NODEB) == pytest.approx(40.0)
     # dedicated carriers keep their full unit count
     untouched = apply_sharing(baseline, dedicated, carrier_capex_factor=0.8)
-    assert untouched.per_class[ElementClass.NODEB].capex == pytest.approx(50.0)
+    assert _at(untouched.capex, ElementClass.NODEB) == pytest.approx(50.0)
     from netshare.errors import InvalidAmount
 
     with pytest.raises(InvalidAmount):
@@ -162,12 +168,9 @@ def test_intl_flag_shares_the_international_link():
     baseline = cumulative_cost(table, 5)
     plain = preset("MOCN")
     wired = preset("MOCN", intl_shared=True)
-    assert apply_sharing(baseline, plain).per_class[
-        ElementClass.INTERNATIONAL_CONNECTIVITY
-    ].opex_cumulative == pytest.approx(50.0)
-    assert apply_sharing(baseline, wired).per_class[
-        ElementClass.INTERNATIONAL_CONNECTIVITY
-    ].opex_cumulative == pytest.approx(25.0)
+    intl = ElementClass.INTERNATIONAL_CONNECTIVITY
+    assert _at(apply_sharing(baseline, plain).opex, intl) == pytest.approx(50.0)
+    assert _at(apply_sharing(baseline, wired).opex, intl) == pytest.approx(25.0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +212,15 @@ def test_mismatched_horizons_are_rejected():
     b = apply_sharing(cumulative_cost(table, 3), config)
     with pytest.raises(HorizonMismatch):
         savings_report(a, b, config)
+
+
+def test_breakdowns_of_different_areas_are_rejected():
+    config = preset("MOCN")
+    urban = cumulative_cost(_single_class_table(), 5)
+    rural_table = CostTable(area=AreaKind.RURAL, entries={ElementClass.NODEB: (100.0, 0.0)})
+    rural = apply_sharing(cumulative_cost(rural_table, 5), config)
+    with pytest.raises(AreaMismatch, match="^baseline area urban, shared area rural$"):
+        savings_report(urban, rural, config)
 
 
 def test_flagship_configuration_near_published_total():
@@ -292,7 +304,9 @@ def test_closed_form_for_equal_two_way_split():
         grand = baseline.grand_total()
         shared = config.effective_shared()
         shared_fraction = (
-            sum(baseline.per_class[c].total for c in shared) / grand if grand else 0.0
+            sum(_at(baseline.capex, c) + _at(baseline.opex, c) for c in shared) / grand
+            if grand
+            else 0.0
         )
         report = savings_report(baseline, apply_sharing(baseline, config), config)
         assert report.total_saving_pct == pytest.approx(50.0 * shared_fraction, abs=1e-9)

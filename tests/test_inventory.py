@@ -16,6 +16,7 @@ from netshare import (
     Market,
     RepartitionConstraint,
     RepartitionConstraintSet,
+    USE_CASE_CONSTRAINTS,
     build_inventory,
     check_repartition,
     default_constraints,
@@ -157,6 +158,14 @@ def test_cost_table_json_round_trip():
     assert back.area is table.area
     for cls in ElementClass:
         assert back.entries[cls] == table.entries[cls]
+
+
+def test_an_entry_given_integers_writes_what_a_document_reads_back():
+    built = CostTable(AreaKind.URBAN, {ElementClass.NODEB: CostEntry(1, 2)})
+    paired = CostTable(AreaKind.URBAN, {ElementClass.NODEB: (1, 2)})
+    read = CostTable.from_json_dict(json.loads(built.to_json()))
+    assert built.to_json() == paired.to_json() == read.to_json()
+    assert repr(built) == repr(paired) == repr(read)
 
 
 def test_cost_table_document_rejects_unknown_keys():
@@ -415,8 +424,19 @@ def test_constraint_validation_rejects_bad_intervals():
         RepartitionConstraint("empty", Ledger.CAPEX, frozenset(), 0.1, 0.4)
 
 
+def test_a_ledger_is_capex_or_opex():
+    assert list(Ledger) == [Ledger.CAPEX, Ledger.OPEX]
+
+
+@pytest.mark.parametrize("ledger", ["use_case_capex", "use_case_opex"])
+def test_a_constraint_document_refuses_a_ledger_that_is_not_capex_or_opex(ledger):
+    doc = {"label": "x", "ledger": ledger, "classes": ["nodeb"], "lower": 0.1, "upper": 0.2}
+    with pytest.raises(InvalidAmount, match=f"'{ledger}'"):
+        RepartitionConstraint.from_json_dict(doc)
+
+
 def test_constraint_set_round_trips_through_json():
-    original = default_constraints(Market.EMERGING, Ledger.USE_CASE_CAPEX)
+    original = USE_CASE_CONSTRAINTS
     doc = original.to_json_dict()
     back = RepartitionConstraintSet.from_json_dict(doc)
     assert back == original
@@ -442,10 +462,27 @@ def test_developed_capex_defaults_put_half_into_civil_works():
     assert (civil.lower, civil.upper) == (0.50, 0.54)
 
 
+def test_use_case_constraints_bound_both_ledgers_of_the_use_case():
+    capex, opex, E = Ledger.CAPEX, Ledger.OPEX, ElementClass
+    core = {E.CORE_SGSN, E.CORE_GGSN}
+    assert USE_CASE_CONSTRAINTS.name == "use_case"
+    assert [
+        (c.label, c.ledger, c.classes, c.lower, c.upper, c.area) for c in USE_CASE_CONSTRAINTS
+    ] == [
+        ("core_share", capex, core, 0.08, 0.17, None),
+        ("oam_share", capex, {E.OAM}, 0.08, 0.17, None),
+        ("backhaul_share", capex, {E.BACKHAUL}, 0.32, 0.41, None),
+        ("nodeb_share", capex, {E.NODEB}, 0.23, 0.29, None),
+        ("rnc_share_urban", capex, {E.RNC}, 0.32, 0.41, AreaKind.URBAN),
+        ("rnc_share_suburban", capex, {E.RNC}, 0.32, 0.41, AreaKind.SUBURBAN),
+        ("rnc_share_rural", capex, {E.RNC}, 0.09, 0.13, AreaKind.RURAL),
+        ("international_share", opex, {E.INTERNATIONAL_CONNECTIVITY}, 0.50, 0.60, None),
+        ("licence_core_share", opex, {E.SPECTRUM_LICENSE, *core}, 0.08, 0.12, None),
+    ]
+
+
 def test_use_case_opex_defaults_bound_international_share():
-    constraints = {
-        c.label: c for c in default_constraints(Market.EMERGING, Ledger.USE_CASE_OPEX)
-    }
+    constraints = {c.label: c for c in USE_CASE_CONSTRAINTS}
     intl = constraints["international_share"]
     assert intl.classes == frozenset({ElementClass.INTERNATIONAL_CONNECTIVITY})
     assert intl.lower == 0.50

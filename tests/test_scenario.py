@@ -406,9 +406,8 @@ def test_class_cost_fraction_sweep_hits_requested_share():
         swept = point.result
         report = swept.report(AreaKind.URBAN, "MOCN")
         baseline = report.baseline
-        share = (
-            baseline.per_class[ElementClass.BACKHAUL].total / baseline.grand_total()
-        )
+        backhaul = list(ElementClass).index(ElementClass.BACKHAUL)
+        share = (baseline.capex[backhaul] + baseline.opex[backhaul]) / baseline.grand_total()
         assert share == pytest.approx(point.value, rel=1e-6)
 
 
@@ -436,6 +435,13 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="discount_rate", start=0.0, stop=0.1, steps=3)
     spec = SweepSpec(parameter="split_ratio", start=0.2, stop=0.8, steps=4)
     assert spec.values() == pytest.approx([0.2, 0.4, 0.6, 0.8])
+
+
+def test_a_sweep_spec_given_integers_writes_what_a_document_reads_back():
+    built = SweepSpec("split_ratio", 0, 1, 3)
+    read = SweepSpec.from_json_dict(built.to_json_dict())
+    assert json.dumps(built.to_json_dict()) == json.dumps(read.to_json_dict())
+    assert repr(built) == repr(read)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from netshare.advisor import (
 )
 from netshare.calibration import CalibrationResult, DeltaTarget, SavingsTarget, TargetOutcome
 from netshare.costmodel import (
-    ClassCost,
     ConfigDelta,
     CostBreakdown,
     SavingsReport,
@@ -87,7 +86,6 @@ VALUES = {
     CostEntry: (1.0, 2.0),
     CostTable: _TABLE._values(),
     AreaProfile: (AreaKind.RURAL, 3, 100, 1, 1, 1),
-    ClassCost: (1.0, 2.0),
     CostBreakdown: (_URBAN, 5, (1.0, 2.0), (3.0, 4.0)),
     ConfigDelta: ("MOCN", "GWCN", _URBAN, 1.0, 2.0, 3.0),
     LevelAssessment: (SharingLevel.L3_NODEB, True),
@@ -133,7 +131,6 @@ UNHASHABLE = {
 }
 # The types with no __init__ of their own: FrozenValue's constructor stores their fields.
 STORED_BY_THE_BASE = (
-    ClassCost,
     ConfigDelta,
     ValidationIssue,
     ValidationReport,
