@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import platform
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 from . import __version__
 from .costmodel import apply_sharing, cumulative_cost, savings_report, sharing_factors
@@ -104,6 +104,13 @@ GRID_PRESETS = (
     "GWCN",
     "GWCN + Backhaul",
     "GWCN - Spectrum",
+)
+
+# How the search works, as the calibration record states it.
+_METHOD = (
+    "bounded scalar search over each area's CAPEX/OPEX balance, SLSQP with the "
+    "exact gradient at each balance from even fractions, solution L1-projected "
+    "onto the constraints; the seed changes no result"
 )
 
 
@@ -195,11 +202,8 @@ class CalibrationResult(FrozenValue):
     __slots__ = (
         "tables",
         "outcomes",
-        "constraint_sets",
-        "method",
         "seed",
         "horizon_years",
-        "configurations",
         # Per area, the cumulative OPEX share of the total cost that the search settled on.
         "balances",
     )
@@ -235,7 +239,7 @@ class CalibrationResult(FrozenValue):
         envelope_failures = {}
         unit_costs = {}
         for kind, table in self.tables.items():
-            report = check_repartition(table, self.constraint_sets[kind])
+            report = check_repartition(table, constraints)
             constraint_reports[kind.value] = {
                 "overall": report.overall,
                 "checks": [dict(_check_json(c), satisfied=c.satisfied) for c in report.checks],
@@ -254,10 +258,10 @@ class CalibrationResult(FrozenValue):
             }
 
         return {
-            "method": self.method,
+            "method": _METHOD,
             "seed": self.seed,
             "horizon_years": self.horizon_years,
-            "configurations": list(self.configurations),
+            "configurations": list(GRID_PRESETS),
             "balances": {kind.value: balance for kind, balance in self.balances.items()},
             "constraints": constraints.to_json_dict(),
             "targets": targets_doc,
@@ -341,26 +345,6 @@ CALIBRATION_CONSTRAINTS = RepartitionConstraintSet(
 # ---------------------------------------------------------------------------
 # Search internals
 # ---------------------------------------------------------------------------
-
-
-def _normalise_targets(targets: Sequence) -> Tuple[Target, ...]:
-    out = []
-    for t in targets:
-        if isinstance(t, (SavingsTarget, DeltaTarget)):
-            out.append(t)
-        elif isinstance(t, (tuple, list)) and len(t) == 3:
-            area, configuration, value = t
-            out.append(
-                SavingsTarget(
-                    area=_area(area),
-                    metric="total",
-                    configuration=str(configuration),
-                    value=read_number(value, "target value", MalformedScenario),
-                )
-            )
-        else:
-            raise MalformedScenario(f"cannot interpret calibration target {t!r}")
-    return tuple(out)
 
 
 def _interval_rows(constraints: Sequence[RepartitionConstraint], margin: float = 0.0):
@@ -560,9 +544,8 @@ def _least_largest_fraction(constraints: Sequence[RepartitionConstraint]) -> flo
 
 def calibrate_reference(
     constraints: RepartitionConstraintSet,
-    targets: Sequence,
+    targets: Sequence[Target],
     *,
-    configurations: Optional[Sequence[SharingConfiguration]] = None,
     horizon_years: int = 5,
     seed: int = 0,
     restarts: int = 8,
@@ -570,7 +553,8 @@ def calibrate_reference(
 ) -> CalibrationResult:
     """Fit one cost table per targeted area to constraints and targets.
 
-    The search's solution for each area is moved back onto that area's
+    Each target is a :class:`SavingsTarget` or :class:`DeltaTarget` that names
+    configurations of :data:`GRID_PRESETS`.  The search's solution for each area is moved back onto that area's
     constraints before its amounts are rounded, so every returned table
     passes :func:`check_repartition` with the constraints it was fitted to.
 
@@ -585,13 +569,13 @@ def calibrate_reference(
     farther from its value than its declared residual bound.
     """
     horizon_years = read_integer(horizon_years, "horizon_years", MalformedScenario, 1)
-    targets = _normalise_targets(targets)
+    targets = tuple(targets)
     if not targets:
         raise MalformedScenario("calibration needs at least one target")
-    if configurations is None:
-        configurations = tuple(preset(name) for name in GRID_PRESETS)
-    config_map = {c.name: c for c in configurations}
+    config_map = {name: preset(name) for name in GRID_PRESETS}
     for target in targets:
+        if not isinstance(target, (SavingsTarget, DeltaTarget)):
+            raise MalformedScenario(f"cannot interpret calibration target {target!r}")
         for _, name in target.terms:
             if name not in config_map:
                 raise MalformedScenario(
@@ -606,7 +590,6 @@ def calibrate_reference(
     seed = read_integer(seed, "seed", MalformedScenario, 0)
     tables = {}
     balances = {}
-    constraint_sets = {}
     outcomes = []
     for area in areas:
         area_constraints = constraints.for_area(area)
@@ -644,16 +627,13 @@ def calibrate_reference(
             if capex or opex:
                 entries[cls] = CostEntry(capex, opex)
         table = CostTable(area=area, entries=entries)
-        report = check_repartition(
-            table, RepartitionConstraintSet(constraints.name, area_constraints)
-        )
+        report = check_repartition(table, area_constraints)
         if not report.overall:
             raise InfeasibleCalibration(
                 f"calibrated {area.value} table violates constraints",
                 violations=[c.constraint.label for c in report.failures()],
             )
         tables[area] = table
-        constraint_sets[area] = RepartitionConstraintSet(constraints.name, area_constraints)
         # each target recomputed through the cost model, not the search's form
         baseline = cumulative_cost(table, horizon_years)
         for target in problem.targets:
@@ -677,15 +657,8 @@ def calibrate_reference(
     return CalibrationResult(
         tables=tables,
         outcomes=tuple(outcomes),
-        constraint_sets=constraint_sets,
-        method=(
-            "bounded scalar search over each area's CAPEX/OPEX balance, SLSQP with the "
-            "exact gradient at each balance from even fractions, solution L1-projected "
-            "onto the constraints; the seed changes no result"
-        ),
         seed=seed,
         horizon_years=horizon_years,
-        configurations=tuple(config_map),
         balances=balances,
     )
 

@@ -171,7 +171,7 @@ def _cmd_run(args) -> int:
 
     scenario = load_scenario_file(args.scenario)
     if args.strict:
-        _fail_on_warnings(scenario)
+        _fail_on_warnings(scenario.validation_reports())
     result = run_scenario(scenario)
     _write_savings(args, "savings_grid", {"scenario": result.scenario_name}, None, [(None, result)])
     return 0
@@ -191,10 +191,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _fail_on_warnings(scenario) -> None:
-    noisy = {
-        name: rep for name, rep in scenario.validation_reports().items() if rep.warnings
-    }
+def _fail_on_warnings(reports) -> None:
+    """Raise one strict-mode error naming each configuration's warnings, if any."""
+    noisy = {name: rep for name, rep in reports.items() if rep.warnings}
     if noisy:
         detail = "; ".join(
             f"{name}: {', '.join(i.code for i in rep.warnings)}" for name, rep in noisy.items()
@@ -212,11 +211,9 @@ def _cmd_validate(args) -> int:
         sweep(scenario)
     reports = scenario.validation_reports()
     lines = [f"scenario: {scenario.name}"]
-    warned = False
     for name, report in reports.items():
         status = "ok"
         if report.warnings:
-            warned = True
             status = "warnings: " + ", ".join(i.code for i in report.warnings)
         lines.append(f"  {name}: {status}")
     lines.append(
@@ -224,9 +221,8 @@ def _cmd_validate(args) -> int:
         f"horizon {scenario.horizon_years} years"
     )
     _emit("\n".join(lines) + "\n", None)
-    if args.strict and warned:
-        print("strict mode: warnings treated as errors", file=sys.stderr)
-        return 1
+    if args.strict:
+        _fail_on_warnings(reports)
     return 0
 
 
@@ -316,8 +312,6 @@ def _cmd_calibrate(args) -> int:
     targets, constraints, horizon, seed = load_targets_document(
         _read_text(fixture_path(args.targets))
     )
-    if args.seed is not None:
-        seed = args.seed
     result = calibrate_reference(constraints, targets, horizon_years=horizon, seed=seed)
 
     out_dir = Path(args.out)
@@ -427,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--targets", required=True, help="calibration targets document")
     p.add_argument("--out", default=".", metavar="DIR", help="directory for the fixture files")
-    p.add_argument("--seed", type=int, default=None, help="override the document's seed")
     p.set_defaults(func=_cmd_calibrate)
 
     return parser

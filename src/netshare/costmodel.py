@@ -24,7 +24,7 @@ from .errors import (
     ZeroBaseline,
     _setattr,
 )
-from .inventory import AreaKind, CostTable, ElementClass, _ledger_sum
+from .inventory import AreaKind, CostTable, _ledger_sum
 from .sharing import SharingConfiguration
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_HORIZON_YEARS = 5
-_NODEB = tuple(ElementClass).index(ElementClass.NODEB)
 
 
 class CostBreakdown(FrozenValue):
@@ -108,30 +107,22 @@ def apply_sharing(
     baseline: CostBreakdown,
     config: SharingConfiguration,
     operator_index: int = 0,
-    carrier_capex_factor: float = 1.0,
 ) -> CostBreakdown:
     """Cost carried by one operator under a sharing configuration.
 
     Each class's cost is scaled by its :func:`sharing_factors` entry.
-    ``carrier_capex_factor`` scales NodeB CAPEX when spectrum is pooled:
-    combining carriers in shared radio units can shave hardware, but the
-    effect is marginal, so it defaults to 1.0 (off).
     """
     if not isinstance(operator_index, int) or not (0 <= operator_index < config.operator_count):
         raise InvalidOperatorIndex(
             f"operator_index {operator_index!r} out of range for "
             f"{config.operator_count} operators"
         )
-    if not (0.0 < carrier_capex_factor <= 1.0):
-        raise InvalidAmount(
-            f"carrier_capex_factor must be in (0, 1], got {carrier_capex_factor!r}"
-        )
     factors = sharing_factors(config, operator_index)
-    capex = list(map(mul, baseline.capex, factors))
-    if config.is_shared(ElementClass.SPECTRUM_LICENSE):
-        capex[_NODEB] *= carrier_capex_factor
     return CostBreakdown(
-        baseline.area, baseline.horizon_years, tuple(capex), tuple(map(mul, baseline.opex, factors))
+        baseline.area,
+        baseline.horizon_years,
+        tuple(map(mul, baseline.capex, factors)),
+        tuple(map(mul, baseline.opex, factors)),
     )
 
 

@@ -72,13 +72,6 @@ class ElementClass(Enum):
     POWER = "power"
     STAFF = "staff"
 
-    @classmethod
-    def from_label(cls, label: str) -> "ElementClass":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise KeyError(f"unknown element class {label!r}")
-
 
 _CLASS_LABELS = frozenset(cls.value for cls in ElementClass)
 _AMOUNTS = ("capex", "opex_annual")

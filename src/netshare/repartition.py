@@ -83,12 +83,12 @@ class RepartitionConstraint(FrozenValue):
             return cls(
                 label=read_text(doc["label"], "constraint 'label'", InvalidAmount),
                 ledger=Ledger(doc["ledger"]),
-                classes=frozenset(ElementClass.from_label(v) for v in doc["classes"]),
+                classes=frozenset(ElementClass(v) for v in doc["classes"]),
                 lower=lower,
                 upper=upper,
                 area=AreaKind(doc["area"]) if doc.get("area") else None,
             )
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             # An unknown ledger, element class or area label.
             raise InvalidAmount(f"constraint {doc['label']!r}: {exc}") from exc
 

@@ -19,7 +19,6 @@ import math
 import os
 from operator import mul
 from pathlib import Path
-from types import MappingProxyType
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .costmodel import (
@@ -50,6 +49,7 @@ from .inventory import (
     CostEntry,
     CostTable,
     ElementClass,
+    _CLASS_LABELS,
     _ledger_sum,
     default_profile,
 )
@@ -203,11 +203,10 @@ class SweepSpec(FrozenValue):
             raise InvalidSweepParameter(
                 f"'class' only applies to class_cost_fraction, not {self.parameter!r}"
             )
-        if self.class_name:
-            try:
-                ElementClass.from_label(self.class_name)
-            except KeyError as exc:
-                raise InvalidSweepParameter(f"sweep 'class': {exc.args[0]}") from exc
+        if self.class_name and self.class_name not in _CLASS_LABELS:
+            raise InvalidSweepParameter(
+                f"sweep 'class': unknown element class {self.class_name!r}"
+            )
 
     def values(self) -> Tuple[float, ...]:
         span = self.stop - self.start
@@ -334,11 +333,6 @@ class ScenarioResult(FrozenValue):
         _setattr(self, "configuration_order", configuration_order)
         _setattr(self, "cells", cells)
 
-    @property
-    def grid(self) -> Mapping[Tuple[AreaKind, str], SavingsReport]:
-        """The cells keyed by ``(area, configuration name)``."""
-        return MappingProxyType({(r.area, r.configuration): r for r in self.cells})
-
     def report(self, area: AreaKind, configuration: str) -> SavingsReport:
         try:
             i = self.area_order.index(area)
@@ -455,28 +449,6 @@ def _check_fraction(parameter: str, value: float) -> None:
         raise InvalidSweepParameter(f"{parameter} values must lie in (0, 1), got {value}")
 
 
-def _copy_config(
-    config: SharingConfiguration, split_ratios: Tuple[float, ...], intl_shared: bool
-) -> SharingConfiguration:
-    """``config`` with ``split_ratios`` and ``intl_shared``, stored slot by slot without
-    the constructor, whose checks the callers' values keep."""
-    copy = SharingConfiguration.__new__(SharingConfiguration)
-    _set_name(copy, config.name)
-    _set_shared(copy, config.shared)
-    _set_count(copy, config.operator_count)
-    _set_split(copy, split_ratios)
-    _set_intl(copy, intl_shared)
-    _set_couple(copy, config.couple_site_costs)
-    _set_single(copy, config.single_spectrum)
-    _set_policy(copy, config.policy)
-    return copy
-
-
-(
-    _set_name, _set_shared, _set_count, _set_split, _set_intl, _set_couple, _set_single, _set_policy
-) = [vars(SharingConfiguration)[name].__set__ for name in SharingConfiguration.__slots__]
-
-
 def _split_configs(
     configs: Sequence[SharingConfiguration], value: float
 ) -> Tuple[SharingConfiguration, ...]:
@@ -491,7 +463,7 @@ def _split_configs(
     for config in configs:
         count = config.operator_count
         rest = (1.0 - value) / (count - 1)
-        out.append(_copy_config(config, (value,) + (rest,) * (count - 1), config.intl_shared))
+        out.append(config._sweep_copy((value,) + (rest,) * (count - 1), config.intl_shared))
     return tuple(out)
 
 
@@ -502,7 +474,7 @@ def _intl_flag(value: float) -> bool:
 def _intl_configs(
     configs: Sequence[SharingConfiguration], flag: bool
 ) -> Tuple[SharingConfiguration, ...]:
-    return tuple(_copy_config(config, config.split_ratios, flag) for config in configs)
+    return tuple(config._sweep_copy(config.split_ratios, flag) for config in configs)
 
 
 def _class_share(
@@ -594,11 +566,14 @@ def _points(scenario: Scenario, spec: SweepSpec):
     # class_cost_fraction: each point moves one slot of each area's baseline,
     # with the float operations of CostTable -> cumulative_cost, and one
     # product of each ledger, kept per sweep in lists of every class's product.
-    cls = ElementClass.from_label(spec.class_name)
+    cls = ElementClass(spec.class_name)
     slot = tuple(ElementClass).index(cls)
     factors = _factors(configs)
     tables = scenario.cost_tables
-    shares = {kind: _class_share(kind, table, cls, horizon) for kind, table in tables.items()}
+    shares = {
+        profile.kind: _class_share(profile.kind, tables[profile.kind], cls, horizon)
+        for profile in scenario.areas
+    }
     products = [
         (
             [list(map(mul, base.capex, factor)) for factor in factors],
@@ -635,8 +610,8 @@ def _points(scenario: Scenario, spec: SweepSpec):
         yield value, _evaluate(scenario, horizon, point, configs, sums)
 
 
-def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
-    """Re-run the scenario grid at every point of the sweep range.
+def sweep(scenario: Scenario) -> SweepResult:
+    """Re-run the scenario grid at every point of its ``sweep`` range.
 
     Points come back strictly ordered by parameter value with no
     duplicates.  Validation reads neither the swept parameter nor the costs,
@@ -651,7 +626,7 @@ def sweep(scenario: Scenario, spec: Optional[SweepSpec] = None) -> SweepResult:
     ``intl_shared`` evaluates each flag's grid once per sweep, and the points
     with that flag share its result.
     """
-    spec = spec if spec is not None else scenario.sweep
+    spec = scenario.sweep
     if spec is None:
         raise InvalidSweepParameter(f"scenario {scenario.name!r} has no sweep specification")
     points = tuple([SweepPoint(value, result) for value, result in _points(scenario, spec)])

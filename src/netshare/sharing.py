@@ -15,7 +15,6 @@ arrangement.  MORAN (common RAN, dedicated carriers) is exposed as an alias.
 from __future__ import annotations
 
 from enum import IntEnum
-from itertools import compress
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -129,7 +128,7 @@ def _equal_split(n: int) -> Tuple[float, ...]:
 
 
 def _read_only(self, *args, **kwargs):
-    raise TypeError("a configuration's shared map is read-only; use with_shared or config.replace")
+    raise TypeError("a configuration's shared map is read-only; use config.replace")
 
 
 class _SharedMap(dict):
@@ -159,7 +158,7 @@ class SharingConfiguration(FrozenValue):
 
     __slots__ = (
         "name", "shared", "operator_count", "split_ratios",
-        "intl_shared", "couple_site_costs", "single_spectrum", "policy",
+        "intl_shared", "couple_site_costs", "single_spectrum",
     )
 
     def __init__(
@@ -171,7 +170,6 @@ class SharingConfiguration(FrozenValue):
         intl_shared: bool = False,
         couple_site_costs: bool = False,
         single_spectrum: bool = False,
-        policy: Optional[RegulatoryPolicy] = None,
     ) -> None:
         read_integer(operator_count, "operator_count", InvalidConfiguration, 2, _MAX_OPERATORS)
         if not isinstance(shared, Mapping):
@@ -203,7 +201,7 @@ class SharingConfiguration(FrozenValue):
             raise InvalidConfiguration(f"split ratios must sum to 1, got {sum(ratios)!r}")
         shared = _SharedMap((c, bool(shared.get(c, False))) for c in ElementClass)
         flags = (intl_shared, couple_site_costs, single_spectrum)
-        super().__init__(name, shared, operator_count, ratios, *flags, policy)
+        super().__init__(name, shared, operator_count, ratios, *flags)
 
     # -- shared-set helpers ----------------------------------------------
 
@@ -224,12 +222,23 @@ class SharingConfiguration(FrozenValue):
             mask[_INTL] = True
         return tuple(mask)
 
-    def effective_shared(self) -> frozenset:
-        """Shared classes after applying the coupling and service flags."""
-        return frozenset(compress(ElementClass, self.shared_mask()))
+    def _sweep_copy(
+        self, split_ratios: Tuple[float, ...], intl_shared: bool
+    ) -> "SharingConfiguration":
+        """This configuration with ``split_ratios`` and ``intl_shared``.
 
-    def with_shared(self, cls: ElementClass, flag: bool) -> "SharingConfiguration":
-        return self.replace(shared={**self.shared, cls: flag})
+        A split or intl sweep point builds one per configuration, so it stores
+        slot by slot without the constructor, whose checks the sweep's values keep.
+        """
+        copy = SharingConfiguration.__new__(SharingConfiguration)
+        _set_name(copy, self.name)
+        _set_shared(copy, self.shared)
+        _set_count(copy, self.operator_count)
+        _set_split(copy, split_ratios)
+        _set_intl(copy, intl_shared)
+        _set_couple(copy, self.couple_site_costs)
+        _set_single(copy, self.single_spectrum)
+        return copy
 
     # -- serialisation ----------------------------------------------------
 
@@ -269,6 +278,11 @@ class SharingConfiguration(FrozenValue):
             split_ratios=split,
             **flags,
         )
+
+
+_set_name, _set_shared, _set_count, _set_split, _set_intl, _set_couple, _set_single = [
+    vars(SharingConfiguration)[name].__set__ for name in SharingConfiguration.__slots__
+]
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +402,11 @@ def validate_configuration(
     """Check a configuration against structural and regulatory rules.
 
     ``coverage`` optionally supplies each operator's own-infrastructure
-    population coverage for the minimum-coverage rule.  ``policy`` overrides
-    the configuration's attached policy.
+    population coverage for the minimum-coverage rule.  ``policy`` is the
+    market's regulatory policy; without one, the defaults of
+    :class:`RegulatoryPolicy` apply.
     """
-    rules = policy if policy is not None else (config.policy or RegulatoryPolicy())
+    rules = policy if policy is not None else RegulatoryPolicy()
     errors = []
     warnings = []
 

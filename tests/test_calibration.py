@@ -63,7 +63,7 @@ def test_overcommitted_fractions_are_detected_before_searching():
             _capex_pin(ElementClass.BACKHAUL, 0.5, 0.6),
         ],
     )
-    targets = [(AreaKind.URBAN, "MOCN", 30.0)]
+    targets = [SavingsTarget(AreaKind.URBAN, "total", "MOCN", 30.0)]
     with pytest.raises(InfeasibleCalibration) as info:
         calibrate_reference(constraints, targets, **FAST)
     assert "urban" in str(info.value)
@@ -250,11 +250,11 @@ def test_projection_meets_its_rows_in_a_single_target_search():
     targets = [SavingsTarget(AreaKind.URBAN, "capex", "MOCN", 25.0)]
     result = calibrate_reference(CALIBRATION_CONSTRAINTS, targets, **FAST)
     table = result.tables[AreaKind.URBAN]
-    assert check_repartition(table, result.constraint_sets[AreaKind.URBAN]).overall
+    assert check_repartition(table, CALIBRATION_CONSTRAINTS).overall
 
 
 def test_unknown_target_configuration_is_malformed():
-    targets = [(AreaKind.URBAN, "MORAN Deluxe", 30.0)]
+    targets = [SavingsTarget(AreaKind.URBAN, "total", "MORAN Deluxe", 30.0)]
     with pytest.raises(MalformedScenario, match="MORAN Deluxe"):
         calibrate_reference(CALIBRATION_CONSTRAINTS, targets, **FAST)
 
@@ -266,17 +266,14 @@ def test_empty_target_list_is_malformed():
 
 @pytest.mark.parametrize("horizon", [0, -1, True, 2.5])
 def test_horizon_must_be_a_positive_integer(horizon):
-    targets = [("urban", "MOCN", 25.0)]
+    targets = [SavingsTarget(AreaKind.URBAN, "total", "MOCN", 25.0)]
     with pytest.raises(MalformedScenario, match="horizon_years"):
         calibrate_reference(CALIBRATION_CONSTRAINTS, targets, horizon_years=horizon, **FAST)
 
 
-@pytest.mark.parametrize(
-    "target, message", [(("nope", "MOCN", 30), "area"), (("urban", "MOCN", "x"), "value")]
-)
-def test_malformed_tuple_targets_are_malformed(target, message):
-    with pytest.raises(MalformedScenario, match=message):
-        calibrate_reference(CALIBRATION_CONSTRAINTS, [target], **FAST)
+def test_tuple_targets_are_malformed():
+    with pytest.raises(MalformedScenario, match="cannot interpret calibration target"):
+        calibrate_reference(CALIBRATION_CONSTRAINTS, [("urban", "MOCN", 30.0)], **FAST)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +341,11 @@ def test_delta_targets_steer_configuration_gaps():
 def test_result_records_method_seed_and_horizon():
     targets = [SavingsTarget(AreaKind.RURAL, "opex", "MOCN", 18.0, bound=2.0)]
     result = calibrate_reference(_loose_constraints(), targets, seed=7, **FAST)
-    assert "SLSQP" in result.method
+    record = result.record(_loose_constraints())
+    assert "SLSQP" in record["method"]
     assert result.seed == 7
     assert result.horizon_years == 5
-    assert len(result.configurations) == 6
+    assert record["configurations"] == list(GRID_PRESETS)
     report = result.residual_report()
     assert len(report) == 1
     description, achieved, residual = report[0]

@@ -290,6 +290,50 @@ def test_validate_reports_warnings_and_strict_fails(capsys):
     assert code == 1
 
 
+def test_run_and_validate_strict_fail_with_the_same_error_line(capsys):
+    errors = {}
+    for command in ("run", "validate"):
+        code, out, err = _run(capsys, command, USE_CASE, "--strict")
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: strict mode: ")
+        errors[command] = err
+    assert errors["run"] == errors["validate"]
+    # validate still lists every configuration on stdout before it fails
+    assert out.encode("utf-8") == (GOLDEN / "validate_run_paper_use_case.txt").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_validate_output_matches_golden_bytes(case, capsys):
+    code, out, err = _run(capsys, "validate", GOLDEN_CASES[case][1])
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == (GOLDEN / f"validate_{case}.txt").read_bytes()
+
+
+def test_class_sweep_ignores_a_cost_table_for_an_unlisted_area(tmp_path, capsys):
+    doc = json.loads(fixture_path(USE_CASE).read_text())
+    doc["areas"] = ["urban"]
+    doc["cost_tables"] = {"urban": doc["cost_tables"]["urban"]}
+    doc["sweep"] = {
+        "parameter": "class_cost_fraction", "from": 0.1, "to": 0.5, "steps": 5, "class": "backhaul"
+    }
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps(doc))
+    # a rural table that carries no backhaul cost, which no area of the scenario uses
+    rural = {"area": "rural", "entries": {"nodeb": {"capex": 100.0, "opex_annual": 10.0}}}
+    doc["cost_tables"]["rural"] = rural
+    unlisted = tmp_path / "unlisted.json"
+    unlisted.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, "validate", str(unlisted))
+    assert code == 0, err
+    for suffix in ("csv", "json"):
+        outputs = []
+        for path in (listed, unlisted):
+            code, out, err = _run(capsys, "sweep", str(path), *GOLDEN_FORMATS[suffix])
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("case", sorted(c for c in GOLDEN_CASES if c.startswith("sweep_")))
 def test_validate_accepts_the_golden_sweeps(case, capsys):
     code, out, err = _run(capsys, "validate", GOLDEN_CASES[case][1])
@@ -431,17 +475,14 @@ def test_calibrate_infeasible_targets_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "doc, extra",
-    [
-        ({"seed": "x", "targets": [{"area": "urban", "configuration": "MOCN", "value": 1}]}, []),
-        ({"targets": [{"area": "urban", "configuration": "MOCN", "value": 1}]}, ["--seed", "-1"]),
-    ],
-    ids=("document_seed", "option_seed"),
+    "doc",
+    [{"seed": "x", "targets": [{"area": "urban", "configuration": "MOCN", "value": 1}]}],
+    ids=("document_seed",),
 )
-def test_calibrate_bad_seed_prints_one_error_line(tmp_path, capsys, doc, extra):
+def test_calibrate_bad_seed_prints_one_error_line(tmp_path, capsys, doc):
     path = tmp_path / "targets.json"
     path.write_text(json.dumps(doc))
-    argv = ["calibrate", "--targets", str(path), "--out", str(tmp_path), *extra]
+    argv = ["calibrate", "--targets", str(path), "--out", str(tmp_path)]
     code, out, err = _run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -480,12 +521,12 @@ def test_calibrate_writes_tables_and_a_record_the_seed_does_not_change(tmp_path,
              "bound": 1.0},
         ],
     }
-    path = tmp_path / "targets.json"
-    path.write_text(json.dumps(doc))
     written = {}
     for seed in ("0", "5"):
+        path = tmp_path / f"targets_{seed}.json"
+        path.write_text(json.dumps(dict(doc, seed=int(seed))))
         out_dir = tmp_path / f"seed_{seed}"
-        argv = ["calibrate", "--targets", str(path), "--out", str(out_dir), "--seed", seed]
+        argv = ["calibrate", "--targets", str(path), "--out", str(out_dir)]
         code, out, err = _run(capsys, *argv)
         assert code == 0, err
         assert err.startswith("wrote ") and out.splitlines()[0].split() == [

@@ -137,32 +137,6 @@ def test_operator_index_bounds():
             apply_sharing(baseline, config, index)
 
 
-def test_carrier_factor_only_bites_with_pooled_spectrum():
-    table = CostTable(
-        area=AreaKind.URBAN,
-        entries={
-            ElementClass.NODEB: (100.0, 0.0),
-            ElementClass.SPECTRUM_LICENSE: (0.0, 10.0),
-        },
-    )
-    baseline = cumulative_cost(table, 5)
-    pooled = preset("MOCN")
-    dedicated = preset("MOCN - Spectrum")
-    # default factor changes nothing
-    assert _at(apply_sharing(baseline, pooled).capex, ElementClass.NODEB) == 50.0
-    trimmed = apply_sharing(baseline, pooled, carrier_capex_factor=0.8)
-    assert _at(trimmed.capex, ElementClass.NODEB) == pytest.approx(40.0)
-    # dedicated carriers keep their full unit count
-    untouched = apply_sharing(baseline, dedicated, carrier_capex_factor=0.8)
-    assert _at(untouched.capex, ElementClass.NODEB) == pytest.approx(50.0)
-    from netshare.errors import InvalidAmount
-
-    with pytest.raises(InvalidAmount):
-        apply_sharing(baseline, pooled, carrier_capex_factor=0.0)
-    with pytest.raises(InvalidAmount):
-        apply_sharing(baseline, pooled, carrier_capex_factor=1.2)
-
-
 def test_intl_flag_shares_the_international_link():
     table = _single_class_table(capex=0.0, opex=10.0, cls=ElementClass.INTERNATIONAL_CONNECTIVITY)
     baseline = cumulative_cost(table, 5)
@@ -302,7 +276,7 @@ def test_closed_form_for_equal_two_way_split():
         config = random_config(rng, operator_count=2, equal_split=True)
         baseline = cumulative_cost(table, 5)
         grand = baseline.grand_total()
-        shared = config.effective_shared()
+        shared = [c for c, flag in zip(ElementClass, config.shared_mask()) if flag]
         shared_fraction = (
             sum(_at(baseline.capex, c) + _at(baseline.opex, c) for c in shared) / grand
             if grand

@@ -84,12 +84,6 @@ def test_class_groups_partition_the_enumeration():
     assert CORE_CLASSES == {ElementClass.CORE_SGSN, ElementClass.CORE_GGSN}
 
 
-def test_from_label_rejects_unknown_names():
-    assert ElementClass.from_label("nodeb") is ElementClass.NODEB
-    with pytest.raises(KeyError):
-        ElementClass.from_label("enodeb")
-
-
 # ---------------------------------------------------------------------------
 # cost tables
 # ---------------------------------------------------------------------------
@@ -224,7 +218,7 @@ def _units(**overrides):
     """Zero unit costs for every scaled class, overridden by label."""
     units = {cls: (0.0, 0.0) for cls in _SCALED}
     for label, pair in overrides.items():
-        units[ElementClass.from_label(label)] = pair
+        units[ElementClass(label)] = pair
     return units
 
 
@@ -432,6 +426,12 @@ def test_a_ledger_is_capex_or_opex():
 def test_a_constraint_document_refuses_a_ledger_that_is_not_capex_or_opex(ledger):
     doc = {"label": "x", "ledger": ledger, "classes": ["nodeb"], "lower": 0.1, "upper": 0.2}
     with pytest.raises(InvalidAmount, match=f"'{ledger}'"):
+        RepartitionConstraint.from_json_dict(doc)
+
+
+def test_a_constraint_document_refuses_an_unknown_element_class():
+    doc = {"label": "x", "ledger": "capex", "classes": ["enodeb"], "lower": 0.1, "upper": 0.2}
+    with pytest.raises(InvalidAmount, match="^constraint 'x': 'enodeb' is not a valid ElementClass$"):
         RepartitionConstraint.from_json_dict(doc)
 
 

@@ -15,7 +15,6 @@ from netshare import (
     AreaKind,
     CostTable,
     ElementClass,
-    RegulatoryPolicy,
     Scenario,
     SharingConfiguration,
     SweepSpec,
@@ -223,7 +222,7 @@ def test_missing_fixture_reports_search_paths():
 def test_grid_has_full_cardinality():
     scenario = load_scenario_file(USE_CASE)
     result = run_scenario(scenario)
-    assert len(result.grid) == 18
+    assert len(result.cells) == 18
     assert result.area_order == (AreaKind.URBAN, AreaKind.SUBURBAN, AreaKind.RURAL)
     assert result.configuration_order == GRID_PRESETS
     reports = result.reports()
@@ -250,8 +249,9 @@ def test_reruns_are_identical():
     scenario = load_scenario_file(USE_CASE)
     first = run_scenario(scenario)
     second = run_scenario(scenario)
-    for key, report in first.grid.items():
-        other = second.grid[key]
+    assert len(first.cells) == len(second.cells) == 18
+    for report, other in zip(first.cells, second.cells):
+        assert (report.area, report.configuration) == (other.area, other.configuration)
         assert report.total_saving_pct == other.total_saving_pct
         assert report.capex_saving_pct == other.capex_saving_pct
 
@@ -306,7 +306,7 @@ def _swept_scenario(scenario: Scenario, spec: SweepSpec, value: float) -> Scenar
     # class_cost_fraction: rescale one class so it takes the requested
     # fraction of each area's cumulative grand total.
     _check_fraction(spec.parameter, value)
-    cls = ElementClass.from_label(spec.class_name)
+    cls = ElementClass(spec.class_name)
     tables = {}
     for kind, table in scenario.cost_tables.items():
         share = _class_share(kind, table, cls, scenario.horizon_years)
@@ -509,7 +509,7 @@ def _random_scenario(rng: random.Random) -> Scenario:
     for index in range(8):
         config = random_config(rng, name=f"random-{index}")
         if config.is_shared(ElementClass.CORE_SGSN) or config.is_shared(ElementClass.CORE_GGSN):
-            config = config.with_shared(ElementClass.RNC, True)
+            config = config.replace(shared={**config.shared, ElementClass.RNC: True})
         configs.append(config)
     return Scenario(
         name="random",
@@ -568,7 +568,7 @@ def test_grid_kernel_is_bit_identical_to_the_pipeline(seed):
         ),
     )
     for spec in specs:
-        result = sweep(scenario, spec)
+        result = sweep(scenario.replace(sweep=spec))
         assert [p.value for p in result.points] == list(spec.values())
         for point in result.points:
             _assert_pipeline_equal(point.result, _swept_scenario(scenario, spec, point.value))
@@ -581,11 +581,12 @@ def test_class_sweep_matches_the_pipeline_at_every_slot():
     assert slots[0] == 0 and slots[-1] == len(ElementClass) - 1
     for cls in classes:
         spec = SweepSpec("class_cost_fraction", 0.05, 0.6, 4, class_name=cls.value)
-        result = sweep(scenario, spec)
+        swept = scenario.replace(sweep=spec)
+        result = sweep(swept)
         for point in result.points:
             _assert_pipeline_equal(point.result, _swept_scenario(scenario, spec, point.value))
         # A second sweep starts from fresh products, not from the first's last point.
-        assert sweep(scenario, spec) == result
+        assert sweep(swept) == result
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +654,7 @@ def test_run_and_every_sweep_kind_match_the_independent_oracle(seed):
 )
 def test_swept_report_builds_shared_cost_from_its_point_configuration(spec):
     scenario = _random_scenario(random.Random(11))
-    point = sweep(scenario, spec).points[1]
+    point = sweep(scenario.replace(sweep=spec)).points[1]
     swept = _swept_scenario(scenario, spec, point.value)
     for config in swept.configurations:
         report = point.result.report(AreaKind.SUBURBAN, config.name)
@@ -664,16 +665,15 @@ def test_swept_report_builds_shared_cost_from_its_point_configuration(spec):
 
 
 def _assert_lookups_agree(result) -> None:
-    """report(), grid and best_configuration() against the flat reports() tuple."""
+    """report(), cells and best_configuration() against the flat reports() tuple."""
     reports = result.reports()
     width = len(result.configuration_order)
-    assert len(reports) == len(result.area_order) * width == len(result.grid)
+    assert len(reports) == len(result.area_order) * width == len(result.cells)
     for i, area in enumerate(result.area_order):
         row = reports[i * width : (i + 1) * width]
         for name, cell in zip(result.configuration_order, row):
             assert cell.area is area and cell.configuration == name
             assert result.report(area, name) is cell
-            assert result.grid[(area, name)] is cell
         # first wins ties, as the documented rule says
         best = row[0]
         for cell in row[1:]:
@@ -686,7 +686,7 @@ def _assert_lookups_agree(result) -> None:
 def test_flat_result_lookups_agree_with_reports(seed):
     scenario = _random_scenario(random.Random(100 + seed))
     _assert_lookups_agree(run_scenario(scenario))
-    for point in sweep(scenario, SweepSpec("split_ratio", 0.1, 0.9, 3)).points:
+    for point in sweep(scenario.replace(sweep=SweepSpec("split_ratio", 0.1, 0.9, 3))).points:
         _assert_lookups_agree(point.result)
 
 
@@ -701,15 +701,14 @@ def test_flat_result_unknown_cells_raise_key_error():
     with pytest.raises(KeyError):
         result.best_configuration(AreaKind.RURAL)
     with pytest.raises(KeyError):
-        result.grid[(AreaKind.SUBURBAN, "MOCN")]
+        result.report(AreaKind.SUBURBAN, "MOCN")
     assert result.report(AreaKind.URBAN, "GWCN").configuration == "GWCN"
 
 
 def _split_point_configs():
-    policy = RegulatoryPolicy(min_own_coverage_fraction=0.2, spectrum_pooling_allowed=False)
     ran = {cls: True for cls in (ElementClass.PASSIVE_SITE, ElementClass.NODEB, ElementClass.RNC)}
     return (
-        SharingConfiguration(name="policy", shared=ran, operator_count=3, policy=policy),
+        SharingConfiguration(name="ran", shared=ran, operator_count=3),
         SharingConfiguration(name="coupled", shared=ran, operator_count=4, couple_site_costs=True),
         SharingConfiguration(
             name="single", shared=ran, operator_count=3, single_spectrum=True, intl_shared=True
@@ -722,7 +721,6 @@ def _split_point_configs():
             intl_shared=True,
             couple_site_costs=True,
             single_spectrum=True,
-            policy=policy,
         ),
         preset("GWCN + Backhaul", operator_count=3, split_ratios=(0.5, 0.25, 0.25)),
     )
@@ -760,7 +758,7 @@ def test_sweep_equals_the_rebuilt_scenario_field_for_field(seed):
         SweepSpec("class_cost_fraction", 0.1, 0.5, 4, class_name=_rescalable_class(scenario).value),
     )
     for spec in specs:
-        for point in sweep(scenario, spec).points:
+        for point in sweep(scenario.replace(sweep=spec)).points:
             expected = run_scenario(_swept_scenario(scenario, spec, point.value))
             for name in type(expected).__slots__:
                 assert getattr(point.result, name) == getattr(expected, name), (spec, name)
@@ -768,7 +766,7 @@ def test_sweep_equals_the_rebuilt_scenario_field_for_field(seed):
 
 def test_intl_points_with_one_flag_share_one_result():
     scenario = _random_scenario(random.Random(7))
-    points = sweep(scenario, SweepSpec("intl_shared", 0.0, 1.0, 7)).points
+    points = sweep(scenario.replace(sweep=SweepSpec("intl_shared", 0.0, 1.0, 7))).points
     by_flag = {}
     for point in points:
         result = by_flag.setdefault(_intl_flag(point.value), point.result)
@@ -788,7 +786,7 @@ def test_intl_sweep_below_one_half_evaluates_only_the_unshared_grid(monkeypatch)
 
     monkeypatch.setattr(scenario_module, "_evaluate", counting)
     scenario = _random_scenario(random.Random(8))
-    result = sweep(scenario, SweepSpec("intl_shared", 0.0, 0.45, 10))
+    result = sweep(scenario.replace(sweep=SweepSpec("intl_shared", 0.0, 0.45, 10)))
     assert len(result.points) == 10
     assert grids == [(False,) * len(scenario.configurations)]
 
@@ -803,12 +801,14 @@ def test_a_loaded_scenario_is_validated_once(monkeypatch):
         validated.append(config.name)
         return validate(config, coverage, policy)
 
-    monkeypatch.setattr(scenario_module, "validate_configuration", counting)
     spec = {"parameter": "split_ratio", "from": 0.2, "to": 0.8, "steps": 4}
-    scenario = load_scenario(_document(configurations=["MOCN", "GWCN"], sweep=spec))
+    document = _document(configurations=["MOCN", "GWCN"], sweep=spec)
+    intl = load_scenario(document).replace(sweep=SweepSpec("intl_shared", 0.0, 1.0, 3))
+    monkeypatch.setattr(scenario_module, "validate_configuration", counting)
+    scenario = load_scenario(document)
     run_scenario(scenario)
     sweep(scenario)
-    sweep(scenario, SweepSpec("intl_shared", 0.0, 1.0, 3))
+    sweep(intl)
     run_scenario(scenario)
     assert validated == ["MOCN", "GWCN"]
 

@@ -148,10 +148,11 @@ def test_replace_builds_the_copy_through_the_constructor():
     assert base.replace() == base and base.replace() is not base
 
 
-def test_with_shared_normalises_the_map():
-    config = preset("MOCN").with_shared(ElementClass.ANTENNA, 1)
+def test_replace_normalises_the_shared_map():
+    base = preset("MOCN")
+    config = base.replace(shared={**base.shared, ElementClass.ANTENNA: 1})
     assert config.shared[ElementClass.ANTENNA] is True
-    assert config == preset("MOCN").with_shared(ElementClass.ANTENNA, True)
+    assert config == base.replace(shared={**base.shared, ElementClass.ANTENNA: True})
 
 
 @pytest.mark.parametrize(
@@ -180,22 +181,22 @@ def test_split_ratios_must_sum_to_one():
         SharingConfiguration(name="bad", shared={}, operator_count=1)
 
 
-def test_effective_shared_applies_couple_and_intl_flags():
+def test_shared_mask_applies_couple_and_intl_flags():
     config = SharingConfiguration(
         name="coupled",
         shared={ElementClass.PASSIVE_SITE: True},
         couple_site_costs=True,
         intl_shared=True,
     )
-    effective = config.effective_shared()
-    assert ElementClass.SITE_RENT in effective
-    assert ElementClass.POWER in effective
-    assert ElementClass.INTERNATIONAL_CONNECTIVITY in effective
+    effective = dict(zip(ElementClass, config.shared_mask()))
+    assert effective[ElementClass.SITE_RENT]
+    assert effective[ElementClass.POWER]
+    assert effective[ElementClass.INTERNATIONAL_CONNECTIVITY]
     # coupling only follows a shared passive layer
     bare = SharingConfiguration(
         name="uncoupled", shared={ElementClass.NODEB: True}, couple_site_costs=True
     )
-    assert ElementClass.SITE_RENT not in bare.effective_shared()
+    assert not dict(zip(ElementClass, bare.shared_mask()))[ElementClass.SITE_RENT]
 
 
 # Columns in ElementClass order: passive_site, antenna, nodeb, rnc, backhaul,
@@ -331,7 +332,7 @@ def test_adding_a_shared_class_never_lowers_the_level():
         config = random_config(rng)
         before = sharing_level(config).level
         addition = rng.choice(list(ElementClass))
-        after = sharing_level(config.with_shared(addition, True)).level
+        after = sharing_level(config.replace(shared={**config.shared, addition: True})).level
         if before is not None:
             assert after is not None and after >= before
 

@@ -74,7 +74,7 @@ _OUTCOME = TargetOutcome(_TARGET, 39.5, -0.5)
 _POINT = SweepPoint(0.5, ScenarioResult("s", 5, (), (), ()))
 _POLICY = RegulatoryPolicy(0.5, False, SharingLevel.L4_RNC)
 _CONFIG = SharingConfiguration(
-    "three", {ElementClass.NODEB: True}, 3, (0.2, 0.3, 0.5), True, True, True, _POLICY
+    "three", {ElementClass.NODEB: True}, 3, (0.2, 0.3, 0.5), True, True, True
 )
 _BASELINE = cumulative_cost(_TABLE, 5)
 _REPORT = savings_report(_BASELINE, apply_sharing(_BASELINE, _CONFIG), _CONFIG)
@@ -111,11 +111,8 @@ VALUES = {
     CalibrationResult: (
         {_URBAN: _TABLE},
         (_OUTCOME,),
-        {_URBAN: _CONSTRAINTS},
-        "method",
         0,
         5,
-        ("MOCN",),
         {_URBAN: 0.5},
     ),
     SharingConfiguration: _CONFIG._values(),
