@@ -190,12 +190,18 @@ class FrozenValue:
     default its arguments, and then stores them with one
     ``super().__init__(...)`` call; or, when it is built once a grid cell or
     sweep point, to store them by hand with ``_setattr``, which skips the
-    base constructor's loop.  An instance equals another of the same class
-    with equal fields, hashes by its fields, prints as ``Name(field=value,
-    ...)``, copies and pickles by calling its class with its fields, and
-    refuses assignment and deletion with :class:`AttributeError`.  This is
-    what a frozen dataclass gives, :meth:`replace` included, without the
-    methods a dataclass compiles when its class is defined.
+    base constructor's loop.  The two values built most often skip every
+    constructor: the one function that builds them (``_area_reports`` for a
+    grid cell's ``SavingsReport``, ``_sweep_copy`` for a sweep point's
+    ``SharingConfiguration``) makes each with ``__new__`` and stores each
+    field through its slot's own setter; any other build of those types
+    goes through its class's constructor.  An instance equals another of
+    the same class with equal fields, hashes by its fields, prints as
+    ``Name(field=value, ...)``, copies and pickles by calling its class with
+    its fields, and refuses assignment and deletion with
+    :class:`AttributeError`.  This is what a frozen dataclass gives,
+    :meth:`replace` included, without the methods a dataclass compiles when
+    its class is defined.
     """
 
     __slots__ = ()

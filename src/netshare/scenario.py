@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from operator import mul
+from operator import itemgetter, mul
 from pathlib import Path
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -520,6 +520,21 @@ def _slot_sums(
     return sums
 
 
+def _picker(mask: Sequence[bool]) -> itemgetter:
+    """Picks, from a ledger followed by its scaled copy, each class's product
+    under ``mask``: the scaled amount where the class is shared."""
+    width = len(mask)
+    return itemgetter(*[slot + width * flag for slot, flag in enumerate(mask)])
+
+
+def _picked_sums(
+    ledger: Sequence[float], value: float, pickers: Sequence[itemgetter]
+) -> List[float]:
+    """:func:`_ledger_sums` of ``ledger`` for operator-0 split ``value``, one per :func:`_picker`."""
+    products = (*ledger, *[amount * value for amount in ledger])
+    return [_ledger_sum(pick(products)) for pick in pickers]
+
+
 def _points(scenario: Scenario, spec: SweepSpec):
     """``(value, ScenarioResult)`` of each sweep point.
 
@@ -544,9 +559,21 @@ def _points(scenario: Scenario, spec: SweepSpec):
 
     baselines = _baselines(scenario, horizon)
     if spec.parameter == "split_ratio":
+        # Operator 0 pays ``value`` of each class its mask shares and all of the
+        # rest, so each product is the baseline amount (``amount * 1.0`` is
+        # ``amount`` exactly) or ``amount * value``: a point scales each ledger
+        # once, and each configuration picks its 13 products from that.
+        # run, horizon_years and intl_shared gain nothing from pickers, so they
+        # keep _ledger_sums.  The class sweep keeps its per-configuration product
+        # lists: picking from columns scaled by a grid's distinct operator-0
+        # ratios made its requests about 18 % slower.
+        pickers = [_picker(config.shared_mask()) for config in configs]
         for value in values:
             swept = _split_configs(configs, value)
-            sums = _grid_sums(baselines, _factors(swept))
+            sums = [
+                (_picked_sums(b.capex, value, pickers), _picked_sums(b.opex, value, pickers))
+                for b in baselines
+            ]
             yield value, _evaluate(scenario, horizon, baselines, swept, sums)
         return
 
@@ -622,7 +649,9 @@ def sweep(scenario: Scenario) -> SweepResult:
     their OPEX ledgers, with the CAPEX sums worked out once per sweep;
     ``class_cost_fraction`` rescales the swept class's slot of each baseline
     and rewrites that one product of each ledger, kept per sweep;
-    ``split_ratio`` copies the configurations with the point's split;
+    ``split_ratio`` copies the configurations with the point's split, scales
+    each ledger by the point's value once, and picks each configuration's
+    products from the ledger and its scaled copy by its sharing mask;
     ``intl_shared`` evaluates each flag's grid once per sweep, and the points
     with that flag share its result.
     """

@@ -205,9 +205,6 @@ class SharingConfiguration(FrozenValue):
 
     # -- shared-set helpers ----------------------------------------------
 
-    def is_shared(self, cls: ElementClass) -> bool:
-        return self.shared[cls]
-
     def shared_mask(self) -> Tuple[bool, ...]:
         """Whether each element class is effectively shared, in ``ElementClass`` order.
 
@@ -361,7 +358,7 @@ def sharing_level(config: SharingConfiguration) -> LevelAssessment:
     shared_levels = [
         level
         for level, classes in _LEVEL_CLASS.items()
-        if any(config.is_shared(c) for c in classes)
+        if any(config.shared[c] for c in classes)
     ]
     if not shared_levels:
         return NO_SHARING
@@ -410,15 +407,15 @@ def validate_configuration(
     errors = []
     warnings = []
 
-    core_shared = config.is_shared(_E.CORE_SGSN) or config.is_shared(_E.CORE_GGSN)
-    if core_shared and not config.is_shared(_E.RNC):
+    core_shared = config.shared[_E.CORE_SGSN] or config.shared[_E.CORE_GGSN]
+    if core_shared and not config.shared[_E.RNC]:
         errors.append(
             ValidationIssue(
                 "GwcnWithoutRan",
                 "a shared core gateway requires a shared RNC underneath it",
             )
         )
-    if config.is_shared(_E.SPECTRUM_LICENSE) and not rules.spectrum_pooling_allowed:
+    if config.shared[_E.SPECTRUM_LICENSE] and not rules.spectrum_pooling_allowed:
         errors.append(
             ValidationIssue(
                 "SpectrumPoolingForbidden",

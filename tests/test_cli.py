@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, files and determinism."""
 
+import csv
 import gc
 import json
 import os
@@ -88,6 +89,33 @@ def test_run_single_cell_scenario_yields_one_row(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[0] == "rural"
+
+
+def test_run_csv_quotes_a_configuration_name_that_holds_a_comma_and_quotes(tmp_path, capsys):
+    name = 'a,"b"'
+    doc = {
+        "name": "quoted",
+        "areas": ["urban"],
+        "cost_tables": {"urban": "reference_costs_urban.json"},
+        "configurations": [{"name": name, "shared": {"passive_site": True}}, "MOCN"],
+    }
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "run", str(path), "--format", "csv")
+    assert code == 0, err
+    assert out.splitlines()[1].startswith('urban,"a,""b""",')
+    rows = list(csv.reader(out.splitlines()))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    report = run_scenario(load_scenario_file(path)).report(AreaKind.URBAN, name)
+    assert rows[1] == [
+        "urban",
+        name,
+        f"{report.capex_saving_pct:.4f}",
+        f"{report.opex_saving_pct:.4f}",
+        f"{report.total_saving_pct:.4f}",
+        "5",
+    ]
+    assert rows[2][:2] == ["urban", "MOCN"]
 
 
 def test_run_table_shows_two_decimals(capsys):

@@ -508,7 +508,7 @@ def _random_scenario(rng: random.Random) -> Scenario:
     configs = []
     for index in range(8):
         config = random_config(rng, name=f"random-{index}")
-        if config.is_shared(ElementClass.CORE_SGSN) or config.is_shared(ElementClass.CORE_GGSN):
+        if config.shared[ElementClass.CORE_SGSN] or config.shared[ElementClass.CORE_GGSN]:
             config = config.replace(shared={**config.shared, ElementClass.RNC: True})
         configs.append(config)
     return Scenario(
@@ -521,16 +521,16 @@ def _random_scenario(rng: random.Random) -> Scenario:
 
 
 def _assert_pipeline_equal(result, scenario: Scenario) -> None:
-    """Every cell equals the per-class pipeline exactly, not approximately."""
+    """Every cell equals the per-class pipeline's report exactly, not approximately:
+    its three percentages, its baseline, and the configuration it was built
+    from, which at a split or intl sweep point is that point's copy."""
     assert result.horizon_years == scenario.horizon_years
     for profile in scenario.areas:
         table = scenario.cost_tables[profile.kind]
         baseline = cumulative_cost(table, scenario.horizon_years)
         for config in scenario.configurations:
             expected = savings_report(baseline, apply_sharing(baseline, config), config)
-            got = result.report(profile.kind, config.name)
-            assert got.to_json_dict() == expected.to_json_dict()
-            assert got.baseline == baseline
+            assert result.report(profile.kind, config.name) == expected
 
 
 def _rescalable_classes(scenario: Scenario) -> list:
@@ -645,23 +645,6 @@ def test_run_and_every_sweep_kind_match_the_independent_oracle(seed):
             assert oracle.close(point.value, value)
             assert point.result.horizon_years == horizon
             _assert_oracle_grid(point.result, grid, oracle.close)
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [SweepSpec("split_ratio", 0.2, 0.8, 4), SweepSpec("intl_shared", 0.0, 1.0, 4)],
-    ids=lambda spec: spec.parameter,
-)
-def test_swept_report_builds_shared_cost_from_its_point_configuration(spec):
-    scenario = _random_scenario(random.Random(11))
-    point = sweep(scenario.replace(sweep=spec)).points[1]
-    swept = _swept_scenario(scenario, spec, point.value)
-    for config in swept.configurations:
-        report = point.result.report(AreaKind.SUBURBAN, config.name)
-        assert report.sharing == config
-        assert report == savings_report(
-            report.baseline, apply_sharing(report.baseline, config), config
-        )
 
 
 def _assert_lookups_agree(result) -> None:

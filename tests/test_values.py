@@ -140,6 +140,7 @@ STORED_BY_THE_BASE = (
     ConstraintReport,
     TargetOutcome,
     CalibrationResult,
+    SavingsReport,
 )
 
 _MODULES = (
