@@ -26,7 +26,7 @@ from netshare import (
 )
 
 # a mid-sized rural region: 60 coverage-driven sites behind one controller
-profile = AreaProfile(kind=AreaKind.RURAL, nodeb_count=60, subscriber_count=12_000)
+profile = AreaProfile(kind=AreaKind.RURAL, nodeb_count=60)
 
 # unit costs in arbitrary currency; scaled classes multiply by their counts
 unit_costs = {

@@ -12,7 +12,6 @@ from netshare import (
     AreaKind,
     Scenario,
     SweepSpec,
-    default_profile,
     preset,
     reference_cost_table,
     sweep,
@@ -21,7 +20,7 @@ from netshare import (
 table = reference_cost_table(AreaKind.URBAN)
 scenario = Scenario(
     name="horizon_sensitivity",
-    areas=(default_profile(AreaKind.URBAN),),
+    areas=(AreaKind.URBAN,),
     cost_tables={AreaKind.URBAN: table},
     configurations=(preset("GWCN + Backhaul"),),
     sweep=SweepSpec(parameter="horizon_years", start=1, stop=10, steps=10),

@@ -47,7 +47,6 @@ __all__ = [
     "build_inventory",
     "default_market_costs",
     "default_profile",
-    "DEFAULT_PROFILES",
     "CORE_CLASSES",
     "OVERHEAD_CLASSES",
     "RAN_CLASSES",
@@ -291,56 +290,24 @@ class AreaProfile(FrozenValue):
     coverage-limited cells) while core elements stay at one per area.
     """
 
-    __slots__ = (
-        "kind", "nodeb_count", "subscriber_count", "rnc_count", "sgsn_count", "ggsn_count"
-    )
+    __slots__ = ("kind", "nodeb_count", "rnc_count", "sgsn_count", "ggsn_count")
 
     def __init__(
         self,
         kind: AreaKind,
         nodeb_count: int = 1,
-        subscriber_count: int = 17700,
         rnc_count: int = 1,
         sgsn_count: int = 1,
         ggsn_count: int = 1,
     ) -> None:
-        super().__init__(kind, nodeb_count, subscriber_count, rnc_count, sgsn_count, ggsn_count)
+        super().__init__(kind, nodeb_count, rnc_count, sgsn_count, ggsn_count)
         for name in ("nodeb_count", "rnc_count", "sgsn_count", "ggsn_count"):
             read_integer(getattr(self, name), name, InvalidAmount, 1)
-        read_integer(subscriber_count, "subscriber_count", InvalidAmount, 0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "nodeb_count": self.nodeb_count,
-            "subscriber_count": self.subscriber_count,
-            "rnc_count": self.rnc_count,
-            "sgsn_count": self.sgsn_count,
-            "ggsn_count": self.ggsn_count,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping) -> "AreaProfile":
-        keys = ("kind", "nodeb_count", "subscriber_count", "rnc_count", "sgsn_count", "ggsn_count")
-        read_object(doc, "area profile", InvalidAmount, keys, ("kind",))
-        try:
-            kind = AreaKind(doc["kind"])
-        except ValueError as exc:
-            raise InvalidAmount(f"area profile needs a valid 'kind': {exc}") from exc
-        base = default_profile(kind)
-        return cls(
-            kind=kind,
-            nodeb_count=doc.get("nodeb_count", base.nodeb_count),
-            subscriber_count=doc.get("subscriber_count", base.subscriber_count),
-            rnc_count=doc.get("rnc_count", base.rnc_count),
-            sgsn_count=doc.get("sgsn_count", base.sgsn_count),
-            ggsn_count=doc.get("ggsn_count", base.ggsn_count),
-        )
 
 
 # Reference deployment: equal subscriber load per area, NodeB count set by
 # radio planning (urban capacity-limited, rural coverage-limited).
-DEFAULT_PROFILES: Mapping[AreaKind, AreaProfile] = {
+_DEFAULT_PROFILES: Mapping[AreaKind, AreaProfile] = {
     AreaKind.URBAN: AreaProfile(kind=AreaKind.URBAN, nodeb_count=78),
     AreaKind.SUBURBAN: AreaProfile(kind=AreaKind.SUBURBAN, nodeb_count=58),
     AreaKind.RURAL: AreaProfile(kind=AreaKind.RURAL, nodeb_count=108),
@@ -348,7 +315,7 @@ DEFAULT_PROFILES: Mapping[AreaKind, AreaProfile] = {
 
 
 def default_profile(kind: AreaKind) -> AreaProfile:
-    return DEFAULT_PROFILES[kind]
+    return _DEFAULT_PROFILES[kind]
 
 
 # Classes whose total cost scales with a per-area equipment count.  Site

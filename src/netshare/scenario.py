@@ -1,6 +1,6 @@
 """Scenario documents: load, validate, run grids and parameter sweeps.
 
-A scenario bundles area profiles, their cost tables, a list of sharing
+A scenario bundles area kinds, their cost tables, a list of sharing
 configurations and a planning horizon.  Running it produces one savings
 report per (area, configuration) cell.  An optional sweep varies a single
 parameter over a range and re-runs the grid at every point.
@@ -8,8 +8,9 @@ parameter over a range and re-runs the grid at every point.
 Scenario documents are strict JSON: unknown keys are rejected rather than
 ignored, so typos fail loudly instead of silently changing results.  Cost
 tables may be inlined or referenced by file name; references resolve against
-the scenario's own directory first, then the fixture directory (bundled, or
-overridden through the ``NETSHARE_FIXTURES`` environment variable).
+the scenario's own directory first, then the working directory, then the
+fixture directory (bundled, or overridden through the ``NETSHARE_FIXTURES``
+environment variable).
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ from .errors import (
 )
 from .inventory import (
     AreaKind,
-    AreaProfile,
     CostEntry,
     CostTable,
     ElementClass,
     _CLASS_LABELS,
     _ledger_sum,
-    default_profile,
 )
 from .sharing import (
     RegulatoryPolicy,
@@ -249,9 +248,10 @@ class Scenario(FrozenValue):
     """Immutable bundle of everything one model run needs.
 
     The constructor refuses a scenario that cannot run: one without areas or
-    configurations, with a bad horizon, a repeated area kind or
-    configuration name, a missing or mislabelled cost table, or a
-    configuration that fails validation under the scenario policy.
+    configurations, with an area that is not an :class:`AreaKind`, a bad
+    horizon, a repeated area kind or configuration name, a missing or
+    mislabelled cost table, or a configuration that fails validation under
+    the scenario policy.
     """
 
     __slots__ = (
@@ -261,7 +261,7 @@ class Scenario(FrozenValue):
     def __init__(
         self,
         name: str,
-        areas: Sequence[AreaProfile],
+        areas: Sequence[AreaKind],
         cost_tables: Mapping[AreaKind, CostTable],
         configurations: Sequence[SharingConfiguration],
         horizon_years: int = DEFAULT_HORIZON_YEARS,
@@ -274,23 +274,23 @@ class Scenario(FrozenValue):
             raise InvalidScenario(f"scenario {self.name!r} lists no areas")
         if not self.configurations:
             raise InvalidScenario(f"scenario {self.name!r} lists no configurations")
+        for kind in self.areas:
+            if not isinstance(kind, AreaKind):
+                raise InvalidScenario(
+                    f"scenario {self.name!r} lists an area that is not an AreaKind: {kind!r}"
+                )
         check_horizon(self.horizon_years)
-        kinds = [p.kind for p in self.areas]
-        if len(set(kinds)) != len(kinds):
+        if len(set(self.areas)) != len(self.areas):
             raise InvalidScenario(f"scenario {self.name!r} repeats an area kind")
         names = [c.name for c in self.configurations]
         if len(set(names)) != len(names):
             raise InvalidScenario(f"scenario {self.name!r} repeats a configuration name")
-        for profile in self.areas:
-            table = self.cost_tables.get(profile.kind)
+        for kind in self.areas:
+            table = self.cost_tables.get(kind)
             if table is None:
-                raise InvalidScenario(
-                    f"scenario {self.name!r} has no cost table for {profile.kind.value}"
-                )
-            if table.area is not profile.kind:
-                raise InvalidScenario(
-                    f"cost table for {profile.kind.value} is labelled {table.area.value}"
-                )
+                raise InvalidScenario(f"scenario {self.name!r} has no cost table for {kind.value}")
+            if table.area is not kind:
+                raise InvalidScenario(f"cost table for {kind.value} is labelled {table.area.value}")
         failed = {n: r for n, r in self.validation_reports().items() if not r.valid}
         if failed:
             detail = "; ".join(
@@ -361,7 +361,7 @@ class ScenarioResult(FrozenValue):
 
 def _baselines(scenario: Scenario, horizon: int) -> Tuple[CostBreakdown, ...]:
     tables = scenario.cost_tables
-    return tuple([cumulative_cost(tables[profile.kind], horizon) for profile in scenario.areas])
+    return tuple([cumulative_cost(tables[kind], horizon) for kind in scenario.areas])
 
 
 def _factors(configs: Sequence[SharingConfiguration]) -> Tuple[Tuple[float, ...], ...]:
@@ -390,18 +390,18 @@ def _evaluate(
     """Grid of the scenario's areas from their baselines over ``horizon`` and,
     per area, the shared CAPEX and OPEX :func:`_ledger_sums` of ``configs``."""
     cells = []
-    for profile, baseline, (capex, opex) in zip(scenario.areas, baselines, sums):
+    for kind, baseline, (capex, opex) in zip(scenario.areas, baselines, sums):
         try:
             cells += _area_reports(baseline, configs, capex, opex)
         except NetshareError as exc:
             # A cell error is a zero or infinite baseline, which fails the area's first cell.
             raise type(exc)(
-                f"[area={profile.kind.value} configuration={configs[0].name}] {exc}"
+                f"[area={kind.value} configuration={configs[0].name}] {exc}"
             ) from exc
     return ScenarioResult(
         scenario_name=scenario.name,
         horizon_years=horizon,
-        area_order=tuple([p.kind for p in scenario.areas]),
+        area_order=scenario.areas,
         configuration_order=tuple([c.name for c in configs]),
         cells=tuple(cells),
     )
@@ -597,10 +597,7 @@ def _points(scenario: Scenario, spec: SweepSpec):
     slot = tuple(ElementClass).index(cls)
     factors = _factors(configs)
     tables = scenario.cost_tables
-    shares = {
-        profile.kind: _class_share(profile.kind, tables[profile.kind], cls, horizon)
-        for profile in scenario.areas
-    }
+    shares = {kind: _class_share(kind, tables[kind], cls, horizon) for kind in scenario.areas}
     products = [
         (
             [list(map(mul, base.capex, factor)) for factor in factors],
@@ -615,10 +612,10 @@ def _points(scenario: Scenario, spec: SweepSpec):
             for kind, share in shares.items()
         }
         point, sums = [], []
-        for profile, base, (capex_products, opex_products) in zip(
+        for kind, base, (capex_products, opex_products) in zip(
             scenario.areas, baselines, products
         ):
-            entry = entries[profile.kind]
+            entry = entries[kind]
             capex, opex = entry.capex, entry.opex_annual * horizon
             point.append(
                 CostBreakdown(
@@ -675,7 +672,7 @@ def sweep(scenario: Scenario) -> SweepResult:
 
 _REQUIRED_KEYS = ("name", "areas", "cost_tables", "configurations")
 _TOP_LEVEL_KEYS = _REQUIRED_KEYS + ("horizon_years", "policy", "sweep", "couple_site_costs")
-_POLICY_KEYS = {"min_own_coverage_fraction", "spectrum_pooling_allowed", "max_level"}
+_POLICY_KEYS = {"spectrum_pooling_allowed", "max_level"}
 
 
 def _parse_policy(doc: Mapping) -> RegulatoryPolicy:
@@ -690,26 +687,20 @@ def _parse_policy(doc: Mapping) -> RegulatoryPolicy:
                 f"unknown max_level {label!r}; expected one of "
                 f"{[lvl.name for lvl in SharingLevel]}"
             ) from exc
-    fraction, pooling = "min_own_coverage_fraction", "spectrum_pooling_allowed"
+    pooling = "spectrum_pooling_allowed"
     return RegulatoryPolicy(
-        min_own_coverage_fraction=read_number(doc.get(fraction, 0.0), fraction, MalformedScenario),
         spectrum_pooling_allowed=read_flag(doc.get(pooling, True), pooling, MalformedScenario),
         max_level=max_level,
     )
 
 
-def _parse_area(doc: Union[str, Mapping]) -> AreaProfile:
-    if isinstance(doc, str):
-        try:
-            return default_profile(AreaKind(doc))
-        except ValueError as exc:
-            raise MalformedScenario(f"unknown area kind {doc!r}") from exc
-    if isinstance(doc, Mapping):
-        try:
-            return AreaProfile.from_json_dict(doc)
-        except NetshareError as exc:
-            raise MalformedScenario(str(exc)) from exc
-    raise MalformedScenario(f"area must be a kind string or an object, got {doc!r}")
+def _parse_area(doc) -> AreaKind:
+    try:
+        return AreaKind(doc)
+    except ValueError as exc:
+        raise MalformedScenario(
+            f"area must be one of {[kind.value for kind in AreaKind]}, got {doc!r}"
+        ) from exc
 
 
 def _parse_configuration(doc: Union[str, Mapping], couple_site_costs: bool) -> SharingConfiguration:

@@ -85,24 +85,17 @@ NO_SHARING = LevelAssessment(level=None, non_contiguous=False)
 class RegulatoryPolicy(FrozenValue):
     """Regulatory side conditions a configuration must respect.
 
-    ``min_own_coverage_fraction`` is the population share each operator must
-    reach with its own infrastructure before relying on a partner's network.
+    ``spectrum_pooling_allowed`` false forbids sharing the spectrum licence;
+    ``max_level``, when set, is the deepest ladder rung a configuration may
+    reach.  Breaking either is an error in :func:`validate_configuration`.
     """
 
-    __slots__ = ("min_own_coverage_fraction", "spectrum_pooling_allowed", "max_level")
+    __slots__ = ("spectrum_pooling_allowed", "max_level")
 
     def __init__(
-        self,
-        min_own_coverage_fraction: float = 0.0,
-        spectrum_pooling_allowed: bool = True,
-        max_level: Optional[SharingLevel] = None,
+        self, spectrum_pooling_allowed: bool = True, max_level: Optional[SharingLevel] = None
     ) -> None:
-        if not (0.0 <= min_own_coverage_fraction <= 1.0):
-            raise InvalidConfiguration(
-                f"min_own_coverage_fraction must be in [0, 1], "
-                f"got {min_own_coverage_fraction!r}"
-            )
-        super().__init__(min_own_coverage_fraction, spectrum_pooling_allowed, max_level)
+        super().__init__(spectrum_pooling_allowed, max_level)
 
 
 # The flags and keys of a configuration document.
@@ -392,16 +385,14 @@ class ValidationReport(FrozenValue):
 
 
 def validate_configuration(
-    config: SharingConfiguration,
-    coverage: Optional[Sequence[float]] = None,
-    policy: Optional[RegulatoryPolicy] = None,
+    config: SharingConfiguration, policy: Optional[RegulatoryPolicy] = None
 ) -> ValidationReport:
     """Check a configuration against structural and regulatory rules.
 
-    ``coverage`` optionally supplies each operator's own-infrastructure
-    population coverage for the minimum-coverage rule.  ``policy`` is the
-    market's regulatory policy; without one, the defaults of
-    :class:`RegulatoryPolicy` apply.
+    ``policy`` is the market's regulatory policy; without one, the defaults
+    of :class:`RegulatoryPolicy` apply, which allow spectrum pooling and any
+    ladder depth.  Errors make the report invalid; warnings (a gap in the
+    ladder, more than four operators, a single operator's spectrum) do not.
     """
     rules = policy if policy is not None else RegulatoryPolicy()
     errors = []
@@ -441,16 +432,6 @@ def validate_configuration(
                 "climb from passive infrastructure upwards",
             )
         )
-    if coverage is not None and rules.min_own_coverage_fraction > 0:
-        for idx, value in enumerate(coverage):
-            if value < rules.min_own_coverage_fraction:
-                warnings.append(
-                    ValidationIssue(
-                        "CoverageBelowMinimum",
-                        f"operator {idx} covers {value:.0%} on its own, below the "
-                        f"required {rules.min_own_coverage_fraction:.0%}",
-                    )
-                )
     if config.operator_count > 4:
         warnings.append(
             ValidationIssue(

@@ -62,7 +62,6 @@ _OVERSIZED = {
         "validate",
         _use_case(sweep={"parameter": "split_ratio", "from": 0.1, "to": BIG, "steps": 3}),
     ),
-    "validate policy fraction": ("validate", _use_case(policy={"min_own_coverage_fraction": BIG})),
     "validate split entry": ("validate", _with_configuration(split=[BIG, 0.5])),
     "validate operators": ("validate", _with_configuration(operators=BIG)),
     "run table capex": ("run", _urban_table({"nodeb": {"capex": BIG}})),
@@ -170,8 +169,16 @@ def test_readers_name_the_field_in_the_callers_error():
         _urban_table({c: {"capex": 1e308, "opex_annual": 1e308} for c in ("nodeb", "rnc", "oam")}),
         _use_case(horizon_years=10**308),
         _use_case(horizon_years=BIG),
+        _use_case(areas=["urban", "suburban", {"kind": "rural", "nodeb_count": 40}]),
+        _use_case(policy={"min_own_coverage_fraction": 0.1}),
     ],
-    ids=["table amounts 1e308", "horizon 10**308", "horizon 10**400"],
+    ids=[
+        "table amounts 1e308",
+        "horizon 10**308",
+        "horizon 10**400",
+        "area object",
+        "policy min_own_coverage_fraction",
+    ],
 )
 def test_validate_refuses_the_baselines_run_refuses(tmp_path, capsys, doc):
     text = json.dumps(doc)

@@ -15,12 +15,12 @@ from netshare.calibration import load_targets_document
 from netshare.cli import main
 from netshare.scenario import fixture_path
 
-# Every optional part of the schema: profile object, inline and referenced
-# tables, preset and inline configurations, policy and sweep.
+# Every optional part of the schema: inline and referenced tables, preset and
+# inline configurations, a policy with both keys, a sweep and couple_site_costs.
 SCENARIO = {
     "name": "fuzz",
     "horizon_years": 5,
-    "areas": ["urban", {"kind": "rural", "nodeb_count": 40, "subscriber_count": 9000}],
+    "areas": ["urban", "rural"],
     "cost_tables": {
         "urban": {
             "area": "urban",
@@ -43,11 +43,7 @@ SCENARIO = {
             "intl_shared": True,
         },
     ],
-    "policy": {
-        "min_own_coverage_fraction": 0.1,
-        "spectrum_pooling_allowed": True,
-        "max_level": "L5_CORE",
-    },
+    "policy": {"spectrum_pooling_allowed": True, "max_level": "L5_CORE"},
     "sweep": {
         "parameter": "class_cost_fraction",
         "from": 0.1,

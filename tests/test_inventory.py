@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from netshare import (
     AreaKind,
-    AreaProfile,
     CostTable,
     ElementClass,
     Ledger,
@@ -188,18 +187,9 @@ def test_default_profiles_match_published_footprint():
     for kind, nodebs in expected.items():
         profile = default_profile(kind)
         assert profile.nodeb_count == nodebs
-        assert profile.subscriber_count == 17_700
         assert profile.rnc_count == 1
         assert profile.sgsn_count == 1
         assert profile.ggsn_count == 1
-
-
-def test_profile_round_trips_through_json():
-    for kind in AreaKind:
-        profile = default_profile(kind)
-        assert AreaProfile.from_json_dict(profile.to_json_dict()) == profile
-    with pytest.raises(InvalidAmount, match="node_count"):
-        AreaProfile.from_json_dict({"kind": "urban", "node_count": 3})
 
 
 _SCALED = (

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import pickle
 import random
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -13,6 +14,7 @@ import pytest
 
 from netshare import (
     AreaKind,
+    AreaProfile,
     CostTable,
     ElementClass,
     Scenario,
@@ -20,7 +22,6 @@ from netshare import (
     SweepSpec,
     apply_sharing,
     cumulative_cost,
-    default_profile,
     load_scenario,
     load_scenario_file,
     preset,
@@ -92,7 +93,7 @@ def test_bundled_use_case_loads_three_by_six():
     scenario = load_scenario_file(USE_CASE)
     assert scenario.name == "paper_use_case"
     assert scenario.horizon_years == 5
-    assert tuple(p.kind for p in scenario.areas) == (
+    assert scenario.areas == (
         AreaKind.URBAN,
         AreaKind.SUBURBAN,
         AreaKind.RURAL,
@@ -119,27 +120,36 @@ def test_misspelled_sweep_key_is_named():
 _UNIT_TABLE = json.loads(_document())["cost_tables"]["urban"]
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {"configurations": None},
-        {"areas": None},
-        {"areas": {"urban": 1}},
-        {"name": 5},
-        {"couple_site_costs": "no"},
-        {"policy": []},
-        {"policy": {"spectrum_pooling_allowed": "no"}},
-        {"policy": {"min_own_coverage_fraction": "x"}},
-        {"sweep": 5},
+# Each document override, with the part of the error that names the field or value.
+_MALFORMED = [
+    ({"configurations": None}, "'configurations' must be a list"),
+    ({"areas": None}, "'areas' must be a list"),
+    ({"areas": {"urban": 1}}, "'areas' must be a list"),
+    ({"name": 5}, "'name' must be a string"),
+    ({"couple_site_costs": "no"}, "couple_site_costs must be true or false"),
+    ({"policy": []}, "policy must be an object"),
+    ({"policy": {"spectrum_pooling_allowed": "no"}}, "spectrum_pooling_allowed must be true"),
+    ({"policy": {"min_own_coverage_fraction": 0.1}}, "keys: ['min_own_coverage_fraction']"),
+    ({"sweep": 5}, "sweep must be an object"),
+    (
         {"sweep": {"parameter": "horizon_years", "from": "1", "to": 5, "steps": 5}},
+        "sweep 'from' must be a number",
+    ),
+    (
         {"cost_tables": {"urban": {**_UNIT_TABLE, "entries": {"nodeb": {"capex": None}}}}},
-        {"cost_tables": {"urban": {**_UNIT_TABLE, "currency": 5}}},
-        {"areas": [{"kind": "urban", "subscriber_count": True}]},
-    ],
-    ids=lambda overrides: json.dumps(overrides),
+        "nodeb capex must be a number",
+    ),
+    ({"cost_tables": {"urban": {**_UNIT_TABLE, "currency": 5}}}, "'currency' must be a string"),
+    ({"areas": [{"kind": "urban", "nodeb_count": 40}]}, "got {'kind': 'urban', 'nodeb_count': 40}"),
+    ({"areas": [True]}, "area must be one of ['urban', 'suburban', 'rural'], got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, message", _MALFORMED, ids=[json.dumps(overrides) for overrides, _ in _MALFORMED]
 )
-def test_wrongly_typed_fields_are_malformed(overrides):
-    with pytest.raises(MalformedScenario):
+def test_wrongly_typed_fields_are_malformed(overrides, message):
+    with pytest.raises(MalformedScenario, match=re.escape(message)):
         load_scenario(_document(**overrides))
 
 
@@ -193,6 +203,22 @@ def test_scenario_file_resolution_prefers_cwd(tmp_path, monkeypatch):
     (tmp_path / USE_CASE).write_text(json.dumps(custom))
     monkeypatch.chdir(tmp_path)
     assert load_scenario_file(USE_CASE).name == "local_copy"
+
+
+def test_cost_table_reference_prefers_the_scenario_directory_to_the_working_directory(
+    tmp_path, monkeypatch
+):
+    table = reference_cost_table(AreaKind.URBAN)
+    scenario_dir, work_dir = tmp_path / "scenario", tmp_path / "work"
+    for directory, factor in ((scenario_dir, 2.0), (work_dir, 3.0)):
+        directory.mkdir()
+        (directory / "table.json").write_text(table.scaled(factor).to_json())
+    path = scenario_dir / "scenario.json"
+    path.write_text(_document(cost_tables={"urban": "table.json"}))
+    monkeypatch.chdir(work_dir)
+    assert load_scenario_file(path).cost_tables[AreaKind.URBAN] == table.scaled(2.0)
+    (scenario_dir / "table.json").unlink()
+    assert load_scenario_file(path).cost_tables[AreaKind.URBAN] == table.scaled(3.0)
 
 
 def test_fixture_dir_env_override(tmp_path, monkeypatch):
@@ -268,10 +294,25 @@ def test_scenario_rejects_non_integer_horizons(horizon):
     with pytest.raises(InvalidHorizon):
         Scenario(
             name="bool horizon",
-            areas=(default_profile(AreaKind.URBAN),),
+            areas=(AreaKind.URBAN,),
             cost_tables={AreaKind.URBAN: reference_cost_table(AreaKind.URBAN)},
             configurations=(preset("MOCN"),),
             horizon_years=horizon,
+        )
+
+
+@pytest.mark.parametrize(
+    "area",
+    [AreaProfile(AreaKind.URBAN, nodeb_count=78), "urban", {"kind": "urban"}],
+    ids=["profile", "name", "object"],
+)
+def test_scenario_refuses_an_area_that_is_not_a_kind(area):
+    with pytest.raises(InvalidScenario, match=f"not an AreaKind: {re.escape(repr(area))}$"):
+        Scenario(
+            name="profile",
+            areas=(area,),
+            cost_tables={AreaKind.URBAN: reference_cost_table(AreaKind.URBAN)},
+            configurations=(preset("MOCN"),),
         )
 
 
@@ -279,7 +320,7 @@ def test_cell_errors_carry_grid_coordinates():
     empty = CostTable(area=AreaKind.URBAN, entries={})
     scenario = Scenario(
         name="broken",
-        areas=(default_profile(AreaKind.URBAN),),
+        areas=(AreaKind.URBAN,),
         cost_tables={AreaKind.URBAN: empty},
         configurations=(preset("MOCN"),),
     )
@@ -513,7 +554,7 @@ def _random_scenario(rng: random.Random) -> Scenario:
         configs.append(config)
     return Scenario(
         name="random",
-        areas=tuple(default_profile(kind) for kind in kinds),
+        areas=kinds,
         cost_tables={kind: random_cost_table(rng, kind) for kind in kinds},
         configurations=tuple(configs) + (preset("GWCN + Backhaul"),),
         horizon_years=rng.randint(1, 12),
@@ -525,12 +566,12 @@ def _assert_pipeline_equal(result, scenario: Scenario) -> None:
     its three percentages, its baseline, and the configuration it was built
     from, which at a split or intl sweep point is that point's copy."""
     assert result.horizon_years == scenario.horizon_years
-    for profile in scenario.areas:
-        table = scenario.cost_tables[profile.kind]
+    for kind in scenario.areas:
+        table = scenario.cost_tables[kind]
         baseline = cumulative_cost(table, scenario.horizon_years)
         for config in scenario.configurations:
             expected = savings_report(baseline, apply_sharing(baseline, config), config)
-            assert result.report(profile.kind, config.name) == expected
+            assert result.report(kind, config.name) == expected
 
 
 def _rescalable_classes(scenario: Scenario) -> list:
@@ -780,9 +821,9 @@ def test_a_loaded_scenario_is_validated_once(monkeypatch):
     validated = []
     validate = scenario_module.validate_configuration
 
-    def counting(config, coverage=None, policy=None):
+    def counting(config, policy=None):
         validated.append(config.name)
-        return validate(config, coverage, policy)
+        return validate(config, policy)
 
     spec = {"parameter": "split_ratio", "from": 0.2, "to": 0.8, "steps": 4}
     document = _document(configurations=["MOCN", "GWCN"], sweep=spec)
@@ -800,7 +841,7 @@ def test_an_invalid_scenario_fails_on_every_call():
     core_without_rnc = SharingConfiguration(name="core", shared={ElementClass.CORE_SGSN: True})
     fields = dict(
         name="direct",
-        areas=(default_profile(AreaKind.URBAN),),
+        areas=(AreaKind.URBAN,),
         cost_tables={AreaKind.URBAN: reference_cost_table(AreaKind.URBAN)},
         configurations=(preset("MOCN"), core_without_rnc),
     )

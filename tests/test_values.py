@@ -72,7 +72,7 @@ _CHECK = ConstraintCheck(_CONSTRAINT, 0.25, True)
 _TARGET = SavingsTarget(_URBAN, "capex", "MOCN", 40.0, 1.0, 2.0, "headline")
 _OUTCOME = TargetOutcome(_TARGET, 39.5, -0.5)
 _POINT = SweepPoint(0.5, ScenarioResult("s", 5, (), (), ()))
-_POLICY = RegulatoryPolicy(0.5, False, SharingLevel.L4_RNC)
+_POLICY = RegulatoryPolicy(False, SharingLevel.L4_RNC)
 _CONFIG = SharingConfiguration(
     "three", {ElementClass.NODEB: True}, 3, (0.2, 0.3, 0.5), True, True, True
 )
@@ -85,7 +85,7 @@ _SPEC = SweepSpec("split_ratio", 0.2, 0.8, 3, None)
 VALUES = {
     CostEntry: (1.0, 2.0),
     CostTable: _TABLE._values(),
-    AreaProfile: (AreaKind.RURAL, 3, 100, 1, 1, 1),
+    AreaProfile: (AreaKind.RURAL, 3, 1, 1, 1),
     CostBreakdown: (_URBAN, 5, (1.0, 2.0), (3.0, 4.0)),
     ConfigDelta: ("MOCN", "GWCN", _URBAN, 1.0, 2.0, 3.0),
     LevelAssessment: (SharingLevel.L3_NODEB, True),
@@ -118,7 +118,7 @@ VALUES = {
     SharingConfiguration: _CONFIG._values(),
     SavingsReport: _REPORT._values(),
     Scenario: (
-        "s", (AreaProfile(_URBAN, 3, 100, 1, 1, 1),), {_URBAN: _TABLE}, (_CONFIG,), 5, _POLICY, _SPEC
+        "s", (_URBAN,), {_URBAN: _TABLE}, (_CONFIG,), 5, _POLICY, _SPEC
     ),
     ScenarioResult: ("s", 5, (_URBAN,), ("three",), (_REPORT,)),
 }
