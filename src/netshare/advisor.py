@@ -40,7 +40,8 @@ class Verdict(Enum):
 
 
 class Recommendation(FrozenValue):
-    __slots__ = ("area", "technology", "verdict", "notes")
+    __slots__ = ()
+    _fields = ("area", "technology", "verdict", "notes")
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,7 +109,8 @@ class LteContext(FrozenValue):
     mobility manager counts, from 0 (ignore cost) to 1 (full weight).
     """
 
-    __slots__ = (
+    __slots__ = ()
+    _fields = (
         "needs_inter_rat_mobility",
         "needs_cs_fallback",
         "voice_via_ims",
@@ -116,19 +118,20 @@ class LteContext(FrozenValue):
         "cost_priority_weight",
     )
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         needs_inter_rat_mobility: bool = False,
         needs_cs_fallback: bool = False,
         voice_via_ims: bool = False,
         needs_roaming: bool = False,
         cost_priority_weight: float = 0.5,
-    ) -> None:
+    ):
         if not (0.0 <= cost_priority_weight <= 1.0):
             raise InvalidAmount(
                 f"cost_priority_weight must be in [0, 1], got {cost_priority_weight!r}"
             )
-        super().__init__(
+        return super().__new__(
+            cls,
             needs_inter_rat_mobility,
             needs_cs_fallback,
             voice_via_ims,
@@ -138,7 +141,8 @@ class LteContext(FrozenValue):
 
 
 class ComparisonRow(FrozenValue):
-    __slots__ = (
+    __slots__ = ()
+    _fields = (
         "criterion",
         "mocn",  # "+", "-" or "="
         "gwcn",
@@ -191,7 +195,8 @@ _SCORE = {"+": 1.0, "-": -1.0, "=": 0.0}
 
 
 class LteComparisonReport(FrozenValue):
-    __slots__ = (
+    __slots__ = ()
+    _fields = (
         "rows",
         "mocn_score",
         "gwcn_score",
@@ -256,22 +261,24 @@ def compare_lte(ctx: LteContext) -> LteComparisonReport:
 
 
 class ChecklistItem(FrozenValue):
-    __slots__ = ("domain", "text", "answered")
+    __slots__ = ()
+    _fields = ("domain", "text", "answered")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         domain: str,  # site, energy, ran or backhaul
         text: str,
         answered: Optional[bool] = None,
-    ) -> None:
-        super().__init__(domain, text, answered)
+    ):
+        return super().__new__(cls, domain, text, answered)
 
 
 _ITEM_KEYS = ("domain", "text", "answered")
 
 
 class ConstraintChecklist(FrozenValue):
-    __slots__ = ("network_state", "items")
+    __slots__ = ()
+    _fields = ("network_state", "items")
 
     def unanswered(self) -> Tuple[ChecklistItem, ...]:
         return tuple(i for i in self.items if i.answered is None)

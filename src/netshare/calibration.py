@@ -117,10 +117,11 @@ _METHOD = (
 class SavingsTarget(FrozenValue):
     """One headline savings figure: metric of one configuration in one area."""
 
-    __slots__ = ("area", "metric", "configuration", "value", "weight", "bound", "note")
+    __slots__ = ()
+    _fields = ("area", "metric", "configuration", "value", "weight", "bound", "note")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         area: AreaKind,
         metric: str,  # "capex", "opex" or "total"
         configuration: str,
@@ -128,9 +129,10 @@ class SavingsTarget(FrozenValue):
         weight: float = 1.0,
         bound: float = 2.0,  # max acceptable |residual|, percentage points
         note: str = "",
-    ) -> None:
-        super().__init__(area, metric, configuration, value, weight, bound, note)
+    ):
+        self = super().__new__(cls, area, metric, configuration, value, weight, bound, note)
         _check_target(self)
+        return self
 
     def describe(self) -> str:
         return f"{self.area.value}: {self.metric}({self.configuration}) = {self.value}"
@@ -144,10 +146,11 @@ class SavingsTarget(FrozenValue):
 class DeltaTarget(FrozenValue):
     """Difference of one metric between two configurations in one area."""
 
-    __slots__ = ("area", "metric", "first", "second", "value", "weight", "bound", "note")
+    __slots__ = ()
+    _fields = ("area", "metric", "first", "second", "value", "weight", "bound", "note")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         area: AreaKind,
         metric: str,
         first: str,
@@ -156,9 +159,10 @@ class DeltaTarget(FrozenValue):
         weight: float = 1.0,
         bound: float = 2.0,
         note: str = "",
-    ) -> None:
-        super().__init__(area, metric, first, second, value, weight, bound, note)
+    ):
+        self = super().__new__(cls, area, metric, first, second, value, weight, bound, note)
         _check_target(self)
+        return self
 
     def describe(self) -> str:
         return (
@@ -187,7 +191,8 @@ def _check_target(target: Target) -> None:
 
 
 class TargetOutcome(FrozenValue):
-    __slots__ = (
+    __slots__ = ()
+    _fields = (
         "target",
         "achieved",
         "residual",  # achieved - target.value
@@ -199,7 +204,8 @@ class TargetOutcome(FrozenValue):
 
 
 class CalibrationResult(FrozenValue):
-    __slots__ = (
+    __slots__ = ()
+    _fields = (
         "tables",
         "outcomes",
         "seed",

@@ -174,29 +174,30 @@ def _shown(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-# A FrozenValue refuses assignment, so a constructor stores each field
-# through this, one call a field, as a frozen dataclass's __init__ does.
-_setattr = object.__setattr__
+try:  # namedtuple's C accessor of one field, with the fallback collections itself uses
+    from collections import _tuplegetter
+except ImportError:
+    from operator import itemgetter
+
+    def _tuplegetter(index, doc):
+        return property(itemgetter(index), doc=doc)
 
 
-class FrozenValue:
+class FrozenValue(tuple):
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__``, in constructor order.  The
-    base constructor stores one value a field, by position or by name, and
-    refuses a value too many, an unknown name, a field given twice or a
-    missing one with a :class:`TypeError` that names the class and the
-    field.  A subclass writes its own ``__init__`` only to check, convert or
-    default its arguments, and then stores them with one
-    ``super().__init__(...)`` call; or, when it is built once a grid cell or
-    sweep point, to store them by hand with ``_setattr``, which skips the
-    base constructor's loop.  The two values built most often skip every
-    constructor: the one function that builds them (``_area_reports`` for a
-    grid cell's ``SavingsReport``, ``_sweep_copy`` for a sweep point's
-    ``SharingConfiguration``) makes each with ``__new__`` and stores each
-    field through its slot's own setter; any other build of those types
-    goes through its class's constructor.  An instance equals another of
-    the same class with equal fields, hashes by its fields, prints as
+    A value is the tuple of its fields.  A subclass names them once, in
+    ``_fields``, in constructor order, and declares ``__slots__ = ()``; the
+    base gives each field a read-only accessor by its index.  Every value is
+    built by one call, ``tuple.__new__(cls, fields)``.  The base constructor
+    makes it from one argument a field, by position or by name, and refuses
+    an argument too many, an unknown name, a field given twice or a missing
+    one with a :class:`TypeError` that names the class and the field.  A
+    subclass that checks, converts or defaults its arguments does so in its
+    own ``__new__`` and then calls the base's; code whose fields are already
+    checked (a grid cell, a sweep point, a rescaled cost entry) makes the
+    call itself.  A value equals another of the same class with equal fields
+    and never a plain tuple, has no order, hashes by its fields, prints as
     ``Name(field=value, ...)``, copies and pickles by calling its class with
     its fields, and refuses assignment and deletion with
     :class:`AttributeError`.  This is what a frozen dataclass gives,
@@ -205,39 +206,52 @@ class FrozenValue:
     """
 
     __slots__ = ()
+    _fields = ()
 
-    def __init__(self, *values, **named) -> None:
-        fields, name = self.__slots__, type(self).__qualname__
+    def __init_subclass__(cls) -> None:
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(index, None))
+
+    def __new__(cls, *values, **named):
+        fields, name = cls._fields, cls.__qualname__
         if len(values) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} fields, got {len(values)}")
-        for field, value in zip(fields, values):
-            _setattr(self, field, value)
         for field in fields[len(values) :]:
             if field not in named:
                 raise TypeError(f"{name}() is missing field {field!r}")
-            _setattr(self, field, named.pop(field))
+            values += (named.pop(field),)
         for field in named:  # a name left over was given by position too, or is no field
             problem = "got field {!r} twice" if field in fields else "has no field {!r}"
             raise TypeError(f"{name}() {problem.format(field)}")
+        return tuple.__new__(cls, values)
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        """The fields as a plain tuple (a subclass may iterate over something else)."""
+        return self[:]
 
     def replace(self, **changes):
         """A copy with ``changes`` to its fields, built and checked by its constructor."""
-        return type(self)(**{**dict(zip(self.__slots__, self._values())), **changes})
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+            return tuple.__eq__(self, other)
+        # tuple.__eq__ would compare a plain tuple's items with the fields.
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def _unordered(self, other):
+        raise TypeError(f"{type(self).__qualname__} values have no order")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
-        return f"{type(self).__qualname__}({fields})"
+        pairs = zip(self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join([f'{n}={v!r}' for n, v in pairs])})"
 
     def __reduce__(self):
         return type(self), self._values()

@@ -26,7 +26,6 @@ from .errors import (
     InvalidAmount,
     MissingCostEntry,
     ZeroTotalLedger,
-    _setattr,
     listed,
     read_integer,
     read_number,
@@ -150,17 +149,20 @@ else:
 class CostEntry(FrozenValue):
     """One-off CAPEX and annual OPEX for a single element class."""
 
-    __slots__ = ("capex", "opex_annual")
+    __slots__ = ()
+    _fields = ("capex", "opex_annual")
 
-    def __init__(self, capex: float = 0.0, opex_annual: float = 0.0) -> None:
+    def __new__(cls, capex: float = 0.0, opex_annual: float = 0.0):
+        amounts = []
         for name, amount in zip(_AMOUNTS, (capex, opex_annual)):
             value = read_number(amount, name, InvalidAmount)
             if not math.isfinite(value):
                 raise InvalidAmount(f"{name} must be finite, got {value!r}")
             if value < 0:
                 raise InvalidAmount(f"{name} must be >= 0, got {value!r}")
-            # Built for every rescaled class at each class_cost_fraction sweep point.
-            _setattr(self, name, value)
+            amounts.append(value)
+        # Built for every rescaled class at each class_cost_fraction sweep point.
+        return tuple.__new__(cls, amounts)
 
 
 def _normalise_entry(value: Union["CostEntry", Tuple[float, float]]) -> CostEntry:
@@ -185,21 +187,22 @@ class CostTable(FrozenValue):
     the table matters.
     """
 
-    __slots__ = ("area", "entries", "currency")
+    __slots__ = ()
+    _fields = ("area", "entries", "currency")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         area: AreaKind,
         entries: Mapping[ElementClass, CostEntry] = MappingProxyType({}),
         currency: str = "units",
-    ) -> None:
+    ):
         filled = {}
-        for cls in ElementClass:
-            filled[cls] = _normalise_entry(entries.get(cls, _ZERO_ENTRY))
+        for element in ElementClass:
+            filled[element] = _normalise_entry(entries.get(element, _ZERO_ENTRY))
         unknown = set(entries) - set(ElementClass)
         if unknown:
             raise InvalidAmount(f"unknown element classes in cost table: {listed(unknown)}")
-        super().__init__(area, filled, currency)
+        return super().__new__(cls, area, filled, currency)
 
     # -- totals ---------------------------------------------------------
 
@@ -290,19 +293,21 @@ class AreaProfile(FrozenValue):
     coverage-limited cells) while core elements stay at one per area.
     """
 
-    __slots__ = ("kind", "nodeb_count", "rnc_count", "sgsn_count", "ggsn_count")
+    __slots__ = ()
+    _fields = ("kind", "nodeb_count", "rnc_count", "sgsn_count", "ggsn_count")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         kind: AreaKind,
         nodeb_count: int = 1,
         rnc_count: int = 1,
         sgsn_count: int = 1,
         ggsn_count: int = 1,
-    ) -> None:
-        super().__init__(kind, nodeb_count, rnc_count, sgsn_count, ggsn_count)
+    ):
+        self = super().__new__(cls, kind, nodeb_count, rnc_count, sgsn_count, ggsn_count)
         for name in ("nodeb_count", "rnc_count", "sgsn_count", "ggsn_count"):
             read_integer(getattr(self, name), name, InvalidAmount, 1)
+        return self
 
 
 # Reference deployment: equal subscriber load per area, NodeB count set by

@@ -37,18 +37,19 @@ class RepartitionConstraint(FrozenValue):
     every area.  Bounds are fractions in [0, 1] with ``lower <= upper``.
     """
 
-    __slots__ = ("label", "ledger", "classes", "lower", "upper", "area")
+    __slots__ = ()
+    _fields = ("label", "ledger", "classes", "lower", "upper", "area")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         label: str,
         ledger: Ledger,
         classes: Iterable[ElementClass],
         lower: float,
         upper: float,
         area: Optional[AreaKind] = None,
-    ) -> None:
-        super().__init__(label, ledger, frozenset(classes), lower, upper, area)
+    ):
+        self = super().__new__(cls, label, ledger, frozenset(classes), lower, upper, area)
         if not self.classes:
             raise InvalidAmount(f"constraint {self.label!r} must name at least one class")
         if not (0.0 <= self.lower <= self.upper <= 1.0):
@@ -56,6 +57,7 @@ class RepartitionConstraint(FrozenValue):
                 f"constraint {self.label!r} needs 0 <= lower <= upper <= 1, "
                 f"got [{self.lower}, {self.upper}]"
             )
+        return self
 
     def applies_to(self, area: AreaKind) -> bool:
         return self.area is None or self.area is area
@@ -94,12 +96,16 @@ class RepartitionConstraint(FrozenValue):
 
 
 class RepartitionConstraintSet(FrozenValue):
-    """Named, ordered collection of repartition constraints."""
+    """Named, ordered collection of repartition constraints.
 
-    __slots__ = ("name", "constraints")
+    It iterates, counts and tests membership over its constraints, not its fields.
+    """
 
-    def __init__(self, name: str, constraints: Iterable[RepartitionConstraint]) -> None:
-        super().__init__(name, tuple(constraints))
+    __slots__ = ()
+    _fields = ("name", "constraints")
+
+    def __new__(cls, name: str, constraints: Iterable[RepartitionConstraint]):
+        return super().__new__(cls, name, tuple(constraints))
 
     def for_area(self, area: AreaKind) -> Tuple[RepartitionConstraint, ...]:
         return tuple(c for c in self.constraints if c.applies_to(area))
@@ -109,6 +115,9 @@ class RepartitionConstraintSet(FrozenValue):
 
     def __len__(self) -> int:
         return len(self.constraints)
+
+    def __contains__(self, constraint) -> bool:
+        return constraint in self.constraints
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,7 +139,8 @@ class RepartitionConstraintSet(FrozenValue):
 
 
 class ConstraintCheck(FrozenValue):
-    __slots__ = (
+    __slots__ = ()
+    _fields = (
         "constraint",
         "observed",  # rounded to 4 decimals for reporting
         "satisfied",
@@ -138,7 +148,8 @@ class ConstraintCheck(FrozenValue):
 
 
 class ConstraintReport(FrozenValue):
-    __slots__ = ("checks", "overall")
+    __slots__ = ()
+    _fields = ("checks", "overall")
 
     def failures(self) -> Tuple[ConstraintCheck, ...]:
         return tuple(c for c in self.checks if not c.satisfied)

@@ -37,7 +37,6 @@ from .errors import (
     InvalidSweepParameter,
     MalformedScenario,
     NetshareError,
-    _setattr,
     read_flag,
     read_integer,
     read_number,
@@ -161,16 +160,17 @@ class SweepSpec(FrozenValue):
     required (as an element-class label) only for ``class_cost_fraction``.
     """
 
-    __slots__ = ("parameter", "start", "stop", "steps", "class_name")
+    __slots__ = ()
+    _fields = ("parameter", "start", "stop", "steps", "class_name")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         parameter: str,
         start: float,
         stop: float,
         steps: int,
         class_name: Optional[str] = None,
-    ) -> None:
+    ):
         read_text(parameter, "sweep parameter", InvalidSweepParameter)
         if parameter not in SWEEP_PARAMETERS:
             raise InvalidSweepParameter(
@@ -178,7 +178,8 @@ class SweepSpec(FrozenValue):
                 f"expected one of {list(SWEEP_PARAMETERS)}"
             )
         read_integer(steps, "steps", InvalidSweepParameter, 2, 10_000)
-        super().__init__(
+        self = super().__new__(
+            cls,
             parameter,
             read_number(start, "sweep 'from'", InvalidSweepParameter),
             read_number(stop, "sweep 'to'", InvalidSweepParameter),
@@ -206,6 +207,7 @@ class SweepSpec(FrozenValue):
             raise InvalidSweepParameter(
                 f"sweep 'class': unknown element class {self.class_name!r}"
             )
+        return self
 
     def values(self) -> Tuple[float, ...]:
         span = self.stop - self.start
@@ -254,12 +256,13 @@ class Scenario(FrozenValue):
     the scenario policy.
     """
 
-    __slots__ = (
+    __slots__ = ()
+    _fields = (
         "name", "areas", "cost_tables", "configurations", "horizon_years", "policy", "sweep"
     )
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         name: str,
         areas: Sequence[AreaKind],
         cost_tables: Mapping[AreaKind, CostTable],
@@ -267,9 +270,9 @@ class Scenario(FrozenValue):
         horizon_years: int = DEFAULT_HORIZON_YEARS,
         policy: Optional[RegulatoryPolicy] = None,
         sweep: Optional[SweepSpec] = None,
-    ) -> None:
+    ):
         areas, tables, configs = tuple(areas), dict(cost_tables), tuple(configurations)
-        super().__init__(name, areas, tables, configs, horizon_years, policy, sweep)
+        self = super().__new__(cls, name, areas, tables, configs, horizon_years, policy, sweep)
         if not self.areas:
             raise InvalidScenario(f"scenario {self.name!r} lists no areas")
         if not self.configurations:
@@ -300,6 +303,7 @@ class Scenario(FrozenValue):
                 f"scenario {self.name!r} has invalid configurations ({detail})",
                 reports=list(failed.values()),
             )
+        return self
 
     def validation_reports(self) -> Mapping[str, ValidationReport]:
         """Validation report per configuration under the scenario policy."""
@@ -316,22 +320,8 @@ class ScenarioResult(FrozenValue):
     ``area_order``, one report per configuration in ``configuration_order``.
     """
 
-    __slots__ = ("scenario_name", "horizon_years", "area_order", "configuration_order", "cells")
-
-    def __init__(
-        self,
-        scenario_name: str,
-        horizon_years: int,
-        area_order: Tuple[AreaKind, ...],
-        configuration_order: Tuple[str, ...],
-        cells: Tuple[SavingsReport, ...],
-    ) -> None:
-        # Built once a grid or sweep point, so it stores by hand (see FrozenValue).
-        _setattr(self, "scenario_name", scenario_name)
-        _setattr(self, "horizon_years", horizon_years)
-        _setattr(self, "area_order", area_order)
-        _setattr(self, "configuration_order", configuration_order)
-        _setattr(self, "cells", cells)
+    __slots__ = ()
+    _fields = ("scenario_name", "horizon_years", "area_order", "configuration_order", "cells")
 
     def report(self, area: AreaKind, configuration: str) -> SavingsReport:
         try:
@@ -398,13 +388,9 @@ def _evaluate(
             raise type(exc)(
                 f"[area={kind.value} configuration={configs[0].name}] {exc}"
             ) from exc
-    return ScenarioResult(
-        scenario_name=scenario.name,
-        horizon_years=horizon,
-        area_order=scenario.areas,
-        configuration_order=tuple([c.name for c in configs]),
-        cells=tuple(cells),
-    )
+    names = tuple([c.name for c in configs])
+    fields = (scenario.name, horizon, scenario.areas, names, tuple(cells))
+    return tuple.__new__(ScenarioResult, fields)  # built once a grid or sweep point
 
 
 def _grid_sums(
@@ -432,16 +418,13 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
 
 class SweepPoint(FrozenValue):
-    __slots__ = ("value", "result")
-
-    def __init__(self, value: float, result: ScenarioResult) -> None:
-        # Built once a sweep point, so it stores by hand (see FrozenValue).
-        _setattr(self, "value", value)
-        _setattr(self, "result", result)
+    __slots__ = ()
+    _fields = ("value", "result")
 
 
 class SweepResult(FrozenValue):
-    __slots__ = ("scenario_name", "parameter", "class_name", "points")
+    __slots__ = ()
+    _fields = ("scenario_name", "parameter", "class_name", "points")
 
 
 def _check_fraction(parameter: str, value: float) -> None:
@@ -617,14 +600,11 @@ def _points(scenario: Scenario, spec: SweepSpec):
         ):
             entry = entries[kind]
             capex, opex = entry.capex, entry.opex_annual * horizon
-            point.append(
-                CostBreakdown(
-                    base.area,
-                    horizon,
-                    base.capex[:slot] + (capex,) + base.capex[slot + 1 :],
-                    base.opex[:slot] + (opex,) + base.opex[slot + 1 :],
-                )
+            ledgers = (
+                base.capex[:slot] + (capex,) + base.capex[slot + 1 :],
+                base.opex[:slot] + (opex,) + base.opex[slot + 1 :],
             )
+            point.append(tuple.__new__(CostBreakdown, (base.area, horizon, *ledgers)))
             sums.append(
                 (
                     _slot_sums(capex_products, factors, slot, capex),
@@ -655,7 +635,7 @@ def sweep(scenario: Scenario) -> SweepResult:
     spec = scenario.sweep
     if spec is None:
         raise InvalidSweepParameter(f"scenario {scenario.name!r} has no sweep specification")
-    points = tuple([SweepPoint(value, result) for value, result in _points(scenario, spec)])
+    points = tuple([tuple.__new__(SweepPoint, point) for point in _points(scenario, spec)])
     values = [p.value for p in points]
     assert values == sorted(set(values)), "sweep values must be strictly increasing"
     return SweepResult(

@@ -73,10 +73,11 @@ class LevelAssessment(FrozenValue):
     below the highest shared one is not itself shared.
     """
 
-    __slots__ = ("level", "non_contiguous")
+    __slots__ = ()
+    _fields = ("level", "non_contiguous")
 
-    def __init__(self, level: Optional[SharingLevel], non_contiguous: bool = False) -> None:
-        super().__init__(level, non_contiguous)
+    def __new__(cls, level: Optional[SharingLevel], non_contiguous: bool = False):
+        return super().__new__(cls, level, non_contiguous)
 
 
 NO_SHARING = LevelAssessment(level=None, non_contiguous=False)
@@ -90,12 +91,13 @@ class RegulatoryPolicy(FrozenValue):
     reach.  Breaking either is an error in :func:`validate_configuration`.
     """
 
-    __slots__ = ("spectrum_pooling_allowed", "max_level")
+    __slots__ = ()
+    _fields = ("spectrum_pooling_allowed", "max_level")
 
-    def __init__(
-        self, spectrum_pooling_allowed: bool = True, max_level: Optional[SharingLevel] = None
-    ) -> None:
-        super().__init__(spectrum_pooling_allowed, max_level)
+    def __new__(
+        cls, spectrum_pooling_allowed: bool = True, max_level: Optional[SharingLevel] = None
+    ):
+        return super().__new__(cls, spectrum_pooling_allowed, max_level)
 
 
 # The flags and keys of a configuration document.
@@ -149,13 +151,14 @@ class SharingConfiguration(FrozenValue):
     that run on one operator's carriers instead of pooled spectrum.
     """
 
-    __slots__ = (
+    __slots__ = ()
+    _fields = (
         "name", "shared", "operator_count", "split_ratios",
         "intl_shared", "couple_site_costs", "single_spectrum",
     )
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         name: str,
         shared: Mapping[ElementClass, bool] = _SharedMap(),
         operator_count: int = 2,
@@ -163,7 +166,7 @@ class SharingConfiguration(FrozenValue):
         intl_shared: bool = False,
         couple_site_costs: bool = False,
         single_spectrum: bool = False,
-    ) -> None:
+    ):
         read_integer(operator_count, "operator_count", InvalidConfiguration, 2, _MAX_OPERATORS)
         if not isinstance(shared, Mapping):
             raise InvalidConfiguration(
@@ -172,10 +175,10 @@ class SharingConfiguration(FrozenValue):
         unknown = set(shared) - set(ElementClass)
         if unknown:
             raise InvalidConfiguration(f"unknown element classes in shared map: {listed(unknown)}")
-        for cls, flag in shared.items():
+        for element, flag in shared.items():
             if not (isinstance(flag, int) and flag in (0, 1)):
                 raise InvalidConfiguration(
-                    f"shared[{cls.value!r}] must be true, false, 0 or 1, got {flag!r}"
+                    f"shared[{element.value!r}] must be true, false, 0 or 1, got {flag!r}"
                 )
         ratios = split_ratios
         if ratios is None:
@@ -194,7 +197,7 @@ class SharingConfiguration(FrozenValue):
             raise InvalidConfiguration(f"split ratios must sum to 1, got {sum(ratios)!r}")
         shared = _SharedMap((c, bool(shared.get(c, False))) for c in ElementClass)
         flags = (intl_shared, couple_site_costs, single_spectrum)
-        super().__init__(name, shared, operator_count, ratios, *flags)
+        return super().__new__(cls, name, shared, operator_count, ratios, *flags)
 
     # -- shared-set helpers ----------------------------------------------
 
@@ -217,18 +220,12 @@ class SharingConfiguration(FrozenValue):
     ) -> "SharingConfiguration":
         """This configuration with ``split_ratios`` and ``intl_shared``.
 
-        A split or intl sweep point builds one per configuration, so it stores
-        slot by slot without the constructor, whose checks the sweep's values keep.
+        A split or intl sweep point builds one per configuration, so it is built
+        from its fields without the constructor, whose checks the sweep's values keep.
         """
-        copy = SharingConfiguration.__new__(SharingConfiguration)
-        _set_name(copy, self.name)
-        _set_shared(copy, self.shared)
-        _set_count(copy, self.operator_count)
-        _set_split(copy, split_ratios)
-        _set_intl(copy, intl_shared)
-        _set_couple(copy, self.couple_site_costs)
-        _set_single(copy, self.single_spectrum)
-        return copy
+        name, shared, count, _, _, couple, single = self
+        fields = (name, shared, count, split_ratios, intl_shared, couple, single)
+        return tuple.__new__(SharingConfiguration, fields)
 
     # -- serialisation ----------------------------------------------------
 
@@ -268,11 +265,6 @@ class SharingConfiguration(FrozenValue):
             split_ratios=split,
             **flags,
         )
-
-
-_set_name, _set_shared, _set_count, _set_split, _set_intl, _set_couple, _set_single = [
-    vars(SharingConfiguration)[name].__set__ for name in SharingConfiguration.__slots__
-]
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +362,13 @@ def sharing_level(config: SharingConfiguration) -> LevelAssessment:
 
 
 class ValidationIssue(FrozenValue):
-    __slots__ = ("code", "message")
+    __slots__ = ()
+    _fields = ("code", "message")
 
 
 class ValidationReport(FrozenValue):
-    __slots__ = ("errors", "warnings")
+    __slots__ = ()
+    _fields = ("errors", "warnings")
 
     @property
     def valid(self) -> bool:

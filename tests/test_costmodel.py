@@ -137,6 +137,14 @@ def test_operator_index_bounds():
             apply_sharing(baseline, config, index)
 
 
+@pytest.mark.parametrize("index", [True, False])
+def test_a_bool_operator_index_is_refused(index):
+    # A bool is an int, so True would read operator 1's share; check_horizon refuses bools too.
+    config = preset("MOCN", split_ratios=(0.25, 0.75))
+    with pytest.raises(InvalidOperatorIndex, match=f"operator_index {index!r} out of range"):
+        apply_sharing(cumulative_cost(_single_class_table(), 5), config, index)
+
+
 def test_intl_flag_shares_the_international_link():
     table = _single_class_table(capex=0.0, opex=10.0, cls=ElementClass.INTERNATIONAL_CONNECTIVITY)
     baseline = cumulative_cost(table, 5)
@@ -379,7 +387,7 @@ def test_delta_requires_matching_area_and_horizon():
 def test_savings_report_keeps_its_value_behaviour():
     report = _full_report(reference_cost_table(AreaKind.RURAL), preset("GWCN + Backhaul"))
     names = ("capex_saving_pct", "opex_saving_pct", "total_saving_pct", "baseline", "sharing")
-    assert type(report).__slots__ == names
+    assert type(report)._fields == names
     assert repr(report) == "SavingsReport(" + ", ".join(
         f"{name}={getattr(report, name)!r}" for name in names
     ) + ")"

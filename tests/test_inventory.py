@@ -471,6 +471,14 @@ def test_use_case_constraints_bound_both_ledgers_of_the_use_case():
     ]
 
 
+def test_a_constraint_set_iterates_counts_and_holds_its_constraints_not_its_fields():
+    constraints = USE_CASE_CONSTRAINTS.constraints
+    assert tuple(USE_CASE_CONSTRAINTS) == constraints
+    assert len(USE_CASE_CONSTRAINTS) == len(constraints) == 9
+    assert all(c in USE_CASE_CONSTRAINTS for c in constraints)
+    assert USE_CASE_CONSTRAINTS.name not in USE_CASE_CONSTRAINTS
+
+
 def test_use_case_opex_defaults_bound_international_share():
     constraints = {c.label: c for c in USE_CASE_CONSTRAINTS}
     intl = constraints["international_share"]

@@ -756,7 +756,7 @@ def test_split_point_configurations_keep_every_field(value):
     for config, got in zip(configs, _split_configs(configs, value)):
         rest = (1.0 - value) / (config.operator_count - 1)
         expected = config.replace(split_ratios=(value,) + (rest,) * (config.operator_count - 1))
-        for name in SharingConfiguration.__slots__:
+        for name in SharingConfiguration._fields:
             assert getattr(got, name) == getattr(expected, name), name
         assert got == expected
 
@@ -784,7 +784,7 @@ def test_sweep_equals_the_rebuilt_scenario_field_for_field(seed):
     for spec in specs:
         for point in sweep(scenario.replace(sweep=spec)).points:
             expected = run_scenario(_swept_scenario(scenario, spec, point.value))
-            for name in type(expected).__slots__:
+            for name in type(expected)._fields:
                 assert getattr(point.result, name) == getattr(expected, name), (spec, name)
 
 

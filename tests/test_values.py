@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import operator
 import pickle
 
 import pytest
@@ -126,8 +127,9 @@ VALUES = {
 UNHASHABLE = {
     CostTable, CalibrationResult, SharingConfiguration, SavingsReport, Scenario, ScenarioResult
 }
-# The types with no __init__ of their own: FrozenValue's constructor stores their fields.
+# The types with no __new__ of their own: FrozenValue's constructor builds them.
 STORED_BY_THE_BASE = (
+    CostBreakdown,
     ConfigDelta,
     ValidationIssue,
     ValidationReport,
@@ -141,6 +143,8 @@ STORED_BY_THE_BASE = (
     TargetOutcome,
     CalibrationResult,
     SavingsReport,
+    ScenarioResult,
+    SweepPoint,
 )
 
 _MODULES = (
@@ -150,10 +154,7 @@ _MODULES = (
 
 def _with_fields(cls, values):
     """An instance of ``cls`` holding ``values``, bypassing its checks."""
-    value = object.__new__(cls)
-    for name, field in zip(cls.__slots__, values):
-        object.__setattr__(value, name, field)
-    return value
+    return tuple.__new__(cls, values)
 
 
 def test_every_value_type_is_covered():
@@ -170,7 +171,7 @@ def test_every_value_type_is_covered():
 def test_value_type_behaves_as_a_frozen_value(cls):
     args = VALUES[cls]
     value = cls(*args)
-    fields = cls.__slots__
+    fields = cls._fields
     assert len(fields) == len(args)
 
     # Immutable: no field can be assigned or deleted, and no attribute added.
@@ -180,6 +181,7 @@ def test_value_type_behaves_as_a_frozen_value(cls):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert tuple(getattr(value, name) for name in fields) == value._values()
+    assert not hasattr(value, "__dict__")
 
     # Equal by field, within one class only.
     twin = cls(*args)
@@ -188,9 +190,15 @@ def test_value_type_behaves_as_a_frozen_value(cls):
         changed = list(value._values())
         changed[i] = object()
         assert value != _with_fields(cls, changed), fields[i]
-    impostor = type(cls.__name__, (FrozenValue,), {"__slots__": fields})
+    impostor = type(cls.__name__, (FrozenValue,), {"__slots__": (), "_fields": fields})
     assert value != _with_fields(impostor, value._values())
     assert _with_fields(impostor, value._values()) != value
+    # Never equal to the plain tuple of its fields, and not ordered.
+    plain = value._values()
+    assert value != plain and plain != value and not value == plain and not plain == value
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(value, twin)
 
     if cls in UNHASHABLE:
         with pytest.raises(TypeError, match="unhashable"):
@@ -242,8 +250,8 @@ def test_constructor_refuses_a_value_too_many_and_an_unknown_name(cls):
 
 @pytest.mark.parametrize("cls", STORED_BY_THE_BASE, ids=lambda cls: cls.__name__)
 def test_base_constructor_names_a_repeated_or_missing_field(cls):
-    assert "__init__" not in vars(cls)
-    args, fields = VALUES[cls], cls.__slots__
+    assert "__new__" not in vars(cls)
+    args, fields = VALUES[cls], cls._fields
     assert cls(*args[:1], **dict(zip(fields[1:], args[1:]))) == cls(*args)
     with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) got field '{fields[0]}' twice$"):
         cls(*args, **{fields[0]: args[0]})
@@ -253,3 +261,30 @@ def test_base_constructor_names_a_repeated_or_missing_field(cls):
         cls(**dict(zip(fields[1:], args[1:])))
     with pytest.raises(TypeError, match=rf"^{cls.__name__}\(\) takes {len(fields)} fields"):
         cls(*args, object())
+
+
+def _assert_plain_json(doc, where):
+    """Fail unless ``doc`` holds only JSON primitives, dicts and lists, at any depth.
+
+    ``json`` writes any tuple, a value included, as a list without complaint,
+    so a value left in an output by mistake would not fail there.
+    """
+    if type(doc) is dict:
+        for key, item in doc.items():
+            assert type(key) is str, f"{where}: key {key!r}"
+            _assert_plain_json(item, f"{where}[{key!r}]")
+    elif type(doc) is list:
+        for i, item in enumerate(doc):
+            _assert_plain_json(item, f"{where}[{i}]")
+    else:
+        assert doc is None or isinstance(doc, (str, int, float)), f"{where}: {doc!r}"
+
+
+# Each value type that writes a document, with the method that writes it.
+_WRITERS = {cls: cls.to_json_dict for cls in VALUES if "to_json_dict" in vars(cls)}
+_WRITERS[CalibrationResult] = lambda result: result.record(_CONSTRAINTS)
+
+
+@pytest.mark.parametrize("cls", _WRITERS, ids=lambda cls: cls.__name__)
+def test_value_documents_hold_no_value(cls):
+    _assert_plain_json(_WRITERS[cls](cls(*VALUES[cls])), cls.__name__)
