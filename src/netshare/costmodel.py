@@ -112,7 +112,7 @@ def apply_sharing(
     factors = sharing_factors(config, operator_index)
     capex = tuple(map(mul, baseline.capex, factors))
     opex = tuple(map(mul, baseline.opex, factors))
-    return tuple.__new__(CostBreakdown, (baseline.area, baseline.horizon_years, capex, opex))
+    return CostBreakdown(baseline.area, baseline.horizon_years, capex, opex)
 
 
 class SavingsReport(FrozenValue):

@@ -7,6 +7,9 @@ check the fields of every input document, and :class:`FrozenValue` at the
 end is the base of the package's immutable value types.
 """
 
+# namedtuple's accessor of one field; collections itself falls back to
+# property(itemgetter(index)) where its C version is missing.
+from collections import _tuplegetter
 from collections.abc import Mapping
 
 
@@ -174,15 +177,6 @@ def _shown(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-try:  # namedtuple's C accessor of one field, with the fallback collections itself uses
-    from collections import _tuplegetter
-except ImportError:
-    from operator import itemgetter
-
-    def _tuplegetter(index, doc):
-        return property(itemgetter(index), doc=doc)
-
-
 class FrozenValue(tuple):
     """Base of the package's immutable value types.
 
@@ -225,13 +219,9 @@ class FrozenValue(tuple):
             raise TypeError(f"{name}() {problem.format(field)}")
         return tuple.__new__(cls, values)
 
-    def _values(self) -> tuple:
-        """The fields as a plain tuple (a subclass may iterate over something else)."""
-        return self[:]
-
     def replace(self, **changes):
         """A copy with ``changes`` to its fields, built and checked by its constructor."""
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+        return type(self)(**{**dict(zip(self._fields, self)), **changes})
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -250,11 +240,11 @@ class FrozenValue(tuple):
     __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        pairs = zip(self._fields, self._values())
+        pairs = zip(self._fields, self)
         return f"{type(self).__qualname__}({', '.join([f'{n}={v!r}' for n, v in pairs])})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self[:]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

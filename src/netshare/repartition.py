@@ -96,10 +96,7 @@ class RepartitionConstraint(FrozenValue):
 
 
 class RepartitionConstraintSet(FrozenValue):
-    """Named, ordered collection of repartition constraints.
-
-    It iterates, counts and tests membership over its constraints, not its fields.
-    """
+    """Named, ordered collection of repartition constraints."""
 
     __slots__ = ()
     _fields = ("name", "constraints")
@@ -109,15 +106,6 @@ class RepartitionConstraintSet(FrozenValue):
 
     def for_area(self, area: AreaKind) -> Tuple[RepartitionConstraint, ...]:
         return tuple(c for c in self.constraints if c.applies_to(area))
-
-    def __iter__(self):
-        return iter(self.constraints)
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-    def __contains__(self, constraint) -> bool:
-        return constraint in self.constraints
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,6 +156,8 @@ def check_repartition(
     Constraints scoped to a different area are skipped.  Referencing a ledger
     whose total is zero raises :class:`ZeroTotalLedger`.
     """
+    if isinstance(constraints, RepartitionConstraintSet):
+        constraints = constraints.constraints
     checks = []
     for constraint in constraints:
         if not constraint.applies_to(table.area):

@@ -438,7 +438,7 @@ def test_constraint_set_round_trips_through_json():
 
 
 def test_emerging_capex_defaults_encode_published_shares():
-    constraints = {c.label: c for c in default_constraints(Market.EMERGING, Ledger.CAPEX)}
+    constraints = {c.label: c for c in default_constraints(Market.EMERGING, Ledger.CAPEX).constraints}
     civil = constraints["civil_site_share"]
     assert civil.classes == frozenset({ElementClass.PASSIVE_SITE})
     assert (civil.lower, civil.upper) == (0.39, 0.43)
@@ -447,7 +447,7 @@ def test_emerging_capex_defaults_encode_published_shares():
 
 
 def test_developed_capex_defaults_put_half_into_civil_works():
-    constraints = {c.label: c for c in default_constraints(Market.DEVELOPED, Ledger.CAPEX)}
+    constraints = {c.label: c for c in default_constraints(Market.DEVELOPED, Ledger.CAPEX).constraints}
     civil = constraints["civil_site_share"]
     assert (civil.lower, civil.upper) == (0.50, 0.54)
 
@@ -457,7 +457,8 @@ def test_use_case_constraints_bound_both_ledgers_of_the_use_case():
     core = {E.CORE_SGSN, E.CORE_GGSN}
     assert USE_CASE_CONSTRAINTS.name == "use_case"
     assert [
-        (c.label, c.ledger, c.classes, c.lower, c.upper, c.area) for c in USE_CASE_CONSTRAINTS
+        (c.label, c.ledger, c.classes, c.lower, c.upper, c.area)
+        for c in USE_CASE_CONSTRAINTS.constraints
     ] == [
         ("core_share", capex, core, 0.08, 0.17, None),
         ("oam_share", capex, {E.OAM}, 0.08, 0.17, None),
@@ -471,16 +472,17 @@ def test_use_case_constraints_bound_both_ledgers_of_the_use_case():
     ]
 
 
-def test_a_constraint_set_iterates_counts_and_holds_its_constraints_not_its_fields():
-    constraints = USE_CASE_CONSTRAINTS.constraints
-    assert tuple(USE_CASE_CONSTRAINTS) == constraints
-    assert len(USE_CASE_CONSTRAINTS) == len(constraints) == 9
-    assert all(c in USE_CASE_CONSTRAINTS for c in constraints)
-    assert USE_CASE_CONSTRAINTS.name not in USE_CASE_CONSTRAINTS
+def test_check_repartition_reads_a_constraint_set_as_its_constraints():
+    table = default_market_costs(Market.DEVELOPED, AreaKind.RURAL)
+    report = check_repartition(table, USE_CASE_CONSTRAINTS)
+    assert report == check_repartition(table, USE_CASE_CONSTRAINTS.constraints)
+    assert tuple(c.constraint for c in report.checks) == USE_CASE_CONSTRAINTS.for_area(
+        AreaKind.RURAL
+    )
 
 
 def test_use_case_opex_defaults_bound_international_share():
-    constraints = {c.label: c for c in USE_CASE_CONSTRAINTS}
+    constraints = {c.label: c for c in USE_CASE_CONSTRAINTS.constraints}
     intl = constraints["international_share"]
     assert intl.classes == frozenset({ElementClass.INTERNATIONAL_CONNECTIVITY})
     assert intl.lower == 0.50

@@ -85,30 +85,30 @@ _SPEC = SweepSpec("split_ratio", 0.2, 0.8, 3, None)
 # The instances above, which others hold, give their own fields.
 VALUES = {
     CostEntry: (1.0, 2.0),
-    CostTable: _TABLE._values(),
+    CostTable: _TABLE[:],
     AreaProfile: (AreaKind.RURAL, 3, 1, 1, 1),
     CostBreakdown: (_URBAN, 5, (1.0, 2.0), (3.0, 4.0)),
     ConfigDelta: ("MOCN", "GWCN", _URBAN, 1.0, 2.0, 3.0),
     LevelAssessment: (SharingLevel.L3_NODEB, True),
-    RegulatoryPolicy: _POLICY._values(),
-    ValidationIssue: _ISSUE._values(),
+    RegulatoryPolicy: _POLICY[:],
+    ValidationIssue: _ISSUE[:],
     ValidationReport: ((_ISSUE,), ()),
-    SweepSpec: _SPEC._values(),
-    SweepPoint: _POINT._values(),
+    SweepSpec: _SPEC[:],
+    SweepPoint: _POINT[:],
     SweepResult: ("s", "split_ratio", None, (_POINT,)),
     Recommendation: (AreaKind.RURAL, Technology.G3, Verdict.CASE_BY_CASE, ("note",)),
     LteContext: (True, False, True, False, 0.25),
-    ComparisonRow: _ROW._values(),
+    ComparisonRow: _ROW[:],
     LteComparisonReport: ((_ROW,), 1.0, -1.0, "MOCN"),
-    ChecklistItem: _ITEM._values(),
+    ChecklistItem: _ITEM[:],
     ConstraintChecklist: (NetworkState.NEW, (_ITEM,)),
-    RepartitionConstraint: _CONSTRAINT._values(),
-    RepartitionConstraintSet: _CONSTRAINTS._values(),
-    ConstraintCheck: _CHECK._values(),
+    RepartitionConstraint: _CONSTRAINT[:],
+    RepartitionConstraintSet: _CONSTRAINTS[:],
+    ConstraintCheck: _CHECK[:],
     ConstraintReport: ((_CHECK,), True),
-    SavingsTarget: _TARGET._values(),
+    SavingsTarget: _TARGET[:],
     DeltaTarget: (_URBAN, "total", "GWCN", "MOCN", 1.5, 1.0, 2.0, ""),
-    TargetOutcome: _OUTCOME._values(),
+    TargetOutcome: _OUTCOME[:],
     CalibrationResult: (
         {_URBAN: _TABLE},
         (_OUTCOME,),
@@ -116,8 +116,8 @@ VALUES = {
         5,
         {_URBAN: 0.5},
     ),
-    SharingConfiguration: _CONFIG._values(),
-    SavingsReport: _REPORT._values(),
+    SharingConfiguration: _CONFIG[:],
+    SavingsReport: _REPORT[:],
     Scenario: (
         "s", (_URBAN,), {_URBAN: _TABLE}, (_CONFIG,), 5, _POLICY, _SPEC
     ),
@@ -180,21 +180,21 @@ def test_value_type_behaves_as_a_frozen_value(cls):
             setattr(value, name, 0)
         with pytest.raises(AttributeError):
             delattr(value, name)
-    assert tuple(getattr(value, name) for name in fields) == value._values()
+    assert tuple(getattr(value, name) for name in fields) == value[:]
     assert not hasattr(value, "__dict__")
 
     # Equal by field, within one class only.
     twin = cls(*args)
     assert twin is not value and twin == value and not twin != value
     for i in range(len(fields)):
-        changed = list(value._values())
+        changed = list(value[:])
         changed[i] = object()
         assert value != _with_fields(cls, changed), fields[i]
     impostor = type(cls.__name__, (FrozenValue,), {"__slots__": (), "_fields": fields})
-    assert value != _with_fields(impostor, value._values())
-    assert _with_fields(impostor, value._values()) != value
+    assert value != _with_fields(impostor, value[:])
+    assert _with_fields(impostor, value[:]) != value
     # Never equal to the plain tuple of its fields, and not ordered.
-    plain = value._values()
+    plain = value[:]
     assert value != plain and plain != value and not value == plain and not plain == value
     for compare in (operator.lt, operator.le, operator.gt, operator.ge):
         with pytest.raises(TypeError):
