@@ -7,9 +7,10 @@ amortization horizon.  Includes a scenario engine with parameter sweeps,
 a rule-based advisor and a calibration search for reference cost tables.
 
 ``import netshare`` loads no submodule: each public name loads its module
-on first use.  So a command line call imports only what its command runs,
-and only the calibration names load numpy and scipy (the ``calibrate``
-extra).
+on first use.  So a command line call imports only what its command runs.
+Only the calibration search loads numpy and scipy (the ``calibrate``
+extra); every public name, the calibration ones included, imports without
+them.
 """
 
 import importlib

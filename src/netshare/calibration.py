@@ -17,7 +17,8 @@ recorded, but changes no result.  Its output is committed as fixtures
 constraint set, achieved residuals, derived unit costs and the versions
 that produced them.  A standing regression test re-verifies the committed
 tables against that record; the optimizer itself never runs inside the
-engine.
+engine.  Only the search and the record need numpy and scipy (the
+``calibrate`` extra), and they load when the first search runs.
 """
 
 from __future__ import annotations
@@ -59,17 +60,6 @@ from .repartition import (
 from .scenario import _parse_json
 from .sharing import SharingConfiguration, preset
 
-try:
-    import numpy as np
-    import scipy
-    from scipy.linalg import block_diag
-    from scipy.optimize import linprog, minimize, minimize_scalar
-except ImportError as exc:
-    raise MissingDependency(
-        f"calibration needs numpy and scipy ({exc}); "
-        "install them with: pip install 'netshare[calibrate]'"
-    ) from exc
-
 __all__ = [
     "CALIBRATION_CONSTRAINTS",
     "CalibrationResult",
@@ -79,6 +69,29 @@ __all__ = [
     "calibrate_reference",
     "load_targets_document",
 ]
+
+# numpy and scipy, which only the search and its record read.  The first
+# search binds them (_load_search), so targets, results and the constraint
+# set load without the calibrate extra.
+np = scipy = block_diag = linprog = minimize = minimize_scalar = None
+
+
+def _load_search() -> None:
+    """Bind numpy and scipy in this module, or raise :class:`MissingDependency`."""
+    global np, scipy, block_diag, linprog, minimize, minimize_scalar
+    if minimize_scalar is not None:  # the last name the imports bind
+        return
+    try:
+        import numpy as np
+        import scipy
+        from scipy.linalg import block_diag
+        from scipy.optimize import linprog, minimize, minimize_scalar
+    except ImportError as exc:
+        raise MissingDependency(
+            f"calibration needs numpy and scipy ({exc}); "
+            "install them with: pip install 'netshare[calibrate]'"
+        ) from exc
+
 
 _CLASSES = tuple(ElementClass)
 _INDEX = {cls: i for i, cls in enumerate(_CLASSES)}
@@ -222,6 +235,7 @@ class CalibrationResult(FrozenValue):
 
         ``constraints`` is the whole set the search was given.
         """
+        _load_search()  # the provenance names the numpy and scipy versions
         targets_doc = []
         for outcome in self.outcomes:
             target = outcome.target
@@ -572,7 +586,9 @@ def calibrate_reference(
     Raises :class:`InfeasibleCalibration` when the constraint set admits no
     fraction vector for some area, when the rounded table of the best
     candidate still fails :func:`check_repartition`, or when a target ends up
-    farther from its value than its declared residual bound.
+    farther from its value than its declared residual bound.  Raises
+    :class:`MissingDependency` when the arguments are valid but numpy or
+    scipy cannot be imported.
     """
     horizon_years = read_integer(horizon_years, "horizon_years", MalformedScenario, 1)
     targets = tuple(targets)
@@ -594,6 +610,7 @@ def calibrate_reference(
             areas.append(target.area)
 
     seed = read_integer(seed, "seed", MalformedScenario, 0)
+    _load_search()
     tables = {}
     balances = {}
     outcomes = []

@@ -197,6 +197,12 @@ class FrozenValue(tuple):
     :class:`AttributeError`.  This is what a frozen dataclass gives,
     :meth:`replace` included, without the methods a dataclass compiles when
     its class is defined.
+
+    Equality holds only where the value's own ``__eq__`` runs: first, or as
+    the reflected method of a plain tuple.  Another tuple subclass on the
+    left compares by items before a value can answer, so
+    ``namedtuple("N", "a b")(1.0, 2.0) == CostEntry(1.0, 2.0)`` is true
+    while the reverse is false; no code in this class can change that.
     """
 
     __slots__ = ()

@@ -1,4 +1,5 @@
-"""Shared test helpers: random model inputs and an independent savings oracle.
+"""Shared test helpers: random model inputs, an independent savings oracle and
+the skip for tests that need the calibrate extra.
 
 Also collects the acceptance-criteria test outcomes and prints one PASS/FAIL
 line per criterion in the terminal summary.
@@ -108,6 +109,12 @@ def oracle_pcts(table: CostTable, config: SharingConfiguration, horizon: int, in
 
 def assert_close(a: float, b: float, rel: float = 1e-9) -> None:
     assert a == pytest.approx(b, rel=rel, abs=1e-12), f"{a!r} != {b!r}"
+
+
+def import_calibrate_extra():
+    """numpy and scipy, or skip the caller: the calibration search and record need them."""
+    reason = "calibration needs numpy and scipy: pip install 'netshare[calibrate]'"
+    return pytest.importorskip("numpy", reason=reason), pytest.importorskip("scipy", reason=reason)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
-"""Reference-table calibration: feasibility, determinism and diagnostics."""
+"""Reference-table calibration: feasibility, determinism and diagnostics.
+
+Every test here runs the search or its internals, so the module skips
+without the calibrate extra.
+"""
 
 import json
 import os
@@ -6,10 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import netshare
+from conftest import import_calibrate_extra
 from netshare import (
     AreaKind,
     CALIBRATION_CONSTRAINTS,
@@ -31,13 +35,18 @@ from netshare.calibration import (
     _AreaProblem,
     _feasible_point,
     _interval_rows,
+    _load_search,
     _within_constraints,
     load_targets_document,
 )
-from netshare.errors import InfeasibleCalibration, MalformedScenario
+from netshare.errors import InfeasibleCalibration
 from netshare.repartition import FRACTION_TOL
 from netshare.scenario import fixture_path
 from netshare.sharing import preset
+
+np, _ = import_calibrate_extra()
+# The internals read numpy and scipy from their module, which the first search binds.
+_load_search()
 
 
 def _capex_pin(cls: ElementClass, lower: float, upper: float, label=None):
@@ -253,29 +262,6 @@ def test_projection_meets_its_rows_in_a_single_target_search():
     assert check_repartition(table, CALIBRATION_CONSTRAINTS).overall
 
 
-def test_unknown_target_configuration_is_malformed():
-    targets = [SavingsTarget(AreaKind.URBAN, "total", "MORAN Deluxe", 30.0)]
-    with pytest.raises(MalformedScenario, match="MORAN Deluxe"):
-        calibrate_reference(CALIBRATION_CONSTRAINTS, targets, **FAST)
-
-
-def test_empty_target_list_is_malformed():
-    with pytest.raises(MalformedScenario):
-        calibrate_reference(CALIBRATION_CONSTRAINTS, [], **FAST)
-
-
-@pytest.mark.parametrize("horizon", [0, -1, True, 2.5])
-def test_horizon_must_be_a_positive_integer(horizon):
-    targets = [SavingsTarget(AreaKind.URBAN, "total", "MOCN", 25.0)]
-    with pytest.raises(MalformedScenario, match="horizon_years"):
-        calibrate_reference(CALIBRATION_CONSTRAINTS, targets, horizon_years=horizon, **FAST)
-
-
-def test_tuple_targets_are_malformed():
-    with pytest.raises(MalformedScenario, match="cannot interpret calibration target"):
-        calibrate_reference(CALIBRATION_CONSTRAINTS, [("urban", "MOCN", 30.0)], **FAST)
-
-
 # ---------------------------------------------------------------------------
 # small end-to-end searches
 # ---------------------------------------------------------------------------
@@ -393,102 +379,3 @@ def test_tables_agree_across_seeds_and_blas_thread_counts():
         assert run.keys() == first.keys(), key
         for name, fractions in run.items():
             assert fractions == pytest.approx(first[name], abs=1e-5), (key, name)
-
-
-# ---------------------------------------------------------------------------
-# targets document
-# ---------------------------------------------------------------------------
-
-
-def test_bundled_targets_document_parses():
-    from netshare.scenario import fixture_path
-
-    text = fixture_path("use_case_targets.json").read_text(encoding="utf-8")
-    targets, constraints, horizon, seed = load_targets_document(text)
-    assert horizon == 5
-    assert seed == 0
-    assert constraints.name == "use_case_calibration"
-    areas = {t.area for t in targets}
-    assert areas == {AreaKind.URBAN, AreaKind.SUBURBAN, AreaKind.RURAL}
-    kinds = {type(t) for t in targets}
-    assert kinds == {SavingsTarget, DeltaTarget}
-
-
-def test_targets_document_rejects_unknown_keys():
-    doc = {"horizon_years": 5, "seed": 0, "targets": [], "extra": 1}
-    with pytest.raises(MalformedScenario, match="extra"):
-        load_targets_document(json.dumps(doc))
-    bad_target = {
-        "horizon_years": 5,
-        "seed": 0,
-        "targets": [
-            {
-                "kind": "saving",
-                "area": "urban",
-                "metric": "total",
-                "configuration": "MOCN",
-                "value": 20.0,
-                "wieght": 1.0,
-            }
-        ],
-    }
-    with pytest.raises(MalformedScenario, match="wieght"):
-        load_targets_document(json.dumps(bad_target))
-
-
-def test_deeply_nested_targets_document_is_malformed():
-    with pytest.raises(MalformedScenario, match="nested too deeply"):
-        load_targets_document("[" * 100_000)
-
-
-_GOOD_TARGET = {"kind": "saving", "area": "urban", "configuration": "MOCN", "value": 20.0}
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        5,
-        {"targets": 5},
-        {"targets": [5]},
-        {"targets": [dict(_GOOD_TARGET, value="x")]},
-        {"targets": [dict(_GOOD_TARGET, value=None)]},
-        {"targets": [{k: v for k, v in _GOOD_TARGET.items() if k != "value"}]},
-        {"targets": [dict(_GOOD_TARGET, weight="1")]},
-        {"targets": [_GOOD_TARGET], "seed": "x"},
-        {"targets": [_GOOD_TARGET], "seed": -1},
-        {"targets": [_GOOD_TARGET], "horizon_years": True},
-        {"targets": [_GOOD_TARGET], "constraints": 5},
-        {"targets": [_GOOD_TARGET], "constraints": {"constraints": [5]}},
-        {"targets": [_GOOD_TARGET], "constraints": {"constraints": [{"label": "a"}]}},
-        {"targets": [dict(_GOOD_TARGET, configuration=["MOCN"])]},
-        {"targets": [dict(_GOOD_TARGET, metric=["total"])]},
-        {"targets": [dict(_GOOD_TARGET, note=5)]},
-        {"targets": [{**_GOOD_TARGET, "kind": "delta", "first": "GWCN", "second": 5}]},
-        {"targets": [{**_GOOD_TARGET, "kind": "delta", "first": ["GWCN"], "second": "MOCN"}]},
-        {"targets": [dict(_GOOD_TARGET, value=float("nan"))]},
-        {"targets": [dict(_GOOD_TARGET, value=float("inf"))]},
-        {"targets": [dict(_GOOD_TARGET, value=float("-inf"))]},
-        {"targets": [dict(_GOOD_TARGET, weight=float("nan"))]},
-        {"targets": [dict(_GOOD_TARGET, bound=float("inf"))]},
-        {"targets": [{**_GOOD_TARGET, "kind": "delta", "first": "GWCN", "second": "MOCN",
-                      "value": float("nan")}]},
-    ],
-    ids=json.dumps,
-)
-def test_wrongly_typed_targets_documents_are_malformed(doc):
-    with pytest.raises(MalformedScenario):
-        load_targets_document(json.dumps(doc))
-
-
-@pytest.mark.parametrize("field", ["weight", "bound"])
-def test_negative_target_weight_or_bound_is_malformed(field):
-    # A negative weight rewards distance from the target; a negative bound
-    # can never be met.  Both are refused before any search runs.
-    doc = {"targets": [dict(_GOOD_TARGET, **{field: -1})]}
-    with pytest.raises(MalformedScenario, match=f"'{field}' must not be negative"):
-        load_targets_document(json.dumps(doc))
-
-
-def test_target_metric_names_are_validated():
-    with pytest.raises(MalformedScenario, match="grand"):
-        SavingsTarget(AreaKind.URBAN, "grand", "MOCN", 20.0)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import netshare
+from conftest import import_calibrate_extra
 from netshare import AreaKind, load_scenario_file, run_scenario
 from netshare.cli import main
 from netshare.scenario import fixture_path
@@ -384,11 +385,11 @@ _UNSWEEPABLE = {
     ),
     "class_without_cost": (
         {"parameter": "class_cost_fraction", "from": 0.1, "to": 0.5, "steps": 3, "class": "rnc"},
-        "class 'rnc' cannot be rescaled in area urban",
+        "class 'rnc' cannot be rescaled in area urban: it or the rest of the table carries no cost",
     ),
     "horizon_overflowing_the_baseline": (
         {"parameter": "horizon_years", "from": 1, "to": 1e307, "steps": 3},
-        "baseline grand total is inf",
+        "[area=urban configuration=MOCN] baseline grand total is inf; savings are undefined",
     ),
 }
 
@@ -403,14 +404,19 @@ def test_validate_rejects_what_sweep_rejects(tmp_path, capsys, case):
         doc["cost_tables"]["urban"] = urban
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(dict(doc, sweep=spec)))
-    errors = []
     for command in ("validate", "sweep"):
-        code, out, err = _run(capsys, command, str(path))
-        assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        errors.append(err)
-    assert errors[0] == errors[1]
-    assert message in errors[0]
+        assert _run(capsys, command, str(path)) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+def test_an_invalid_configuration_is_one_error_line(tmp_path, capsys, command):
+    """A scenario is checked when it is built, before any command reads its sweep."""
+    doc = json.loads(fixture_path(USE_CASE).read_text())
+    doc["configurations"].append({"name": "core", "shared": {"core_sgsn": True}})
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc))
+    line = "error: scenario 'paper_use_case' has invalid configurations (core: GwcnWithoutRan)\n"
+    assert _run(capsys, command, str(path)) == (1, "", line)
 
 
 def test_presets_lists_all_nine_names(capsys):
@@ -463,6 +469,7 @@ def test_checklist_lists_items(capsys):
 
 
 def test_calibrate_infeasible_targets_exit_one(tmp_path, capsys):
+    import_calibrate_extra()
     doc = {
         "horizon_years": 5,
         "seed": 0,
@@ -532,9 +539,7 @@ def test_calibrate_negative_weight_or_bound_prints_one_error_line(tmp_path, caps
 
 
 def test_calibrate_writes_tables_and_a_record_the_seed_does_not_change(tmp_path, capsys):
-    import numpy
-    import scipy
-
+    numpy, scipy = import_calibrate_extra()
     doc = {
         "seed": 0,
         "constraints": {

@@ -10,6 +10,7 @@ import pytest
 from netshare import SharingConfiguration, SweepSpec, cumulative_cost, reference_cost_table
 from netshare.cli import main
 from netshare.advisor import ConstraintChecklist
+from netshare.calibration import load_targets_document
 from netshare.errors import (
     InvalidAmount,
     InvalidConfiguration,
@@ -57,34 +58,56 @@ def _assert_one_short_error_line(code, out, err):
 
 
 _BIG_UPPER = {"label": "oam", "ledger": "capex", "classes": ["oam"], "lower": 0.1, "upper": BIG}
+_DIGITS = "got an integer of about 401 digits"
+# Each case: the command (or the targets reader), the document and its whole error message.
 _OVERSIZED = {
     "validate sweep to": (
         "validate",
         _use_case(sweep={"parameter": "split_ratio", "from": 0.1, "to": BIG, "steps": 3}),
+        f"sweep 'to' must fit in a float, {_DIGITS}",
     ),
-    "validate split entry": ("validate", _with_configuration(split=[BIG, 0.5])),
-    "validate operators": ("validate", _with_configuration(operators=BIG)),
-    "run table capex": ("run", _urban_table({"nodeb": {"capex": BIG}})),
-    "run horizon": ("run", _use_case(horizon_years=BIG)),
-    "targets value": ("targets", {**TARGETS, "targets": [{**TARGETS["targets"][0], "value": BIG}]}),
+    "validate split entry": (
+        "validate",
+        _with_configuration(split=[BIG, 0.5]),
+        f"'split' entry must fit in a float, {_DIGITS}",
+    ),
+    "validate operators": (
+        "validate",
+        _with_configuration(operators=BIG),
+        f"operator_count must be an integer from 2 to 1000, {_DIGITS}",
+    ),
+    "run table capex": (
+        "run",
+        _urban_table({"nodeb": {"capex": BIG}}),
+        f"cost table for 'urban': nodeb capex must fit in a float, {_DIGITS}",
+    ),
+    "run horizon": (
+        "run", _use_case(horizon_years=BIG), "horizon_years is too large to accumulate OPEX over"
+    ),
+    "targets value": (
+        "targets",
+        {**TARGETS, "targets": [{**TARGETS["targets"][0], "value": BIG}]},
+        f"target 'value' must fit in a float, {_DIGITS}",
+    ),
     "targets constraint upper": (
         "targets",
         {**TARGETS, "constraints": {"name": "big", "constraints": [_BIG_UPPER]}},
+        f"constraints: constraint 'upper' must fit in a float, {_DIGITS}",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_OVERSIZED))
 def test_integer_too_large_for_a_float_is_one_error_line(tmp_path, capsys, case):
-    command, doc = _OVERSIZED[case]
+    command, doc, message = _OVERSIZED[case]
     if command == "targets":
-        from netshare.calibration import load_targets_document
-
         with pytest.raises(MalformedScenario) as caught:
             load_targets_document(json.dumps(doc))
-        assert len(str(caught.value)) < 200
+        assert str(caught.value) == message
     else:
-        _assert_one_short_error_line(*_cli(tmp_path, capsys, json.dumps(doc), command))
+        code, out, err = _cli(tmp_path, capsys, json.dumps(doc), command)
+        _assert_one_short_error_line(code, out, err)
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -136,9 +159,6 @@ def test_integer_past_the_digit_limit_is_malformed(tmp_path, capsys):
     text = json.dumps(_use_case(horizon_years=5))
     text = text.replace('"horizon_years": 5', f'"horizon_years": {_PAST_DIGIT_LIMIT}')
     _assert_one_short_error_line(*_cli(tmp_path, capsys, text, "validate"))
-
-    from netshare.calibration import load_targets_document
-
     text = json.dumps({**TARGETS, "seed": 0}).replace('"seed": 0', f'"seed": {_PAST_DIGIT_LIMIT}')
     with pytest.raises(MalformedScenario, match="too long"):
         load_targets_document(text)

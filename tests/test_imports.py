@@ -1,4 +1,5 @@
-"""Import cost: each command loads only what it runs; numpy and scipy only for calibration."""
+"""Import cost: each command and demo loads only what it runs; numpy and scipy only
+for the calibration search."""
 
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 import netshare
 
 SRC = str(Path(netshare.__file__).resolve().parents[1])
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def _python(code: str, *args: str, flags=()) -> subprocess.CompletedProcess:
@@ -30,6 +32,19 @@ _LOADED = "import sys; print(json.dumps(sorted({'numpy', 'scipy'} & set(sys.modu
 
 def test_import_netshare_loads_neither_numpy_nor_scipy():
     proc = _python(f"import json, netshare; {_LOADED}")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demos_load_neither_numpy_nor_scipy(demo):
+    code = (
+        "import contextlib, io, json, runpy, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    runpy.run_path(sys.argv[1], run_name='__main__')\n"
+        f"{_LOADED}\n"
+    )
+    proc = _python(code, str(demo))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
 
@@ -188,7 +203,7 @@ def test_star_import_provides_every_public_name():
 def test_calibrate_without_scipy_names_the_extra(tmp_path):
     code = (
         "import sys\n"
-        "sys.modules['scipy'] = None\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
         "from netshare.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )

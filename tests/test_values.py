@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from conftest import import_calibrate_extra
 from netshare.advisor import (
     ChecklistItem,
     ComparisonRow,
@@ -282,7 +283,14 @@ def _assert_plain_json(doc, where):
 
 # Each value type that writes a document, with the method that writes it.
 _WRITERS = {cls: cls.to_json_dict for cls in VALUES if "to_json_dict" in vars(cls)}
-_WRITERS[CalibrationResult] = lambda result: result.record(_CONSTRAINTS)
+
+
+def _calibration_record(result):
+    import_calibrate_extra()  # the record names the numpy and scipy versions
+    return result.record(_CONSTRAINTS)
+
+
+_WRITERS[CalibrationResult] = _calibration_record
 
 
 @pytest.mark.parametrize("cls", _WRITERS, ids=lambda cls: cls.__name__)
