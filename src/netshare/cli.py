@@ -305,7 +305,8 @@ def _cmd_checklist(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    # Imported here: calibration loads numpy and scipy, which no other command needs.
+    # Imported here, so run, sweep and validate load neither calibration nor
+    # repartition (tests/test_imports.py pins the modules each command loads).
     from .calibration import calibrate_reference, load_targets_document
     from .scenario import _read_text, fixture_path
 

@@ -232,7 +232,10 @@ class CostTable(FrozenValue):
         total = self.ledger_total(ledger)
         if total == 0:
             raise ZeroTotalLedger(f"{ledger.value} total is zero for area {self.area.value}")
-        return sum(self.ledger_amount(c, ledger) for c in classes) / total
+        # Summed in ElementClass order: a frozenset's order, and so the last
+        # digit of its sum, would follow the hash seed.
+        ordered = sorted(frozenset(classes), key=list(ElementClass).index)
+        return _ledger_sum([self.ledger_amount(c, ledger) for c in ordered]) / total
 
     def fractions(self, ledger: Ledger) -> Mapping[ElementClass, float]:
         return {cls: self.fraction((cls,), ledger) for cls in ElementClass}

@@ -444,7 +444,7 @@ def _split_configs(
     _check_fraction("split_ratio", value)
     out = []
     for config in configs:
-        count = config.operator_count
+        count = len(config.split_ratios)
         rest = (1.0 - value) / (count - 1)
         out.append(config._sweep_copy((value,) + (rest,) * (count - 1), config.intl_shared))
     return tuple(out)
@@ -651,7 +651,7 @@ def sweep(scenario: Scenario) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 _REQUIRED_KEYS = ("name", "areas", "cost_tables", "configurations")
-_TOP_LEVEL_KEYS = _REQUIRED_KEYS + ("horizon_years", "policy", "sweep", "couple_site_costs")
+_TOP_LEVEL_KEYS = _REQUIRED_KEYS + ("horizon_years", "policy", "sweep")
 _POLICY_KEYS = {"spectrum_pooling_allowed", "max_level"}
 
 
@@ -683,14 +683,11 @@ def _parse_area(doc) -> AreaKind:
         ) from exc
 
 
-def _parse_configuration(doc: Union[str, Mapping], couple_site_costs: bool) -> SharingConfiguration:
+def _parse_configuration(doc: Union[str, Mapping]) -> SharingConfiguration:
     if isinstance(doc, str):
-        return preset(doc, couple_site_costs=couple_site_costs)
+        return preset(doc)
     if isinstance(doc, Mapping):
-        config = SharingConfiguration.from_json_dict(doc)
-        if couple_site_costs and not config.couple_site_costs:
-            config = config.replace(couple_site_costs=True)
-        return config
+        return SharingConfiguration.from_json_dict(doc)
     raise MalformedScenario(f"configuration must be a preset name or an object, got {doc!r}")
 
 
@@ -723,7 +720,6 @@ def load_scenario(document: Union[str, Mapping], base_dir: Optional[Path] = None
     for key in ("areas", "configurations"):
         if not isinstance(doc[key], (list, tuple)):
             raise MalformedScenario(f"{key!r} must be a list, got {doc[key]!r}")
-    couple = read_flag(doc.get("couple_site_costs", False), "couple_site_costs", MalformedScenario)
     areas = tuple(_parse_area(a) for a in doc["areas"])
     raw_tables = doc["cost_tables"]
     read_object(raw_tables, "cost_tables", MalformedScenario, [kind.value for kind in AreaKind])
@@ -731,7 +727,7 @@ def load_scenario(document: Union[str, Mapping], base_dir: Optional[Path] = None
     for key, value in raw_tables.items():
         kind = AreaKind(key)
         tables[kind] = _parse_cost_table(kind, value, base_dir)
-    configurations = tuple(_parse_configuration(c, couple) for c in doc["configurations"])
+    configurations = tuple(_parse_configuration(c) for c in doc["configurations"])
     policy = _parse_policy(doc["policy"]) if doc.get("policy") is not None else None
     sweep_spec = (
         SweepSpec.from_json_dict(doc["sweep"]) if doc.get("sweep") is not None else None

@@ -15,7 +15,7 @@ arrangement.  MORAN (common RAN, dedicated carriers) is exposed as an alias.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     FrozenValue,
@@ -104,111 +104,93 @@ class RegulatoryPolicy(FrozenValue):
 _FLAGS = ("intl_shared", "couple_site_costs", "single_spectrum")
 _CONFIGURATION_KEYS = ("name", "shared", "operators", "split") + _FLAGS
 
-# A configuration builds one split ratio per operator before any other check,
-# so an operator count read from a document must be bounded first (as SweepSpec
-# bounds its steps).  Shared elements serve a handful of operators; the
-# ManyOperators warning starts at 5.
+# A document's operator count sets the length of its equal split, so the reader
+# bounds it before building one ratio per operator, and the constructor bounds a
+# split's length the same way.  Shared elements serve a handful of operators;
+# the ManyOperators warning starts at 5.
 _MAX_OPERATORS = 1_000
 
+_CLASSES = tuple(ElementClass)
 
 # Positions, in ElementClass order, of the flags SharingConfiguration.shared_mask adds.
 _SITE, _RENT, _POWER, _INTL = (
-    tuple(ElementClass).index(ElementClass(label))
+    _CLASSES.index(ElementClass(label))
     for label in ("passive_site", "site_rent", "power", "international_connectivity")
 )
-
-
-def _equal_split(n: int) -> Tuple[float, ...]:
-    return tuple(1.0 / n for _ in range(n))
-
-
-def _read_only(self, *args, **kwargs):
-    raise TypeError("a configuration's shared map is read-only; use config.replace")
-
-
-class _SharedMap(dict):
-    """A read-only shared map: one bool per element class, in ``ElementClass`` order.
-
-    The :class:`SharingConfiguration` constructor builds it.  It refuses writes,
-    so a configuration cannot change after the scenario that holds it was checked.
-    """
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-    def __reduce__(self):  # copy and pickle rebuild it whole, not key by key
-        return _SharedMap, (dict(self),)
 
 
 class SharingConfiguration(FrozenValue):
     """Which element classes are shared and how their cost is split.
 
-    ``split_ratios`` gives each operator's share of every shared cost; the
-    default is an equal split.  ``intl_shared`` treats international
-    connectivity as a jointly purchased service.  ``couple_site_costs``
-    extends passive-site sharing to the recurring site costs (rent, power)
-    that follow the site itself.  ``single_spectrum`` marks arrangements
-    that run on one operator's carriers instead of pooled spectrum.
+    ``shared`` holds the shared classes; the constructor keeps them once each,
+    in ``ElementClass`` order.  ``split_ratios`` gives each operator's share of
+    every shared cost, so its length is the operator count; the default is two
+    operators at 50/50.  ``intl_shared`` treats international connectivity as
+    a jointly purchased service.  ``couple_site_costs`` extends passive-site
+    sharing to the recurring site costs (rent, power) that follow the site
+    itself.  ``single_spectrum`` marks arrangements that run on one operator's
+    carriers instead of pooled spectrum.
     """
 
     __slots__ = ()
     _fields = (
-        "name", "shared", "operator_count", "split_ratios",
-        "intl_shared", "couple_site_costs", "single_spectrum",
+        "name", "shared", "split_ratios", "intl_shared", "couple_site_costs", "single_spectrum"
     )
 
     def __new__(
         cls,
         name: str,
-        shared: Mapping[ElementClass, bool] = _SharedMap(),
-        operator_count: int = 2,
-        split_ratios: Optional[Tuple[float, ...]] = None,
+        shared: Iterable[ElementClass] = (),
+        split_ratios: Sequence[float] = (0.5, 0.5),
         intl_shared: bool = False,
         couple_site_costs: bool = False,
         single_spectrum: bool = False,
     ):
-        read_integer(operator_count, "operator_count", InvalidConfiguration, 2, _MAX_OPERATORS)
-        if not isinstance(shared, Mapping):
+        # A map iterates as its keys, so {RNC: False} would read as "RNC shared".
+        if isinstance(shared, (Mapping, str)) or not isinstance(shared, Iterable):
             raise InvalidConfiguration(
-                f"shared must map element classes to flags, got {shared!r}"
+                f"shared must be a collection of element classes, got {shared!r}"
             )
-        unknown = set(shared) - set(ElementClass)
+        chosen = list(shared)
+        unknown = [c for c in chosen if not isinstance(c, ElementClass)]
         if unknown:
-            raise InvalidConfiguration(f"unknown element classes in shared map: {listed(unknown)}")
-        for element, flag in shared.items():
-            if not (isinstance(flag, int) and flag in (0, 1)):
-                raise InvalidConfiguration(
-                    f"shared[{element.value!r}] must be true, false, 0 or 1, got {flag!r}"
-                )
-        ratios = split_ratios
-        if ratios is None:
-            ratios = _equal_split(operator_count)
+            raise InvalidConfiguration(f"unknown element classes in shared: {listed(unknown)}")
         try:
-            ratios = tuple(map(float, ratios))
+            ratios = tuple(map(float, split_ratios))
         except OverflowError as exc:  # an integer too large for a float
             raise InvalidConfiguration("split ratios must each fit in a float") from exc
         except (TypeError, ValueError) as exc:
-            raise InvalidConfiguration(f"split ratios must be numbers, got {ratios!r}") from exc
-        if len(ratios) != operator_count:
-            raise InvalidConfiguration(f"{len(ratios)} split ratios for {operator_count} operators")
+            raise InvalidConfiguration(
+                f"split ratios must be numbers, got {split_ratios!r}"
+            ) from exc
+        if not 2 <= len(ratios) <= _MAX_OPERATORS:
+            raise InvalidConfiguration(
+                f"a split needs one ratio per operator, 2 to {_MAX_OPERATORS}, got {len(ratios)}"
+            )
         if not all(0.0 < r <= 1.0 for r in ratios):  # also rejects NaN
             raise InvalidConfiguration(f"split ratios must lie in (0, 1], got {ratios!r}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise InvalidConfiguration(f"split ratios must sum to 1, got {sum(ratios)!r}")
-        shared = _SharedMap((c, bool(shared.get(c, False))) for c in ElementClass)
+        shared = tuple([c for c in _CLASSES if c in chosen])
         flags = (intl_shared, couple_site_costs, single_spectrum)
-        return super().__new__(cls, name, shared, operator_count, ratios, *flags)
+        return super().__new__(cls, name, shared, ratios, *flags)
+
+    @property
+    def operator_count(self) -> int:
+        """The number of operators: one split ratio each."""
+        return len(self.split_ratios)
 
     # -- shared-set helpers ----------------------------------------------
 
     def shared_mask(self) -> Tuple[bool, ...]:
         """Whether each element class is effectively shared, in ``ElementClass`` order.
 
-        This is the one sharing rule: the ``shared`` flags, plus site rent and
+        This is the one sharing rule: the ``shared`` classes, plus site rent and
         power when the passive site is shared with ``couple_site_costs``, plus
         international connectivity when ``intl_shared`` is set.
         """
-        mask = list(self.shared.values())  # the constructor fills it in ElementClass order
+        shared = self.shared
+        mask = [c in shared for c in _CLASSES]
         if self.couple_site_costs and mask[_SITE]:
             mask[_RENT] = mask[_POWER] = True
         if self.intl_shared:
@@ -223,8 +205,8 @@ class SharingConfiguration(FrozenValue):
         A split or intl sweep point builds one per configuration, so it is built
         from its fields without the constructor, whose checks the sweep's values keep.
         """
-        name, shared, count, _, _, couple, single = self
-        fields = (name, shared, count, split_ratios, intl_shared, couple, single)
+        name, shared, _, _, couple, single = self
+        fields = (name, shared, split_ratios, intl_shared, couple, single)
         return tuple.__new__(SharingConfiguration, fields)
 
     # -- serialisation ----------------------------------------------------
@@ -232,7 +214,7 @@ class SharingConfiguration(FrozenValue):
     def to_json_dict(self) -> dict:
         doc = {
             "name": self.name,
-            "shared": {cls.value: self.shared[cls] for cls in ElementClass},
+            "shared": {cls.value: cls in self.shared for cls in ElementClass},
             "operators": self.operator_count,
             "split": list(self.split_ratios),
             "intl_shared": self.intl_shared,
@@ -248,23 +230,24 @@ class SharingConfiguration(FrozenValue):
         error = InvalidConfiguration
         read_object(doc, "configuration", error, _CONFIGURATION_KEYS, ("name", "shared"))
         read_object(doc["shared"], "'shared'", error, _CLASS_LABELS)
-        shared = {
-            ElementClass(label): read_flag(flag, f"shared[{label!r}]", error)
+        shared = [
+            ElementClass(label)
             for label, flag in doc["shared"].items()
-        }
+            if read_flag(flag, f"shared[{label!r}]", error)
+        ]
         flags = {key: read_flag(doc.get(key, False), repr(key), error) for key in _FLAGS}
         split = doc.get("split")
         if split is not None:
             if not isinstance(split, (list, tuple)):
                 raise error(f"'split' must be a list of numbers, got {split!r}")
             split = tuple(read_number(r, "'split' entry", error) for r in split)
-        return cls(
-            name=read_text(doc["name"], "configuration 'name'", error),
-            shared=shared,
-            operator_count=doc.get("operators", 2),
-            split_ratios=split,
-            **flags,
-        )
+        name = read_text(doc["name"], "configuration 'name'", error)
+        count = read_integer(doc.get("operators", 2), "operator_count", error, 2, _MAX_OPERATORS)
+        if split is None:
+            split = (1.0 / count,) * count
+        elif len(split) != count:
+            raise error(f"{len(split)} split ratios for {count} operators")
+        return cls(name, shared, split, **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +280,12 @@ _ALIASES = {"MORAN": _RAN_SHARED}
 ALIAS_NAMES: Tuple[str, ...] = tuple(_ALIASES)
 
 
-def preset(
-    name: str,
-    operator_count: int = 2,
-    split_ratios: Optional[Sequence[float]] = None,
-    intl_shared: bool = False,
-    couple_site_costs: bool = False,
-) -> SharingConfiguration:
+def preset(name: str) -> SharingConfiguration:
     """Build a catalogue configuration by name.
 
-    Defaults: two operators, equal split, international connectivity kept
-    separate.  Unknown names raise :class:`UnknownPreset`.
+    It has two operators on an equal split and keeps international
+    connectivity separate; ``replace`` changes any of that.  Unknown names
+    raise :class:`UnknownPreset`.
     """
     if name in _PRESET_MATRIX:
         classes = _PRESET_MATRIX[name]
@@ -317,15 +295,7 @@ def preset(
         raise UnknownPreset(
             f"unknown preset {name!r}; expected one of {list(PRESET_NAMES + ALIAS_NAMES)}"
         )
-    return SharingConfiguration(
-        name=name,
-        shared={cls: True for cls in classes},
-        operator_count=operator_count,
-        split_ratios=tuple(split_ratios) if split_ratios is not None else None,
-        intl_shared=intl_shared,
-        couple_site_costs=couple_site_costs,
-        single_spectrum=(name == "GatewayRoaming"),
-    )
+    return SharingConfiguration(name, classes, single_spectrum=(name == "GatewayRoaming"))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +313,7 @@ def sharing_level(config: SharingConfiguration) -> LevelAssessment:
     shared_levels = [
         level
         for level, classes in _LEVEL_CLASS.items()
-        if any(config.shared[c] for c in classes)
+        if any(c in config.shared for c in classes)
     ]
     if not shared_levels:
         return NO_SHARING
@@ -392,15 +362,16 @@ def validate_configuration(
     errors = []
     warnings = []
 
-    core_shared = config.shared[_E.CORE_SGSN] or config.shared[_E.CORE_GGSN]
-    if core_shared and not config.shared[_E.RNC]:
+    shared = config.shared
+    core_shared = _E.CORE_SGSN in shared or _E.CORE_GGSN in shared
+    if core_shared and _E.RNC not in shared:
         errors.append(
             ValidationIssue(
                 "GwcnWithoutRan",
                 "a shared core gateway requires a shared RNC underneath it",
             )
         )
-    if config.shared[_E.SPECTRUM_LICENSE] and not rules.spectrum_pooling_allowed:
+    if _E.SPECTRUM_LICENSE in shared and not rules.spectrum_pooling_allowed:
         errors.append(
             ValidationIssue(
                 "SpectrumPoolingForbidden",

@@ -54,12 +54,14 @@ def random_config(
 ) -> SharingConfiguration:
     if operator_count is None:
         operator_count = rng.choice((2, 2, 3, 4))
-    shared = {cls: rng.random() < share_chance for cls in ElementClass}
-    split = None if equal_split else random_split(rng, operator_count)
+    shared = [cls for cls in ElementClass if rng.random() < share_chance]
+    if equal_split:
+        split = (1.0 / operator_count,) * operator_count
+    else:
+        split = random_split(rng, operator_count)
     return SharingConfiguration(
         name=name,
         shared=shared,
-        operator_count=operator_count,
         split_ratios=split,
         intl_shared=rng.random() < 0.3,
         couple_site_costs=rng.random() < 0.3,
@@ -79,7 +81,7 @@ def oracle_pcts(table: CostTable, config: SharingConfiguration, horizon: int, in
     flag is on, and the international link follows intl_shared.
     """
     ratio = config.split_ratios[index]
-    shared = {cls for cls, flag in config.shared.items() if flag}
+    shared = set(config.shared)
     if config.couple_site_costs and ElementClass.PASSIVE_SITE in shared:
         shared.add(ElementClass.SITE_RENT)
         shared.add(ElementClass.POWER)

@@ -158,22 +158,23 @@ def test_criterion_08_sharing_more_never_saves_less():
         table = random_cost_table(rng)
         baseline = cumulative_cost(table, rng.randint(1, 8))
         operator_count = rng.choice((2, 3, 4))
+        split = (1.0 / operator_count,) * operator_count
         intl = rng.random() < 0.3
         couple = rng.random() < 0.3
         for _ in range(20):
-            superset = {cls: rng.random() < 0.5 for cls in ElementClass}
-            subset = {cls: flag and rng.random() < 0.7 for cls, flag in superset.items()}
+            superset = [cls for cls in ElementClass if rng.random() < 0.5]
+            subset = [cls for cls in superset if rng.random() < 0.7]
             small = SharingConfiguration(
                 name="small",
                 shared=subset,
-                operator_count=operator_count,
+                split_ratios=split,
                 intl_shared=intl,
                 couple_site_costs=couple,
             )
             large = SharingConfiguration(
                 name="large",
                 shared=superset,
-                operator_count=operator_count,
+                split_ratios=split,
                 intl_shared=intl,
                 couple_site_costs=couple,
             )
@@ -222,10 +223,9 @@ def test_criterion_10_grid_presets_match_hard_coded_matrix():
     for name, flags in expected.items():
         config = preset(name)
         for cls, flag in zip(matrix_rows, flags):
-            assert config.shared[cls] is flag, (name, cls)
+            assert (cls in config.shared) is flag, (name, cls)
             checked += 1
-        for cls in set(ElementClass) - set(matrix_rows):
-            assert config.shared[cls] is False, (name, cls)
+        assert set(config.shared) <= set(matrix_rows), name
     assert checked == 36
 
 

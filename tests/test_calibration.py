@@ -104,9 +104,9 @@ def test_unreachable_target_fails_on_the_residual_bound_at_every_seed(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_search_metric_matches_the_cost_model(seed):
     configs = [preset(name) for name in GRID_PRESETS] + [
-        preset("GWCN", operator_count=3, split_ratios=(0.2, 0.3, 0.5)).replace(name="3-way"),
-        preset("MOCN + Backhaul", intl_shared=True).replace(name="intl"),
-        preset("GWCN - Spectrum", couple_site_costs=True).replace(name="coupled"),
+        preset("GWCN").replace(name="3-way", split_ratios=(0.2, 0.3, 0.5)),
+        preset("MOCN + Backhaul").replace(name="intl", intl_shared=True),
+        preset("GWCN - Spectrum").replace(name="coupled", couple_site_costs=True),
     ]
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, 2 * len(ElementClass)) * (rng.random(2 * len(ElementClass)) > 0.2)

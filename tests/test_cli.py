@@ -419,6 +419,16 @@ def test_an_invalid_configuration_is_one_error_line(tmp_path, capsys, command):
     assert _run(capsys, command, str(path)) == (1, "", line)
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+def test_a_scenario_level_couple_site_costs_is_one_error_line(tmp_path, capsys, command):
+    """The flag belongs to each configuration; a scenario holds no copy of it."""
+    doc = json.loads(fixture_path(USE_CASE).read_text())
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps(dict(doc, couple_site_costs=True)))
+    line = "error: unknown scenario keys: ['couple_site_costs']\n"
+    assert _run(capsys, command, str(path)) == (1, "", line)
+
+
 def test_presets_lists_all_nine_names(capsys):
     code, out, _ = _run(capsys, "presets")
     assert code == 0

@@ -111,7 +111,7 @@ def test_nothing_shared_is_the_identity():
     rng = random.Random(1)
     table = random_cost_table(rng)
     baseline = cumulative_cost(table, 5)
-    config = SharingConfiguration(name="solo", shared={})
+    config = SharingConfiguration(name="solo")
     mine = apply_sharing(baseline, config)
     for cls in ElementClass:
         assert _at(mine.capex, cls) == _at(baseline.capex, cls)
@@ -121,7 +121,7 @@ def test_nothing_shared_is_the_identity():
 def test_three_way_split_leaves_a_third_each():
     table = _single_class_table(capex=90.0)
     baseline = cumulative_cost(table, 5)
-    config = preset("MOCN", operator_count=3)
+    config = preset("MOCN").replace(split_ratios=(1.0 / 3,) * 3)
     for index in range(3):
         mine = apply_sharing(baseline, config, index)
         assert _at(mine.capex, ElementClass.NODEB) == pytest.approx(30.0)
@@ -140,7 +140,7 @@ def test_operator_index_bounds():
 @pytest.mark.parametrize("index", [True, False])
 def test_a_bool_operator_index_is_refused(index):
     # A bool is an int, so True would read operator 1's share; check_horizon refuses bools too.
-    config = preset("MOCN", split_ratios=(0.25, 0.75))
+    config = preset("MOCN").replace(split_ratios=(0.25, 0.75))
     with pytest.raises(InvalidOperatorIndex, match=f"operator_index {index!r} out of range"):
         apply_sharing(cumulative_cost(_single_class_table(), 5), config, index)
 
@@ -149,7 +149,7 @@ def test_intl_flag_shares_the_international_link():
     table = _single_class_table(capex=0.0, opex=10.0, cls=ElementClass.INTERNATIONAL_CONNECTIVITY)
     baseline = cumulative_cost(table, 5)
     plain = preset("MOCN")
-    wired = preset("MOCN", intl_shared=True)
+    wired = preset("MOCN").replace(intl_shared=True)
     intl = ElementClass.INTERNATIONAL_CONNECTIVITY
     assert _at(apply_sharing(baseline, plain).opex, intl) == pytest.approx(50.0)
     assert _at(apply_sharing(baseline, wired).opex, intl) == pytest.approx(25.0)
@@ -164,10 +164,7 @@ def test_halved_grand_total_is_fifty_percent():
     entries = {cls: (100.0, 20.0) for cls in ElementClass}
     table = CostTable(area=AreaKind.URBAN, entries=entries)
     baseline = cumulative_cost(table, 5)
-    config = SharingConfiguration(
-        name="everything",
-        shared={cls: True for cls in ElementClass},
-    )
+    config = SharingConfiguration(name="everything", shared=ElementClass)
     report = savings_report(baseline, apply_sharing(baseline, config), config)
     assert report.total_saving_pct == pytest.approx(50.0)
     assert report.capex_saving_pct == pytest.approx(50.0)
@@ -176,7 +173,7 @@ def test_halved_grand_total_is_fifty_percent():
 
 def test_identical_breakdowns_save_nothing():
     baseline = cumulative_cost(_single_class_table(), 5)
-    config = SharingConfiguration(name="solo", shared={})
+    config = SharingConfiguration(name="solo")
     report = savings_report(baseline, apply_sharing(baseline, config), config)
     assert report.total_saving_pct == 0.0
 
@@ -251,7 +248,7 @@ def test_savings_reports_compare_by_value():
         report.replace(opex_saving_pct=report.opex_saving_pct + 1.0),
         report.replace(total_saving_pct=report.total_saving_pct + 1.0),
         report.replace(baseline=other_baseline),
-        report.replace(sharing=preset("GWCN", couple_site_costs=True)),
+        report.replace(sharing=preset("GWCN").replace(couple_site_costs=True)),
         _full_report(table, preset("GWCN"), horizon=6),
     ]
     for variant in variants:
@@ -397,8 +394,7 @@ def test_savings_report_keeps_its_value_behaviour():
     assert twin == type(report)(**dict(zip(names, values))) == report.replace()
     assert twin == report and repr(twin) == repr(report)
     assert twin != report.replace(total_saving_pct=0.0)
-    # The configuration holds a dict, so a report is unhashable, as generated.
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(report)
+    # Every field is a tuple, a number or an enum, so a report hashes by its fields.
+    assert hash(twin) == hash(report) == hash(report.replace())
     with pytest.raises(AttributeError, match="cannot assign to field 'capex_saving_pct'"):
         report.capex_saving_pct = 0.0

@@ -16,7 +16,8 @@ from netshare.cli import main
 from netshare.scenario import fixture_path
 
 # Every optional part of the schema: inline and referenced tables, preset and
-# inline configurations, a policy with both keys, a sweep and couple_site_costs.
+# inline configurations (one with couple_site_costs), a policy with both keys
+# and a sweep.
 SCENARIO = {
     "name": "fuzz",
     "horizon_years": 5,
@@ -41,6 +42,7 @@ SCENARIO = {
             "operators": 3,
             "split": [0.5, 0.3, 0.2],
             "intl_shared": True,
+            "couple_site_costs": False,
         },
     ],
     "policy": {"spectrum_pooling_allowed": True, "max_level": "L5_CORE"},
@@ -51,7 +53,6 @@ SCENARIO = {
         "steps": 4,
         "class": "nodeb",
     },
-    "couple_site_costs": False,
 }
 
 # A sweep of each kind: costs moved per point, or the horizon rounded to integers.

@@ -1,12 +1,17 @@
 """Element classes, cost tables, area profiles and repartition constraints."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import netshare
 from netshare import (
     AreaKind,
     CostTable,
@@ -37,6 +42,8 @@ from netshare.inventory import (
 )
 
 from conftest import random_cost_table
+
+SRC = str(Path(netshare.__file__).resolve().parents[1])
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +486,32 @@ def test_check_repartition_reads_a_constraint_set_as_its_constraints():
     assert tuple(c.constraint for c in report.checks) == USE_CASE_CONSTRAINTS.for_area(
         AreaKind.RURAL
     )
+
+
+# Prints the suburban licence-and-core OPEX share as float.hex: three classes,
+# held in a frozenset whose order follows the hash seed.
+_LICENCE_CORE_SHARE = """
+from netshare import AreaKind, reference_cost_table
+from netshare.repartition import USE_CASE_CONSTRAINTS
+(c,) = [c for c in USE_CASE_CONSTRAINTS.constraints if c.label == "licence_core_share"]
+print(reference_cost_table(AreaKind.SUBURBAN).fraction(c.classes, c.ledger).hex())
+"""
+
+
+def test_a_constraint_fraction_does_not_follow_the_hash_seed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    shares = {
+        subprocess.run(
+            [sys.executable, "-c", _LICENCE_CORE_SHARE],
+            capture_output=True,
+            check=True,
+            env={**env, "PYTHONHASHSEED": seed},
+            text=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert len(shares) == 1, shares
 
 
 def test_use_case_opex_defaults_bound_international_share():

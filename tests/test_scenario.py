@@ -126,7 +126,6 @@ _MALFORMED = [
     ({"areas": None}, "'areas' must be a list"),
     ({"areas": {"urban": 1}}, "'areas' must be a list"),
     ({"name": 5}, "'name' must be a string"),
-    ({"couple_site_costs": "no"}, "couple_site_costs must be true or false"),
     ({"policy": []}, "policy must be an object"),
     ({"policy": {"spectrum_pooling_allowed": "no"}}, "spectrum_pooling_allowed must be true"),
     ({"policy": {"min_own_coverage_fraction": 0.1}}, "keys: ['min_own_coverage_fraction']"),
@@ -182,7 +181,7 @@ def test_cost_table_area_must_match_its_key():
 def test_invalid_configuration_aborts_loading():
     # a pooled core without a shared RNC violates a structural rule
     bad = SharingConfiguration(
-        name="core_only", shared={ElementClass.CORE_SGSN: True, ElementClass.PASSIVE_SITE: True}
+        name="core_only", shared=(ElementClass.CORE_SGSN, ElementClass.PASSIVE_SITE)
     ).to_json_dict()
     with pytest.raises(InvalidScenario, match="GwcnWithoutRan"):
         load_scenario(_document(configurations=[bad]))
@@ -256,7 +255,7 @@ def test_grid_has_full_cardinality():
 
 
 def test_nothing_shared_column_is_all_zero():
-    nothing = SharingConfiguration(name="alone", shared={}).to_json_dict()
+    nothing = SharingConfiguration(name="alone").to_json_dict()
     scenario = load_scenario(_document(configurations=[nothing]))
     result = run_scenario(scenario)
     report = result.report(AreaKind.URBAN, "alone")
@@ -549,8 +548,8 @@ def _random_scenario(rng: random.Random) -> Scenario:
     configs = []
     for index in range(8):
         config = random_config(rng, name=f"random-{index}")
-        if config.shared[ElementClass.CORE_SGSN] or config.shared[ElementClass.CORE_GGSN]:
-            config = config.replace(shared={**config.shared, ElementClass.RNC: True})
+        if {ElementClass.CORE_SGSN, ElementClass.CORE_GGSN} & set(config.shared):
+            config = config.replace(shared=config.shared + (ElementClass.RNC,))
         configs.append(config)
     return Scenario(
         name="random",
@@ -730,23 +729,25 @@ def test_flat_result_unknown_cells_raise_key_error():
 
 
 def _split_point_configs():
-    ran = {cls: True for cls in (ElementClass.PASSIVE_SITE, ElementClass.NODEB, ElementClass.RNC)}
+    ran = (ElementClass.PASSIVE_SITE, ElementClass.NODEB, ElementClass.RNC)
+    thirds, quarters = (1.0 / 3,) * 3, (0.25,) * 4
     return (
-        SharingConfiguration(name="ran", shared=ran, operator_count=3),
-        SharingConfiguration(name="coupled", shared=ran, operator_count=4, couple_site_costs=True),
+        SharingConfiguration(name="ran", shared=ran, split_ratios=thirds),
         SharingConfiguration(
-            name="single", shared=ran, operator_count=3, single_spectrum=True, intl_shared=True
+            name="coupled", shared=ran, split_ratios=quarters, couple_site_costs=True
+        ),
+        SharingConfiguration(
+            name="single", shared=ran, split_ratios=thirds, single_spectrum=True, intl_shared=True
         ),
         SharingConfiguration(
             name="everything",
-            shared={cls: True for cls in ElementClass},
-            operator_count=4,
+            shared=ElementClass,
             split_ratios=(0.1, 0.2, 0.3, 0.4),
             intl_shared=True,
             couple_site_costs=True,
             single_spectrum=True,
         ),
-        preset("GWCN + Backhaul", operator_count=3, split_ratios=(0.5, 0.25, 0.25)),
+        preset("GWCN + Backhaul").replace(split_ratios=(0.5, 0.25, 0.25)),
     )
 
 
@@ -838,7 +839,7 @@ def test_a_loaded_scenario_is_validated_once(monkeypatch):
 
 
 def test_an_invalid_scenario_fails_on_every_call():
-    core_without_rnc = SharingConfiguration(name="core", shared={ElementClass.CORE_SGSN: True})
+    core_without_rnc = SharingConfiguration(name="core", shared=(ElementClass.CORE_SGSN,))
     fields = dict(
         name="direct",
         areas=(AreaKind.URBAN,),
@@ -855,24 +856,15 @@ def test_an_invalid_scenario_fails_on_every_call():
     assert [report.codes()[0] for report in caught.value.reports] == ["GwcnWithoutRan"]
 
 
-def test_a_loaded_configuration_refuses_writes_to_its_shared_map():
-    scenario = load_scenario_file(USE_CASE)
-    shared = scenario.configurations[0].shared
-    core_without_rnc = {ElementClass.CORE_SGSN: True, ElementClass.RNC: False}
-    writes = [
-        lambda: shared.__setitem__(ElementClass.CORE_SGSN, True),
-        lambda: shared.__delitem__(ElementClass.RNC),
-        lambda: shared.__ior__(core_without_rnc),
-        lambda: shared.update(core_without_rnc),
-        lambda: shared.setdefault(ElementClass.CORE_SGSN, True),
-        lambda: shared.pop(ElementClass.RNC),
-        shared.popitem,
-        shared.clear,
-    ]
-    for write in writes:
-        with pytest.raises(TypeError, match="read-only"):
-            write()
-    assert all(report.valid for report in scenario.validation_reports().values())
-    assert run_scenario(scenario) == run_scenario(load_scenario_file(USE_CASE))
+def test_a_loaded_configuration_is_a_hashable_value_of_tuples():
+    """A configuration holds only tuples, so it cannot change after its scenario is checked."""
+    scenario, twin = load_scenario_file(USE_CASE), load_scenario_file(USE_CASE)
     config = scenario.configurations[0]
+    assert config.shared == preset("MOCN").shared
+    assert type(config.shared) is tuple and type(config.split_ratios) is tuple
+    assert hash(config) == hash(twin.configurations[0])
+    assert all(report.valid for report in scenario.validation_reports().values())
+    result = run_scenario(scenario)
+    assert result == run_scenario(twin) and hash(result) == hash(run_scenario(twin))
+    assert hash(result.cells[0]) == hash(run_scenario(twin).cells[0])
     assert copy.deepcopy(config) == config == pickle.loads(pickle.dumps(config))

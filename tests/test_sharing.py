@@ -1,6 +1,9 @@
 """Sharing configurations, presets, level ladder and validation rules."""
 
+import inspect
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,13 +20,13 @@ from netshare import (
 )
 from netshare.costmodel import sharing_factors
 from netshare.errors import InvalidConfiguration, UnknownPreset
-from netshare.sharing import ALIAS_NAMES
+from netshare.sharing import _MAX_OPERATORS, ALIAS_NAMES
 
 from conftest import random_config
 
 
 def _shared_labels(config):
-    return {cls.value for cls, flag in config.shared.items() if flag}
+    return {cls.value for cls in config.shared}
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +103,21 @@ def test_unknown_preset_raises():
         preset("MOCN+B")
 
 
-def test_preset_operator_count_override():
-    config = preset("MOCN", operator_count=3)
-    assert config.split_ratios == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+def test_preset_takes_only_a_name_and_replace_changes_the_rest():
+    assert list(inspect.signature(preset).parameters) == ["name"]
+    config = preset("MOCN").replace(split_ratios=(0.2, 0.3, 0.5))
+    assert config.operator_count == 3
+    assert config.shared == preset("MOCN").shared
+
+
+def test_the_readme_preset_table_names_each_presets_shared_classes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"^\| preset .*?\n\n", readme, re.MULTILINE | re.DOTALL).group()
+    rows = re.findall(r"^\| `([^`]+)` +\|([^|]*)\|", table, re.MULTILINE)
+    assert [name for name, _ in rows] == list(PRESET_NAMES + ALIAS_NAMES)
+    for name, cells in rows:
+        labels = tuple(re.findall(r"`(\w+)`", cells))
+        assert labels == tuple(cls.value for cls in preset(name).shared), name
 
 
 # ---------------------------------------------------------------------------
@@ -110,33 +125,53 @@ def test_preset_operator_count_override():
 # ---------------------------------------------------------------------------
 
 
-def test_shared_map_defaults_every_class_to_false():
-    config = SharingConfiguration(name="bare", shared={ElementClass.NODEB: True})
-    assert set(config.shared) == set(ElementClass)
-    assert config.shared[ElementClass.STAFF] is False
+def test_shared_keeps_each_class_once_in_element_class_order():
+    config = SharingConfiguration(
+        name="bare", shared=[ElementClass.RNC, ElementClass.NODEB, ElementClass.RNC]
+    )
+    assert config.shared == (ElementClass.NODEB, ElementClass.RNC)
+    assert SharingConfiguration("bare", iter([ElementClass.RNC, ElementClass.NODEB])) == config
+    assert SharingConfiguration(name="none").shared == ()
+    base = preset("MOCN")
+    assert base.replace(shared=(ElementClass.ANTENNA,) + base.shared).shared == (
+        ElementClass.PASSIVE_SITE,
+        ElementClass.ANTENNA,
+        ElementClass.NODEB,
+        ElementClass.RNC,
+        ElementClass.SPECTRUM_LICENSE,
+    )
 
 
 def test_configuration_replaced_from_a_normalised_one_equals_a_fresh_one():
-    base = preset("GWCN + Backhaul", operator_count=3)
-    assert base.replace(split_ratios=(0.2, 0.3, 0.5)) == preset(
-        "GWCN + Backhaul", operator_count=3, split_ratios=(0.2, 0.3, 0.5)
+    base = preset("GWCN + Backhaul")
+    assert base.replace(shared=reversed(base.shared)) == base
+    assert base.replace(split_ratios=(0.2, 0.3, 0.5)) == SharingConfiguration(
+        "GWCN + Backhaul", base.shared, (0.2, 0.3, 0.5)
     )
-    assert base.replace(intl_shared=True) == preset(
-        "GWCN + Backhaul", operator_count=3, intl_shared=True
+    assert base.replace(intl_shared=True) == SharingConfiguration(
+        "GWCN + Backhaul", base.shared, intl_shared=True
     )
 
 
-def test_fresh_shared_map_with_an_unknown_key_is_rejected():
+def test_operator_count_is_the_length_of_the_split():
+    assert len(SharingConfiguration._fields) == 6
+    assert "operator_count" not in SharingConfiguration._fields
+    assert preset("MOCN").operator_count == 2
+    with pytest.raises(TypeError, match="operator_count"):
+        preset("MOCN").replace(operator_count=3)
+
+
+def test_shared_with_an_unknown_item_is_rejected():
     base = preset("MOCN")
     with pytest.raises(InvalidConfiguration, match="unknown element classes"):
-        base.replace(shared={**base.shared, "nodeb": True})
+        base.replace(shared=base.shared + ("nodeb",))
     with pytest.raises(InvalidConfiguration, match="unknown element classes"):
-        SharingConfiguration(name="labels", shared={"nodeb": True})
+        SharingConfiguration(name="labels", shared=["nodeb"])
 
 
-def test_shared_map_names_unknown_keys_of_types_that_do_not_compare():
-    with pytest.raises(InvalidConfiguration, match=r"in shared map: \['nodeb', 3\]$"):
-        SharingConfiguration("x", shared={"nodeb": True, 3: True})
+def test_shared_names_unknown_items_of_types_that_do_not_compare():
+    with pytest.raises(InvalidConfiguration, match=r"in shared: \['nodeb', 3\]$"):
+        SharingConfiguration("x", shared=["nodeb", 3])
 
 
 def test_replace_builds_the_copy_through_the_constructor():
@@ -148,43 +183,40 @@ def test_replace_builds_the_copy_through_the_constructor():
     assert base.replace() == base and base.replace() is not base
 
 
-def test_replace_normalises_the_shared_map():
-    base = preset("MOCN")
-    config = base.replace(shared={**base.shared, ElementClass.ANTENNA: 1})
-    assert config.shared[ElementClass.ANTENNA] is True
-    assert config == base.replace(shared={**base.shared, ElementClass.ANTENNA: True})
-
-
 @pytest.mark.parametrize(
     "shared",
     [
         5,
         None,
-        {ElementClass.RNC: "no"},
-        {ElementClass.RNC: 2},
-        {ElementClass.RNC: None},
-        {ElementClass.RNC: 1.0},
+        "nodeb",
+        {ElementClass.RNC: False},
+        {ElementClass.RNC: True},
     ],
-    ids=["int", "none", "string-flag", "two", "none-flag", "float-flag"],
+    ids=["int", "none", "string", "map-false", "map-true"],
 )
-def test_shared_that_is_not_a_map_of_flags_is_an_invalid_configuration(shared):
-    with pytest.raises(InvalidConfiguration, match="shared"):
+def test_shared_that_is_not_a_collection_of_classes_is_an_invalid_configuration(shared):
+    # A map of flags is refused whole: iterating it would read RNC: False as "RNC shared".
+    with pytest.raises(InvalidConfiguration, match="shared must be a collection of element"):
         SharingConfiguration(name="api", shared=shared)
 
 
 def test_split_ratios_must_sum_to_one():
     with pytest.raises(InvalidConfiguration):
-        SharingConfiguration(name="bad", shared={}, split_ratios=(0.7, 0.7))
+        SharingConfiguration(name="bad", split_ratios=(0.7, 0.7))
     with pytest.raises(InvalidConfiguration):
-        SharingConfiguration(name="bad", shared={}, split_ratios=(1.0, 0.0))
-    with pytest.raises(InvalidConfiguration):
-        SharingConfiguration(name="bad", shared={}, operator_count=1)
+        SharingConfiguration(name="bad", split_ratios=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("count", [0, 1, _MAX_OPERATORS + 1])
+def test_a_split_has_one_ratio_for_each_of_two_to_the_bound_operators(count):
+    with pytest.raises(InvalidConfiguration, match=f"2 to {_MAX_OPERATORS}, got {count}$"):
+        SharingConfiguration(name="bad", split_ratios=(1.0 / max(count, 1),) * count)
 
 
 def test_shared_mask_applies_couple_and_intl_flags():
     config = SharingConfiguration(
         name="coupled",
-        shared={ElementClass.PASSIVE_SITE: True},
+        shared=(ElementClass.PASSIVE_SITE,),
         couple_site_costs=True,
         intl_shared=True,
     )
@@ -194,7 +226,7 @@ def test_shared_mask_applies_couple_and_intl_flags():
     assert effective[ElementClass.INTERNATIONAL_CONNECTIVITY]
     # coupling only follows a shared passive layer
     bare = SharingConfiguration(
-        name="uncoupled", shared={ElementClass.NODEB: True}, couple_site_costs=True
+        name="uncoupled", shared=(ElementClass.NODEB,), couple_site_costs=True
     )
     assert not dict(zip(ElementClass, bare.shared_mask()))[ElementClass.SITE_RENT]
 
@@ -223,7 +255,7 @@ def test_shared_mask_adds_coupled_site_costs_and_intl(site, couple, intl, mask):
     ]
     config = SharingConfiguration(
         name="masked",
-        shared={ElementClass.PASSIVE_SITE: site, ElementClass.NODEB: True},
+        shared=(ElementClass.PASSIVE_SITE, ElementClass.NODEB) if site else (ElementClass.NODEB,),
         couple_site_costs=couple,
         intl_shared=intl,
     )
@@ -232,12 +264,11 @@ def test_shared_mask_adds_coupled_site_costs_and_intl(site, couple, intl, mask):
 
 
 def test_shared_mask_of_every_class_and_its_factors_on_an_unequal_split():
-    everything = SharingConfiguration(name="all", shared={cls: True for cls in ElementClass})
+    everything = SharingConfiguration(name="all", shared=ElementClass)
     assert everything.shared_mask() == (True,) * 13
     config = SharingConfiguration(
         name="three",
-        shared={ElementClass.PASSIVE_SITE: True, ElementClass.RNC: True},
-        operator_count=3,
+        shared=(ElementClass.PASSIVE_SITE, ElementClass.RNC),
         split_ratios=(0.5, 0.3, 0.2),
         couple_site_costs=True,
     )
@@ -266,6 +297,7 @@ def test_configuration_document_rejects_unknown_keys():
     [
         {"intl_shared": "no"},
         {"couple_site_costs": "no"},
+        {"shared": {"rnc": 1}},
         {"single_spectrum": "no"},
         {"split": 5},
         {"split": [None, 1]},
@@ -312,14 +344,14 @@ def test_passive_only_is_level_one_contiguous():
 
 
 def test_rnc_only_is_level_four_with_gaps():
-    config = SharingConfiguration(name="rnc", shared={ElementClass.RNC: True})
+    config = SharingConfiguration(name="rnc", shared=(ElementClass.RNC,))
     assessment = sharing_level(config)
     assert assessment.level is SharingLevel.L4_RNC
     assert assessment.non_contiguous
 
 
 def test_nothing_shared_is_a_distinct_sentinel():
-    config = SharingConfiguration(name="solo", shared={})
+    config = SharingConfiguration(name="solo")
     assessment = sharing_level(config)
     assert assessment.level is None
     assert assessment is not NO_SHARING or assessment == NO_SHARING
@@ -332,7 +364,7 @@ def test_adding_a_shared_class_never_lowers_the_level():
         config = random_config(rng)
         before = sharing_level(config).level
         addition = rng.choice(list(ElementClass))
-        after = sharing_level(config.replace(shared={**config.shared, addition: True})).level
+        after = sharing_level(config.replace(shared=config.shared + (addition,))).level
         if before is not None:
             assert after is not None and after >= before
 
@@ -343,7 +375,7 @@ def test_adding_a_shared_class_never_lowers_the_level():
 
 
 def test_core_sharing_without_ran_is_an_error():
-    config = SharingConfiguration(name="bad", shared={ElementClass.CORE_SGSN: True})
+    config = SharingConfiguration(name="bad", shared=(ElementClass.CORE_SGSN,))
     report = validate_configuration(config)
     assert not report.valid
     assert "GwcnWithoutRan" in report.codes()
@@ -377,7 +409,7 @@ def test_non_contiguous_ladder_warns_but_passes():
 
 
 def test_crowded_nodeb_warns_above_four_operators():
-    config = preset("MOCN", operator_count=5)
+    config = preset("MOCN").replace(split_ratios=(0.2,) * 5)
     report = validate_configuration(config)
     assert "ManyOperators" in [i.code for i in report.warnings]
 

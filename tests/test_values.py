@@ -75,9 +75,7 @@ _TARGET = SavingsTarget(_URBAN, "capex", "MOCN", 40.0, 1.0, 2.0, "headline")
 _OUTCOME = TargetOutcome(_TARGET, 39.5, -0.5)
 _POINT = SweepPoint(0.5, ScenarioResult("s", 5, (), (), ()))
 _POLICY = RegulatoryPolicy(False, SharingLevel.L4_RNC)
-_CONFIG = SharingConfiguration(
-    "three", {ElementClass.NODEB: True}, 3, (0.2, 0.3, 0.5), True, True, True
-)
+_CONFIG = SharingConfiguration("three", (ElementClass.NODEB,), (0.2, 0.3, 0.5), True, True, True)
 _BASELINE = cumulative_cost(_TABLE, 5)
 _REPORT = savings_report(_BASELINE, apply_sharing(_BASELINE, _CONFIG), _CONFIG)
 _SPEC = SweepSpec("split_ratio", 0.2, 0.8, 3, None)
@@ -124,10 +122,8 @@ VALUES = {
     ),
     ScenarioResult: ("s", 5, (_URBAN,), ("three",), (_REPORT,)),
 }
-# They hold dicts, or values that hold dicts (a configuration's shared map).
-UNHASHABLE = {
-    CostTable, CalibrationResult, SharingConfiguration, SavingsReport, Scenario, ScenarioResult
-}
+# They hold dicts, or values that hold dicts (a scenario's cost tables).
+UNHASHABLE = {CostTable, CalibrationResult, Scenario}
 # The types with no __new__ of their own: FrozenValue's constructor builds them.
 STORED_BY_THE_BASE = (
     CostBreakdown,
