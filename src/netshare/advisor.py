@@ -14,7 +14,7 @@ import json
 from enum import Enum
 from typing import Mapping, Optional, Tuple
 
-from .errors import FrozenValue, InvalidAmount, read_flag, read_object, read_text
+from .errors import FrozenValue, InvalidAmount, read_flag, read_number, read_object, read_text
 from .inventory import AreaKind, NetworkState, Technology
 
 __all__ = [
@@ -106,7 +106,9 @@ class LteContext(FrozenValue):
     """Operator needs that decide between pooled-core and RAN-only sharing.
 
     ``cost_priority_weight`` scales how much the cost advantage of a shared
-    mobility manager counts, from 0 (ignore cost) to 1 (full weight).
+    mobility manager counts, from 0 (ignore cost) to 1 (full weight).  Each
+    need is exactly ``True`` or ``False``; anything else raises
+    :class:`InvalidAmount`.
     """
 
     __slots__ = ()
@@ -126,18 +128,13 @@ class LteContext(FrozenValue):
         needs_roaming: bool = False,
         cost_priority_weight: float = 0.5,
     ):
-        if not (0.0 <= cost_priority_weight <= 1.0):
-            raise InvalidAmount(
-                f"cost_priority_weight must be in [0, 1], got {cost_priority_weight!r}"
-            )
-        return super().__new__(
-            cls,
-            needs_inter_rat_mobility,
-            needs_cs_fallback,
-            voice_via_ims,
-            needs_roaming,
-            cost_priority_weight,
-        )
+        needs = (needs_inter_rat_mobility, needs_cs_fallback, voice_via_ims, needs_roaming)
+        for name, need in zip(cls._fields, needs):
+            read_flag(need, name, InvalidAmount)
+        weight = read_number(cost_priority_weight, "cost_priority_weight", InvalidAmount)
+        if not (0.0 <= weight <= 1.0):
+            raise InvalidAmount(f"cost_priority_weight must be in [0, 1], got {weight!r}")
+        return super().__new__(cls, *needs, weight)
 
 
 class ComparisonRow(FrozenValue):
@@ -261,6 +258,12 @@ def compare_lte(ctx: LteContext) -> LteComparisonReport:
 
 
 class ChecklistItem(FrozenValue):
+    """One feasibility question of a checklist.
+
+    ``domain`` and ``text`` are strings, and ``answered`` is ``None`` until it
+    is exactly ``True`` or ``False``; anything else raises :class:`InvalidAmount`.
+    """
+
     __slots__ = ()
     _fields = ("domain", "text", "answered")
 
@@ -270,6 +273,10 @@ class ChecklistItem(FrozenValue):
         text: str,
         answered: Optional[bool] = None,
     ):
+        read_text(domain, "checklist item 'domain'", InvalidAmount)
+        read_text(text, "checklist item 'text'", InvalidAmount)
+        if answered is not None:
+            read_flag(answered, "'answered'", InvalidAmount)
         return super().__new__(cls, domain, text, answered)
 
 
@@ -288,7 +295,7 @@ class ConstraintChecklist(FrozenValue):
             raise InvalidAmount(f"checklist has no item {index}")
         items = list(self.items)
         item = items[index]
-        items[index] = ChecklistItem(item.domain, item.text, bool(value))
+        items[index] = ChecklistItem(item.domain, item.text, value)
         return ConstraintChecklist(network_state=self.network_state, items=tuple(items))
 
     def to_json_dict(self) -> dict:
@@ -318,14 +325,7 @@ class ConstraintChecklist(FrozenValue):
         items = []
         for item in raw_items:
             read_object(item, "checklist item", error, _ITEM_KEYS, ("domain", "text"))
-            answered = item.get("answered")
-            items.append(
-                ChecklistItem(
-                    domain=read_text(item["domain"], "checklist item 'domain'", error),
-                    text=read_text(item["text"], "checklist item 'text'", error),
-                    answered=None if answered is None else read_flag(answered, "'answered'", error),
-                )
-            )
+            items.append(ChecklistItem(item["domain"], item["text"], item.get("answered")))
         return cls(network_state=network_state, items=tuple(items))
 
     def to_json(self, indent: Optional[int] = 2) -> str:

@@ -2,9 +2,13 @@
 
 Every domain failure raises a subclass of :class:`NetshareError`, so callers
 (including the command line front end) can distinguish model errors from
-programming errors with a single except clause.  The ``read_*`` functions
-check the fields of every input document, and :class:`FrozenValue` at the
-end is the base of the package's immutable value types.
+programming errors with a single except clause.  Each value type's
+constructor checks its own fields with the ``read_*`` functions, and a
+document reader checks only the document's shape (its keys, its labels and
+its defaults) with :func:`read_object` before it calls the constructor, so a
+field gets the same check and message from the API and from a document.
+:class:`FrozenValue` at the end is the base of the package's immutable value
+types.
 """
 
 # namedtuple's accessor of one field; collections itself falls back to
@@ -109,6 +113,9 @@ class InfeasibleCalibration(NetshareError):
 # Every input document is strict: an unknown key, a missing key or a wrongly
 # typed value is refused rather than ignored or coerced.  Each reader raises
 # the error class its caller passes, with a message that names the field.
+# Constructors call read_text, read_flag, read_number and read_integer on
+# their fields; a document reader calls read_object for the document's shape,
+# turns labels into enum members and leaves every field to the constructor.
 
 
 def read_object(doc, what: str, error: type, keys, required=()) -> None:

@@ -165,11 +165,15 @@ class CostEntry(FrozenValue):
         return tuple.__new__(cls, amounts)
 
 
-def _normalise_entry(value: Union["CostEntry", Tuple[float, float]]) -> CostEntry:
+def _normalise_entry(
+    cls: ElementClass, value: Union["CostEntry", Tuple[float, float]]
+) -> CostEntry:
+    """``value`` as the entry of ``cls``; a pair's amounts must be numbers, named by class."""
     if isinstance(value, CostEntry):
         return value
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        return CostEntry(*value)
+        pairs = zip(_AMOUNTS, value)
+        return CostEntry(*[read_number(a, f"{cls.value} {n}", InvalidAmount) for n, a in pairs])
     raise InvalidAmount(f"cost entry must be CostEntry or (capex, opex) pair, got {value!r}")
 
 
@@ -184,7 +188,9 @@ class CostTable(FrozenValue):
     Missing classes are filled with zero-cost entries so that every table
     covers the full enumeration.  Amounts are in an arbitrary but consistent
     currency unit; all downstream results are relative, so only the shape of
-    the table matters.
+    the table matters.  An entry is a :class:`CostEntry` or a ``(capex,
+    opex_annual)`` pair of numbers; ``area`` must be an :class:`AreaKind`
+    and ``currency`` a string, or :class:`InvalidAmount` is raised.
     """
 
     __slots__ = ()
@@ -196,12 +202,15 @@ class CostTable(FrozenValue):
         entries: Mapping[ElementClass, CostEntry] = MappingProxyType({}),
         currency: str = "units",
     ):
+        if not isinstance(area, AreaKind):
+            raise InvalidAmount(f"cost table 'area' must be an AreaKind, got {area!r}")
         filled = {}
         for element in ElementClass:
-            filled[element] = _normalise_entry(entries.get(element, _ZERO_ENTRY))
+            filled[element] = _normalise_entry(element, entries.get(element, _ZERO_ENTRY))
         unknown = set(entries) - set(ElementClass)
         if unknown:
             raise InvalidAmount(f"unknown element classes in cost table: {listed(unknown)}")
+        read_text(currency, "'currency'", InvalidAmount)
         return super().__new__(cls, area, filled, currency)
 
     # -- totals ---------------------------------------------------------
@@ -277,11 +286,8 @@ class CostTable(FrozenValue):
         entries = {}
         for label, payload in raw.items():
             read_object(payload, f"entry for {label!r}", InvalidAmount, _AMOUNTS)
-            entries[ElementClass(label)] = CostEntry(
-                *(read_number(payload.get(k, 0.0), f"{label} {k}", InvalidAmount) for k in _AMOUNTS)
-            )
-        currency = read_text(doc.get("currency", "units"), "'currency'", InvalidAmount)
-        return cls(area=area, entries=entries, currency=currency)
+            entries[ElementClass(label)] = tuple([payload.get(k, 0.0) for k in _AMOUNTS])
+        return cls(area, entries, doc.get("currency", "units"))
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_json_dict(), indent=indent, sort_keys=False)
@@ -361,7 +367,7 @@ def build_inventory(
     for cls in ElementClass:
         qty = element_quantity(cls, profile)
         if cls in unit_costs:
-            unit = _normalise_entry(unit_costs[cls])
+            unit = _normalise_entry(cls, unit_costs[cls])
         elif cls in _SCALED_BY:
             raise MissingCostEntry(
                 f"no unit cost for scaled class {cls.value!r} "

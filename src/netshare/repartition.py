@@ -35,6 +35,8 @@ class RepartitionConstraint(FrozenValue):
 
     ``area`` narrows the constraint to one area kind; ``None`` applies to
     every area.  Bounds are fractions in [0, 1] with ``lower <= upper``.
+    ``label`` must be a string and each bound a number, or
+    :class:`InvalidAmount` is raised.
     """
 
     __slots__ = ()
@@ -49,15 +51,17 @@ class RepartitionConstraint(FrozenValue):
         upper: float,
         area: Optional[AreaKind] = None,
     ):
-        self = super().__new__(cls, label, ledger, frozenset(classes), lower, upper, area)
-        if not self.classes:
-            raise InvalidAmount(f"constraint {self.label!r} must name at least one class")
-        if not (0.0 <= self.lower <= self.upper <= 1.0):
+        read_text(label, "constraint 'label'", InvalidAmount)
+        classes = frozenset(classes)
+        if not classes:
+            raise InvalidAmount(f"constraint {label!r} must name at least one class")
+        lower = read_number(lower, "constraint 'lower'", InvalidAmount)
+        upper = read_number(upper, "constraint 'upper'", InvalidAmount)
+        if not (0.0 <= lower <= upper <= 1.0):
             raise InvalidAmount(
-                f"constraint {self.label!r} needs 0 <= lower <= upper <= 1, "
-                f"got [{self.lower}, {self.upper}]"
+                f"constraint {label!r} needs 0 <= lower <= upper <= 1, got [{lower}, {upper}]"
             )
-        return self
+        return super().__new__(cls, label, ledger, classes, lower, upper, area)
 
     def applies_to(self, area: AreaKind) -> bool:
         return self.area is None or self.area is area
@@ -78,21 +82,14 @@ class RepartitionConstraint(FrozenValue):
         read_object(doc, "constraint", InvalidAmount, required + ("area",), required)
         if not isinstance(doc["classes"], (list, tuple)):
             raise InvalidAmount(f"constraint 'classes' must be a list, got {doc['classes']!r}")
-        lower, upper = (
-            read_number(doc[key], f"constraint {key!r}", InvalidAmount) for key in ("lower", "upper")
-        )
         try:
-            return cls(
-                label=read_text(doc["label"], "constraint 'label'", InvalidAmount),
-                ledger=Ledger(doc["ledger"]),
-                classes=frozenset(ElementClass(v) for v in doc["classes"]),
-                lower=lower,
-                upper=upper,
-                area=AreaKind(doc["area"]) if doc.get("area") else None,
-            )
+            ledger = Ledger(doc["ledger"])
+            classes = [ElementClass(v) for v in doc["classes"]]
+            area = AreaKind(doc["area"]) if doc.get("area") else None
         except ValueError as exc:
             # An unknown ledger, element class or area label.
             raise InvalidAmount(f"constraint {doc['label']!r}: {exc}") from exc
+        return cls(doc["label"], ledger, classes, doc["lower"], doc["upper"], area)
 
 
 class RepartitionConstraintSet(FrozenValue):
@@ -102,7 +99,14 @@ class RepartitionConstraintSet(FrozenValue):
     _fields = ("name", "constraints")
 
     def __new__(cls, name: str, constraints: Iterable[RepartitionConstraint]):
-        return super().__new__(cls, name, tuple(constraints))
+        read_text(name, "constraint set 'name'", InvalidAmount)
+        constraints = tuple(constraints)
+        for constraint in constraints:
+            if not isinstance(constraint, RepartitionConstraint):
+                raise InvalidAmount(
+                    f"constraint set {name!r} holds {constraint!r}, not a RepartitionConstraint"
+                )
+        return super().__new__(cls, name, constraints)
 
     def for_area(self, area: AreaKind) -> Tuple[RepartitionConstraint, ...]:
         return tuple(c for c in self.constraints if c.applies_to(area))
@@ -119,10 +123,8 @@ class RepartitionConstraintSet(FrozenValue):
         if not isinstance(doc.get("constraints", ()), (list, tuple)):
             raise InvalidAmount(f"'constraints' must be a list, got {doc['constraints']!r}")
         return cls(
-            name=read_text(doc.get("name", "unnamed"), "constraint set 'name'", InvalidAmount),
-            constraints=tuple(
-                RepartitionConstraint.from_json_dict(c) for c in doc.get("constraints", ())
-            ),
+            doc.get("name", "unnamed"),
+            [RepartitionConstraint.from_json_dict(c) for c in doc.get("constraints", ())],
         )
 
 
@@ -173,18 +175,8 @@ def check_repartition(
 # ---------------------------------------------------------------------------
 
 _E = ElementClass
-_ALL = None  # constraint applies to every area
-
-
-def _c(label, ledger, classes, lower, upper, area=_ALL):
-    return RepartitionConstraint(
-        label=label,
-        ledger=ledger,
-        classes=frozenset(classes),
-        lower=lower,
-        upper=upper,
-        area=area,
-    )
+# The catalogues' short name; a constraint without an area applies to every area.
+_c = RepartitionConstraint
 
 
 # Coarse market-level cost structures.  Intervals are +/- 2 points around the

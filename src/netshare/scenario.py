@@ -37,7 +37,6 @@ from .errors import (
     InvalidSweepParameter,
     MalformedScenario,
     NetshareError,
-    read_flag,
     read_integer,
     read_number,
     read_object,
@@ -667,11 +666,7 @@ def _parse_policy(doc: Mapping) -> RegulatoryPolicy:
                 f"unknown max_level {label!r}; expected one of "
                 f"{[lvl.name for lvl in SharingLevel]}"
             ) from exc
-    pooling = "spectrum_pooling_allowed"
-    return RegulatoryPolicy(
-        spectrum_pooling_allowed=read_flag(doc.get(pooling, True), pooling, MalformedScenario),
-        max_level=max_level,
-    )
+    return RegulatoryPolicy(doc.get("spectrum_pooling_allowed", True), max_level)
 
 
 def _parse_area(doc) -> AreaKind:

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 from .errors import (
     FrozenValue,
     InvalidConfiguration,
+    MalformedScenario,
     UnknownPreset,
     listed,
     read_flag,
@@ -89,6 +90,9 @@ class RegulatoryPolicy(FrozenValue):
     ``spectrum_pooling_allowed`` false forbids sharing the spectrum licence;
     ``max_level``, when set, is the deepest ladder rung a configuration may
     reach.  Breaking either is an error in :func:`validate_configuration`.
+    The flag must be exactly ``True`` or ``False`` and ``max_level`` a
+    :class:`SharingLevel` or ``None``; anything else raises
+    :class:`MalformedScenario`, as the scenario reader's ``policy`` block does.
     """
 
     __slots__ = ()
@@ -97,6 +101,9 @@ class RegulatoryPolicy(FrozenValue):
     def __new__(
         cls, spectrum_pooling_allowed: bool = True, max_level: Optional[SharingLevel] = None
     ):
+        read_flag(spectrum_pooling_allowed, "spectrum_pooling_allowed", MalformedScenario)
+        if max_level is not None and not isinstance(max_level, SharingLevel):
+            raise MalformedScenario(f"max_level must be a SharingLevel, got {max_level!r}")
         return super().__new__(cls, spectrum_pooling_allowed, max_level)
 
 
@@ -146,6 +153,7 @@ class SharingConfiguration(FrozenValue):
         couple_site_costs: bool = False,
         single_spectrum: bool = False,
     ):
+        read_text(name, "configuration 'name'", InvalidConfiguration)
         # A map iterates as its keys, so {RNC: False} would read as "RNC shared".
         if isinstance(shared, (Mapping, str)) or not isinstance(shared, Iterable):
             raise InvalidConfiguration(
@@ -155,14 +163,11 @@ class SharingConfiguration(FrozenValue):
         unknown = [c for c in chosen if not isinstance(c, ElementClass)]
         if unknown:
             raise InvalidConfiguration(f"unknown element classes in shared: {listed(unknown)}")
-        try:
-            ratios = tuple(map(float, split_ratios))
-        except OverflowError as exc:  # an integer too large for a float
-            raise InvalidConfiguration("split ratios must each fit in a float") from exc
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfiguration(
-                f"split ratios must be numbers, got {split_ratios!r}"
-            ) from exc
+        if not isinstance(split_ratios, (list, tuple)):
+            raise InvalidConfiguration(f"'split' must be a list of numbers, got {split_ratios!r}")
+        ratios = tuple(
+            [read_number(r, "'split' entry", InvalidConfiguration) for r in split_ratios]
+        )
         if not 2 <= len(ratios) <= _MAX_OPERATORS:
             raise InvalidConfiguration(
                 f"a split needs one ratio per operator, 2 to {_MAX_OPERATORS}, got {len(ratios)}"
@@ -171,8 +176,10 @@ class SharingConfiguration(FrozenValue):
             raise InvalidConfiguration(f"split ratios must lie in (0, 1], got {ratios!r}")
         if abs(sum(ratios) - 1.0) > 1e-9:
             raise InvalidConfiguration(f"split ratios must sum to 1, got {sum(ratios)!r}")
-        shared = tuple([c for c in _CLASSES if c in chosen])
         flags = (intl_shared, couple_site_costs, single_spectrum)
+        for key, flag in zip(_FLAGS, flags):
+            read_flag(flag, repr(key), InvalidConfiguration)
+        shared = tuple([c for c in _CLASSES if c in chosen])
         return super().__new__(cls, name, shared, ratios, *flags)
 
     @property
@@ -230,24 +237,20 @@ class SharingConfiguration(FrozenValue):
         error = InvalidConfiguration
         read_object(doc, "configuration", error, _CONFIGURATION_KEYS, ("name", "shared"))
         read_object(doc["shared"], "'shared'", error, _CLASS_LABELS)
+        # A document writes the shared classes as a map of flags.
         shared = [
             ElementClass(label)
             for label, flag in doc["shared"].items()
             if read_flag(flag, f"shared[{label!r}]", error)
         ]
-        flags = {key: read_flag(doc.get(key, False), repr(key), error) for key in _FLAGS}
-        split = doc.get("split")
-        if split is not None:
-            if not isinstance(split, (list, tuple)):
-                raise error(f"'split' must be a list of numbers, got {split!r}")
-            split = tuple(read_number(r, "'split' entry", error) for r in split)
-        name = read_text(doc["name"], "configuration 'name'", error)
         count = read_integer(doc.get("operators", 2), "operator_count", error, 2, _MAX_OPERATORS)
+        split = doc.get("split")
         if split is None:
             split = (1.0 / count,) * count
-        elif len(split) != count:
+        elif isinstance(split, (list, tuple)) and len(split) != count:
             raise error(f"{len(split)} split ratios for {count} operators")
-        return cls(name, shared, split, **flags)
+        flags = {key: doc.get(key, False) for key in _FLAGS}
+        return cls(doc["name"], shared, split, **flags)
 
 
 # ---------------------------------------------------------------------------

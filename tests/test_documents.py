@@ -216,14 +216,21 @@ def test_sweep_spec_with_an_integer_too_large_for_a_float_names_the_field():
 
 
 def test_split_ratio_too_large_for_a_float_is_an_invalid_configuration():
-    with pytest.raises(InvalidConfiguration, match="must each fit in a float") as caught:
+    with pytest.raises(InvalidConfiguration, match="'split' entry must fit in a float") as caught:
         SharingConfiguration(name="x", split_ratios=(BIG, 0.5))
     assert "0000" not in str(caught.value)
 
 
-@pytest.mark.parametrize("ratios", [("x", 0.5), 5], ids=["not a number", "not a sequence"])
-def test_split_ratios_that_are_not_numbers_are_an_invalid_configuration(ratios):
-    with pytest.raises(InvalidConfiguration, match="split ratios must be numbers"):
+@pytest.mark.parametrize(
+    "ratios, message",
+    [
+        (("x", 0.5), "'split' entry must be a number, got 'x'"),
+        (5, "'split' must be a list of numbers, got 5"),
+    ],
+    ids=["not a number", "not a sequence"],
+)
+def test_split_ratios_that_are_not_numbers_are_an_invalid_configuration(ratios, message):
+    with pytest.raises(InvalidConfiguration, match=f"^{message}$"):
         SharingConfiguration(name="x", split_ratios=ratios)
 
 

@@ -254,7 +254,7 @@ def test_build_inventory_errors():
         build_inventory(profile, _units(nodeb=(-2.0, 0.0)))
 
 
-# Cost pairs that are not two usable numbers, with the amount each names.
+# Cost pairs that are not two usable numbers, with the amount each names after its class.
 _BAD_PAIRS = {
     "text": (("x", 1.0), "capex"),
     "too-large-for-a-float": ((10**400, 1.0), "capex"),
@@ -265,13 +265,13 @@ _BAD_PAIRS = {
 
 @pytest.mark.parametrize("pair, amount", _BAD_PAIRS.values(), ids=_BAD_PAIRS)
 def test_cost_table_refuses_a_pair_that_is_not_two_numbers(pair, amount):
-    with pytest.raises(InvalidAmount, match=f"^{amount} must"):
+    with pytest.raises(InvalidAmount, match=f"^nodeb {amount} must"):
         CostTable(AreaKind.URBAN, {ElementClass.NODEB: pair})
 
 
 @pytest.mark.parametrize("pair, amount", _BAD_PAIRS.values(), ids=_BAD_PAIRS)
 def test_build_inventory_refuses_a_pair_that_is_not_two_numbers(pair, amount):
-    with pytest.raises(InvalidAmount, match=f"^{amount} must"):
+    with pytest.raises(InvalidAmount, match=f"^nodeb {amount} must"):
         build_inventory(default_profile(AreaKind.URBAN), _units(nodeb=pair))
 
 

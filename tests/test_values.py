@@ -2,10 +2,13 @@
 
 import copy
 import importlib
+import json
 import operator
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import import_calibrate_extra
 from netshare.advisor import (
@@ -16,6 +19,7 @@ from netshare.advisor import (
     LteContext,
     Recommendation,
     Verdict,
+    checklist,
 )
 from netshare.calibration import CalibrationResult, DeltaTarget, SavingsTarget, TargetOutcome
 from netshare.costmodel import (
@@ -26,7 +30,7 @@ from netshare.costmodel import (
     cumulative_cost,
     savings_report,
 )
-from netshare.errors import FrozenValue
+from netshare.errors import FrozenValue, InvalidAmount, InvalidConfiguration, MalformedScenario
 from netshare.inventory import (
     AreaKind,
     AreaProfile,
@@ -44,6 +48,7 @@ from netshare.repartition import (
     RepartitionConstraintSet,
 )
 from netshare.scenario import (
+    SWEEP_PARAMETERS,
     Scenario,
     ScenarioResult,
     SweepPoint,
@@ -292,3 +297,155 @@ _WRITERS[CalibrationResult] = _calibration_record
 @pytest.mark.parametrize("cls", _WRITERS, ids=lambda cls: cls.__name__)
 def test_value_documents_hold_no_value(cls):
     _assert_plain_json(_WRITERS[cls](cls(*VALUES[cls])), cls.__name__)
+
+
+# ---------------------------------------------------------------------------
+# One checker per value: the constructor makes every field check
+# ---------------------------------------------------------------------------
+
+_NAMES = st.text(max_size=12)
+_CLASS_SETS = st.frozensets(st.sampled_from(ElementClass), min_size=1)
+_AMOUNT = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), st.integers(0, 10**6)
+)
+
+
+@st.composite
+def _splits(draw):
+    weights = draw(st.lists(st.integers(1, 1000), min_size=2, max_size=8))
+    return tuple(weight / sum(weights) for weight in weights)
+
+
+@st.composite
+def _constraints(draw):
+    lower, upper = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    area = draw(st.none() | st.sampled_from(AreaKind))
+    return RepartitionConstraint(
+        draw(_NAMES), draw(st.sampled_from(Ledger)), draw(_CLASS_SETS), lower, upper, area
+    )
+
+
+@st.composite
+def _sweep_specs(draw):
+    parameter = draw(st.sampled_from(SWEEP_PARAMETERS))
+    start, stop = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True)))
+    class_name = None
+    if parameter == "class_cost_fraction":
+        class_name = draw(st.sampled_from(ElementClass)).value
+    return SweepSpec(parameter, start, stop, draw(st.integers(2, 10_000)), class_name)
+
+
+_ITEMS = st.builds(ChecklistItem, _NAMES, _NAMES, st.none() | st.booleans())
+
+# Each type that reads back its own document, with values its constructor accepts.
+_DOCUMENT_VALUES = {
+    SharingConfiguration: st.builds(
+        SharingConfiguration,
+        _NAMES,
+        st.lists(st.sampled_from(ElementClass)),
+        _splits(),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    ),
+    CostTable: st.builds(
+        CostTable,
+        st.sampled_from(AreaKind),
+        st.dictionaries(st.sampled_from(ElementClass), st.tuples(_AMOUNT, _AMOUNT)),
+        _NAMES,
+    ),
+    SweepSpec: _sweep_specs(),
+    RepartitionConstraint: _constraints(),
+    RepartitionConstraintSet: st.builds(
+        RepartitionConstraintSet, _NAMES, st.lists(_constraints(), max_size=4)
+    ),
+    ConstraintChecklist: st.builds(
+        ConstraintChecklist, st.sampled_from(NetworkState), st.lists(_ITEMS, max_size=4).map(tuple)
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", _DOCUMENT_VALUES, ids=lambda cls: cls.__name__)
+def test_every_accepted_value_round_trips_through_its_json_document(cls):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_DOCUMENT_VALUES[cls])
+    def round_trips(value):
+        text = json.dumps(value.to_json_dict())
+        assert cls.from_json_dict(json.loads(text)) == value
+
+    round_trips()
+
+
+_NODEB = ElementClass.NODEB
+# Wrongly typed fields given to a constructor, with the error and message each
+# gets: those a document with that field gets.
+_WRONGLY_TYPED = {
+    "configuration name": (
+        lambda: SharingConfiguration(5),
+        InvalidConfiguration,
+        "configuration 'name' must be a string, got 5",
+    ),
+    "configuration flag": (
+        lambda: SharingConfiguration("x", (_NODEB,), intl_shared="no"),
+        InvalidConfiguration,
+        "'intl_shared' must be true or false, got 'no'",
+    ),
+    "split of strings": (
+        lambda: SharingConfiguration("x", split_ratios=("0.5", "0.5")),
+        InvalidConfiguration,
+        "'split' entry must be a number, got '0.5'",
+    ),
+    "table area": (
+        lambda: CostTable("urban"),
+        InvalidAmount,
+        "cost table 'area' must be an AreaKind, got 'urban'",
+    ),
+    "table currency": (
+        lambda: CostTable(_URBAN, {_NODEB: (1.0, 2.0)}, currency=5),
+        InvalidAmount,
+        "'currency' must be a string, got 5",
+    ),
+    "constraint label": (
+        lambda: RepartitionConstraint(5, Ledger.CAPEX, {_NODEB}, 0.1, 0.5),
+        InvalidAmount,
+        "constraint 'label' must be a string, got 5",
+    ),
+    "constraint set member": (
+        lambda: RepartitionConstraintSet("x", [1]),
+        InvalidAmount,
+        "constraint set 'x' holds 1, not a RepartitionConstraint",
+    ),
+    "policy flag": (
+        lambda: RegulatoryPolicy("no"),
+        MalformedScenario,
+        "spectrum_pooling_allowed must be true or false, got 'no'",
+    ),
+    "policy level": (
+        lambda: RegulatoryPolicy(True, 7),
+        MalformedScenario,
+        "max_level must be a SharingLevel, got 7",
+    ),
+    "checklist item": (
+        lambda: ChecklistItem(5, None, "maybe"),
+        InvalidAmount,
+        "checklist item 'domain' must be a string, got 5",
+    ),
+    "checklist answer": (
+        lambda: checklist(NetworkState.NEW).with_answer(0, "no"),
+        InvalidAmount,
+        "'answered' must be true or false, got 'no'",
+    ),
+    "lte need": (
+        lambda: LteContext(needs_roaming="no"),
+        InvalidAmount,
+        "needs_roaming must be true or false, got 'no'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _WRONGLY_TYPED)
+def test_constructor_refuses_a_wrongly_typed_field_as_its_reader_does(case):
+    build, error, message = _WRONGLY_TYPED[case]
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
