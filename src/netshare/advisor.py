@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import FrozenValue, InvalidAmount, read_flag, read_number, read_object, read_text
 from .inventory import AreaKind, NetworkState, Technology
@@ -284,8 +284,27 @@ _ITEM_KEYS = ("domain", "text", "answered")
 
 
 class ConstraintChecklist(FrozenValue):
+    """The feasibility questions of one network state.
+
+    ``network_state`` must be a :class:`NetworkState` and each item a
+    :class:`ChecklistItem`, or :class:`InvalidAmount` is raised.
+    """
+
     __slots__ = ()
     _fields = ("network_state", "items")
+
+    def __new__(cls, network_state: NetworkState, items: Sequence[ChecklistItem]):
+        if not isinstance(network_state, NetworkState):
+            raise InvalidAmount(
+                f"checklist 'network_state' must be a NetworkState, got {network_state!r}"
+            )
+        items = tuple(items)
+        for item in items:
+            if not isinstance(item, ChecklistItem):
+                raise InvalidAmount(
+                    f"checklist 'items' entry must be a ChecklistItem, got {item!r}"
+                )
+        return super().__new__(cls, network_state, items)
 
     def unanswered(self) -> Tuple[ChecklistItem, ...]:
         return tuple(i for i in self.items if i.answered is None)
@@ -296,7 +315,7 @@ class ConstraintChecklist(FrozenValue):
         items = list(self.items)
         item = items[index]
         items[index] = ChecklistItem(item.domain, item.text, value)
-        return ConstraintChecklist(network_state=self.network_state, items=tuple(items))
+        return ConstraintChecklist(network_state=self.network_state, items=items)
 
     def to_json_dict(self) -> dict:
         return {
@@ -326,7 +345,7 @@ class ConstraintChecklist(FrozenValue):
         for item in raw_items:
             read_object(item, "checklist item", error, _ITEM_KEYS, ("domain", "text"))
             items.append(ChecklistItem(item["domain"], item["text"], item.get("answered")))
-        return cls(network_state=network_state, items=tuple(items))
+        return cls(network_state=network_state, items=items)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)

@@ -10,15 +10,16 @@ come as close as possible to the savings targets.
 Once the balance between an area's cumulative CAPEX and OPEX is fixed,
 every savings metric is linear in the two ledgers' fractions, so the search
 is one bounded scalar search over that balance, with a convex SLSQP problem
-at each value.  It draws no random numbers: the seed is checked and
-recorded, but changes no result.  Its output is committed as fixtures
+at each value.  It draws no random numbers: the seed is checked, but
+changes no result and is not recorded.  Its output is committed as fixtures
 (``reference_costs_*.json``) together with a sidecar record
-(``reference_calibration.json``) holding the method, seed, balances,
-constraint set, achieved residuals, derived unit costs and the versions
-that produced them.  A standing regression test re-verifies the committed
-tables against that record; the optimizer itself never runs inside the
-engine.  Only the search and the record need numpy and scipy (the
-``calibrate`` extra), and they load when the first search runs.
+(``reference_calibration.json``) holding the method, horizon, balances,
+constraint set, achieved residuals, the use-case envelope members each
+table misses and the versions that produced them.  A standing regression
+test re-verifies the committed tables against that record; the optimizer
+itself never runs inside the engine.  Only the search and the record need
+numpy and scipy (the ``calibrate`` extra), and they load when the first
+search runs.
 """
 
 from __future__ import annotations
@@ -41,15 +42,7 @@ from .errors import (
     read_object,
     read_text,
 )
-from .inventory import (
-    AreaKind,
-    CostEntry,
-    CostTable,
-    ElementClass,
-    Ledger,
-    default_profile,
-    element_quantity,
-)
+from .inventory import AreaKind, CostEntry, CostTable, ElementClass, Ledger
 from .repartition import (
     USE_CASE_CONSTRAINTS,
     RepartitionConstraint,
@@ -255,39 +248,27 @@ class CalibrationResult(FrozenValue):
             entry["residual"] = outcome.residual
             targets_doc.append(entry)
 
-        constraint_reports = {}
-        envelope_failures = {}
-        unit_costs = {}
-        for kind, table in self.tables.items():
-            report = check_repartition(table, constraints)
-            constraint_reports[kind.value] = {
-                "overall": report.overall,
-                "checks": [dict(_check_json(c), satisfied=c.satisfied) for c in report.checks],
-            }
-            envelope_failures[kind.value] = [
-                _check_json(c) for c in check_repartition(table, USE_CASE_CONSTRAINTS).failures()
-            ]
-            profile = default_profile(kind)
-            unit_costs[kind.value] = {
-                cls.value: {
-                    "capex": entry.capex / element_quantity(cls, profile),
-                    "opex_annual": entry.opex_annual / element_quantity(cls, profile),
+        # The members of the use-case envelope that each table misses.
+        envelope_failures = {
+            kind.value: [
+                {
+                    "label": check.constraint.label,
+                    "observed": check.observed,
+                    "lower": check.constraint.lower,
+                    "upper": check.constraint.upper,
                 }
-                for cls, entry in table.entries.items()
-                if entry.capex or entry.opex_annual
-            }
-
+                for check in check_repartition(table, USE_CASE_CONSTRAINTS).failures()
+            ]
+            for kind, table in self.tables.items()
+        }
         return {
             "method": _METHOD,
-            "seed": self.seed,
             "horizon_years": self.horizon_years,
             "configurations": list(GRID_PRESETS),
             "balances": {kind.value: balance for kind, balance in self.balances.items()},
             "constraints": constraints.to_json_dict(),
             "targets": targets_doc,
-            "constraint_reports": constraint_reports,
-            "default_envelope_failures": envelope_failures,
-            "unit_costs": unit_costs,
+            "use_case_envelope_failures": envelope_failures,
             "provenance": {
                 "engine_version": __version__,
                 "python": platform.python_version(),
@@ -296,16 +277,6 @@ class CalibrationResult(FrozenValue):
                 **{name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
             },
         }
-
-
-def _check_json(check) -> dict:
-    constraint = check.constraint
-    return {
-        "label": constraint.label,
-        "observed": check.observed,
-        "lower": constraint.lower,
-        "upper": constraint.upper,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +294,8 @@ _E = ElementClass
 #     minimum-savings target);
 #   - backhaul_share for rural drops 0.32 -> 0.24 (the rural CAPEX floor
 #     plus backhaul/core/oam floors would exceed the whole ledger).
-# The regression suite records exactly which use-case envelope members the
-# committed tables miss, so the deviation stays visible.
+# The record lists exactly which use-case envelope members each table misses,
+# and the regression suite re-checks that list, so the deviation stays visible.
 CALIBRATION_CONSTRAINTS = RepartitionConstraintSet(
     name="use_case_calibration",
     constraints=(

@@ -15,6 +15,7 @@ types.
 # property(itemgetter(index)) where its C version is missing.
 from collections import _tuplegetter
 from collections.abc import Mapping
+from types import MappingProxyType
 
 
 class NetshareError(Exception):
@@ -197,10 +198,13 @@ class FrozenValue(tuple):
     subclass that checks, converts or defaults its arguments does so in its
     own ``__new__`` and then calls the base's; code whose fields are already
     checked (a grid cell, a sweep point, a rescaled cost entry) makes the
-    call itself.  A value equals another of the same class with equal fields
-    and never a plain tuple, has no order, hashes by its fields, prints as
-    ``Name(field=value, ...)``, copies and pickles by calling its class with
-    its fields, and refuses assignment and deletion with
+    call itself.  The base constructor stores a field given as a mapping as
+    a read-only :class:`~types.MappingProxyType` view of its own copy, so no
+    field changes after its checks ran.  A value equals another of the
+    same class with equal fields and never a plain tuple, has no order,
+    hashes by its fields, prints as ``Name(field=value, ...)``, copies and
+    pickles by calling its class with its fields (a view handed on as a
+    dict), and refuses assignment and deletion with
     :class:`AttributeError`.  This is what a frozen dataclass gives,
     :meth:`replace` included, without the methods a dataclass compiles when
     its class is defined.
@@ -230,7 +234,9 @@ class FrozenValue(tuple):
         for field in named:  # a name left over was given by position too, or is no field
             problem = "got field {!r} twice" if field in fields else "has no field {!r}"
             raise TypeError(f"{name}() {problem.format(field)}")
-        return tuple.__new__(cls, values)
+        return tuple.__new__(
+            cls, [MappingProxyType(dict(v)) if isinstance(v, Mapping) else v for v in values]
+        )
 
     def replace(self, **changes):
         """A copy with ``changes`` to its fields, built and checked by its constructor."""
@@ -257,7 +263,8 @@ class FrozenValue(tuple):
         return f"{type(self).__qualname__}({', '.join([f'{n}={v!r}' for n, v in pairs])})"
 
     def __reduce__(self):
-        return type(self), self[:]
+        # A view neither copies nor pickles; the constructor makes a new one from a dict.
+        return type(self), tuple([dict(f) if type(f) is MappingProxyType else f for f in self])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

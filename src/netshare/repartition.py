@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import FrozenValue, InvalidAmount, read_number, read_object, read_text
+from .errors import FrozenValue, InvalidAmount, listed, read_number, read_object, read_text
 from .inventory import AreaKind, CostTable, ElementClass, Ledger, Market
 
 __all__ = [
@@ -35,8 +35,9 @@ class RepartitionConstraint(FrozenValue):
 
     ``area`` narrows the constraint to one area kind; ``None`` applies to
     every area.  Bounds are fractions in [0, 1] with ``lower <= upper``.
-    ``label`` must be a string and each bound a number, or
-    :class:`InvalidAmount` is raised.
+    ``label`` must be a string, ``ledger`` a :class:`Ledger`, each class an
+    :class:`ElementClass`, each bound a number and ``area`` an
+    :class:`AreaKind` or ``None``, or :class:`InvalidAmount` is raised.
     """
 
     __slots__ = ()
@@ -52,15 +53,24 @@ class RepartitionConstraint(FrozenValue):
         area: Optional[AreaKind] = None,
     ):
         read_text(label, "constraint 'label'", InvalidAmount)
+        if not isinstance(ledger, Ledger):
+            raise InvalidAmount(f"constraint 'ledger' must be a Ledger, got {ledger!r}")
         classes = frozenset(classes)
         if not classes:
             raise InvalidAmount(f"constraint {label!r} must name at least one class")
+        strays = [element for element in classes if not isinstance(element, ElementClass)]
+        if strays:  # all of them, sorted: a set's order follows the hash seed
+            raise InvalidAmount(
+                f"constraint 'classes' must be ElementClass members, got {listed(strays)}"
+            )
         lower = read_number(lower, "constraint 'lower'", InvalidAmount)
         upper = read_number(upper, "constraint 'upper'", InvalidAmount)
         if not (0.0 <= lower <= upper <= 1.0):
             raise InvalidAmount(
                 f"constraint {label!r} needs 0 <= lower <= upper <= 1, got [{lower}, {upper}]"
             )
+        if area is not None and not isinstance(area, AreaKind):
+            raise InvalidAmount(f"constraint 'area' must be an AreaKind or None, got {area!r}")
         return super().__new__(cls, label, ledger, classes, lower, upper, area)
 
     def applies_to(self, area: AreaKind) -> bool:

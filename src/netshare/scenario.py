@@ -233,8 +233,8 @@ class SweepSpec(FrozenValue):
         read_object(doc, "sweep", MalformedScenario, required + ("class",), required)
         return cls(
             parameter=doc["parameter"],
-            start=read_number(doc["from"], "sweep 'from'", MalformedScenario),
-            stop=read_number(doc["to"], "sweep 'to'", MalformedScenario),
+            start=doc["from"],
+            stop=doc["to"],
             steps=doc["steps"],
             class_name=doc.get("class"),
         )

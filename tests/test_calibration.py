@@ -31,6 +31,7 @@ from netshare import (
 )
 from netshare.calibration import (
     GRID_PRESETS,
+    CalibrationResult,
     DeltaTarget,
     _AreaProblem,
     _feasible_point,
@@ -41,7 +42,7 @@ from netshare.calibration import (
 )
 from netshare.errors import InfeasibleCalibration
 from netshare.repartition import FRACTION_TOL
-from netshare.scenario import fixture_path
+from netshare.scenario import fixture_path, reference_cost_table
 from netshare.sharing import preset
 
 np, _ = import_calibrate_extra()
@@ -354,14 +355,24 @@ result = calibrate_reference(constraints, targets, horizon_years=horizon, seed=i
 fractions = {}
 for area, table in result.tables.items():
     for ledger in ("capex", "opex_annual"):
-        amounts = [getattr(table.entries[c], ledger) if c in table.entries else 0.0
-                   for c in ElementClass]
+        amounts = [getattr(table.entries[c], ledger) for c in ElementClass]
         fractions[f"{area.value} {ledger}"] = [a / sum(amounts) for a in amounts]
 print(json.dumps(fractions))
 """
 
 
 def test_tables_agree_across_seeds_and_blas_thread_counts():
+    # ...and with the bundled tables, which the shipped search wrote: the
+    # committed record names the method that CalibrationResult.record writes.
+    committed = {}
+    for area in AreaKind:
+        table = reference_cost_table(area)
+        for ledger in ("capex", "opex_annual"):
+            amounts = [getattr(table.entries[c], ledger) for c in ElementClass]
+            committed[f"{area.value} {ledger}"] = [a / sum(amounts) for a in amounts]
+    record = json.loads(fixture_path("reference_calibration.json").read_text(encoding="utf-8"))
+    empty = CalibrationResult(tables={}, outcomes=(), seed=0, horizon_years=5, balances={})
+    assert record["method"] == empty.record(CALIBRATION_CONSTRAINTS)["method"]
     runs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -373,9 +384,9 @@ def test_tables_agree_across_seeds_and_blas_thread_counts():
             )
             assert proc.returncode == 0, proc.stderr
             runs[threads, seed] = json.loads(proc.stdout)
-    first = runs["1", "0"]
-    assert len(first) == 6
+    assert len(committed) == 6
     for key, run in runs.items():
-        assert run.keys() == first.keys(), key
+        assert run.keys() == committed.keys(), key
         for name, fractions in run.items():
-            assert fractions == pytest.approx(first[name], abs=1e-5), (key, name)
+            assert fractions == pytest.approx(runs["1", "0"][name], abs=1e-5), (key, name)
+            assert fractions == pytest.approx(committed[name], abs=1e-5), (key, name)

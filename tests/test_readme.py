@@ -1,7 +1,12 @@
-"""The README's Python examples run on their own and print what their closing comments say."""
+"""The README's examples run on their own and print what the README shows.
+
+Each Python snippet prints the lines of its closing comment, and each
+``netshare`` command that a ``text`` block follows prints that block.
+"""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +18,21 @@ import netshare
 SRC = str(Path(netshare.__file__).resolve().parents[1])
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 SNIPPETS = re.findall(r"^```python\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
+# (command, printed text) of each one-line sh block followed by a text block.
+COMMANDS = re.findall(
+    r"^```sh\n([^\n]*)\n```\n\n```text\n(.*?)^```$", README, re.MULTILINE | re.DOTALL
+)
+
+
+def _child(argv, cwd):
+    """``python argv`` with the package importable, run from ``cwd``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def _promised_output(snippet):
@@ -32,15 +52,21 @@ def test_readme_has_python_snippets_that_promise_output():
 @pytest.mark.parametrize("number", range(1, len(SNIPPETS) + 1))
 def test_readme_snippet_prints_its_closing_comment(number, tmp_path):
     snippet = SNIPPETS[number - 1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", snippet],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == _promised_output(snippet)
+    assert _child(["-c", snippet], tmp_path) == _promised_output(snippet)
+
+
+def test_readme_has_commands_that_show_their_output():
+    assert len(COMMANDS) >= 2
+    assert all(command.startswith("netshare ") for command, _ in COMMANDS)
+
+
+@pytest.mark.parametrize("command, shown", COMMANDS, ids=[command for command, _ in COMMANDS])
+def test_readme_command_prints_its_text_block(command, shown, tmp_path):
+    # An excerpt elides lines with "...": the lines it shows must be printed, in order.
+    printed = _child(["-m", "netshare", *shlex.split(command)[1:]], tmp_path)
+    shown = shown.splitlines()
+    if "..." in shown:
+        rest = iter(printed)
+        assert [line for line in shown if line != "..." and line not in rest] == []
+    else:
+        assert printed == shown

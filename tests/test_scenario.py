@@ -131,10 +131,6 @@ _MALFORMED = [
     ({"policy": {"min_own_coverage_fraction": 0.1}}, "keys: ['min_own_coverage_fraction']"),
     ({"sweep": 5}, "sweep must be an object"),
     (
-        {"sweep": {"parameter": "horizon_years", "from": "1", "to": 5, "steps": 5}},
-        "sweep 'from' must be a number",
-    ),
-    (
         {"cost_tables": {"urban": {**_UNIT_TABLE, "entries": {"nodeb": {"capex": None}}}}},
         "nodeb capex must be a number",
     ),
@@ -500,6 +496,10 @@ def test_non_finite_sweep_range_is_rejected(start, stop):
         ({"parameter": "class_cost_fraction", "class": 5}, "must be a string"),
         ({"parameter": "class_cost_fraction", "class": "nope"}, "nope"),
         ({"parameter": ["split_ratio"]}, "must be a string"),
+        (
+            {"parameter": "horizon_years", "from": "1", "to": 5, "steps": 5},
+            "sweep 'from' must be a number",
+        ),
     ],
     ids=lambda value: json.dumps(value) if isinstance(value, dict) else value,
 )

@@ -5,6 +5,7 @@ import importlib
 import json
 import operator
 import pickle
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -139,7 +140,6 @@ STORED_BY_THE_BASE = (
     Recommendation,
     ComparisonRow,
     LteComparisonReport,
-    ConstraintChecklist,
     ConstraintCheck,
     ConstraintReport,
     TargetOutcome,
@@ -237,6 +237,33 @@ def test_scenario_keeps_its_validation_verdict_through_copies_and_pickles():
     expected = run_scenario(scenario)
     for copied in _copies(scenario):
         assert copied == scenario and run_scenario(copied) == expected
+
+
+# Each field that holds a mapping, with a key of its instance in VALUES.
+_MAPPING_FIELDS = {
+    "Scenario.cost_tables": (Scenario, "cost_tables", _URBAN),
+    "CostTable.entries": (CostTable, "entries", ElementClass.NODEB),
+    "CalibrationResult.tables": (CalibrationResult, "tables", _URBAN),
+    "CalibrationResult.balances": (CalibrationResult, "balances", _URBAN),
+}
+
+
+@pytest.mark.parametrize("case", _MAPPING_FIELDS)
+def test_a_mapping_field_cannot_change_after_the_constructor_checked_it(case):
+    # A scenario's urban slot given the rural table would get past its label check.
+    cls, field, key = _MAPPING_FIELDS[case]
+    args = [dict(arg) if isinstance(arg, Mapping) else arg for arg in VALUES[cls]]
+    value = cls(*args)
+    args[cls._fields.index(field)].pop(key)  # the value keeps its own copy of the argument
+    assert key in getattr(value, field)
+    for copied in (value, *_copies(value), value.replace()):
+        assert copied == value
+        mapping = getattr(copied, field)
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+        assert dict(mapping) == dict(getattr(value, field))
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
@@ -410,6 +437,21 @@ _WRONGLY_TYPED = {
         InvalidAmount,
         "constraint 'label' must be a string, got 5",
     ),
+    "constraint ledger": (
+        lambda: RepartitionConstraint("x", "capex", {_NODEB}, 0.4, 0.6),
+        InvalidAmount,
+        "constraint 'ledger' must be a Ledger, got 'capex'",
+    ),
+    "constraint class": (
+        lambda: RepartitionConstraint("x", Ledger.CAPEX, {"rnc", _NODEB, "nodeb"}, 0.4, 0.6),
+        InvalidAmount,
+        "constraint 'classes' must be ElementClass members, got ['nodeb', 'rnc']",
+    ),
+    "constraint area": (
+        lambda: RepartitionConstraint("x", Ledger.CAPEX, {_NODEB}, 0.4, 0.6, "urban"),
+        InvalidAmount,
+        "constraint 'area' must be an AreaKind or None, got 'urban'",
+    ),
     "constraint set member": (
         lambda: RepartitionConstraintSet("x", [1]),
         InvalidAmount,
@@ -429,6 +471,16 @@ _WRONGLY_TYPED = {
         lambda: ChecklistItem(5, None, "maybe"),
         InvalidAmount,
         "checklist item 'domain' must be a string, got 5",
+    ),
+    "checklist state": (
+        lambda: ConstraintChecklist("new", ()),
+        InvalidAmount,
+        "checklist 'network_state' must be a NetworkState, got 'new'",
+    ),
+    "checklist entry": (
+        lambda: ConstraintChecklist(NetworkState.NEW, [1]),
+        InvalidAmount,
+        "checklist 'items' entry must be a ChecklistItem, got 1",
     ),
     "checklist answer": (
         lambda: checklist(NetworkState.NEW).with_answer(0, "no"),
